@@ -27,6 +27,7 @@ from importlib import resources
 
 from .determinant import det_appell_poly, det_pair_poly
 from .families import (
+    BUILTIN_NAMES,
     AppellFamily,
     FamilySpec,
     GENOCCHI_TABLE_MAX_ORDER,
@@ -65,7 +66,6 @@ _FAMILY_ORDER = (
     "bernoulli_genocchi",
     "euler_genocchi",
 )
-_BUILTINS = ("bernoulli", "euler", "genocchi-det", "genocchi-table")
 
 
 def load_fixture() -> dict:
@@ -312,7 +312,7 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
     records: list[PropertyRecord] = []
     singles = {
         name: resolve(FamilySpec.builtin(name), ctx, _order_cap(name, order))
-        for name in _BUILTINS
+        for name in BUILTIN_NAMES
     }
 
     # reciprocal orthogonality: numbers * beta = 1
@@ -334,8 +334,8 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
     for name, fam in singles.items():
         if not _ladder_ok(fam.polys(fam.order), ctx):
             ok = False
-    for a in _BUILTINS:
-        for b in _BUILTINS:
+    for a in BUILTIN_NAMES:
+        for b in BUILTIN_NAMES:
             cap = min(_order_cap(a, order), _order_cap(b, order))
             pf = product_family(
                 resolve(FamilySpec.builtin(a), ctx, cap),
@@ -419,8 +419,8 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
 
     # commutativity of the pair construction
     ok = True
-    for a in _BUILTINS:
-        for b in _BUILTINS:
+    for a in BUILTIN_NAMES:
+        for b in BUILTIN_NAMES:
             cap = pair_fams[(a, b)].order
             for n in range(cap + 1):
                 p_ab = iterate2(

@@ -2,8 +2,8 @@
 
 The degree-n member is (-1)^n / beta_0^(n+1) times the determinant of an
 (n+1)x(n+1) matrix whose first row holds the basis entries
-(1, b_1(x), ..., b_n(x)) and whose scalar rows are built from the beta
-sequence:
+(1, b_1(x), ..., b_n(x)) and whose scalar rows S_1..S_n are built from the
+beta sequence:
 
     row 1:      (beta_0, beta_1, ..., beta_n)
     row i >= 2: entry (i, j) = C(j, i-1)_q beta_{j-i+1} for j >= i-1,
@@ -12,13 +12,27 @@ sequence:
 With the monomial basis this produces the plain family attached to beta;
 with another family's polynomials in row 0 it produces the 2-iterated or
 mixed member.  Only row 0 is polynomial-valued, so the determinant is
-expanded by cofactors along row 0 and each scalar minor is evaluated by
-fraction-free (Bareiss) elimination, keeping everything exact.
+expanded by cofactors along row 0.
+
+The scalar rows have beta_0 at (i, i-1) and zeros below it.  Deleting
+column j therefore leaves a block-triangular minor,
+
+    minor_j = beta_0^j * D_j,
+
+where D_j = det(T_j) and T_j is the trailing block of rows j+1..n and
+columns j+1..n: an upper Hessenberg matrix whose subdiagonal is all beta_0.
+Expanding each T_j along its first row gives every D_j from one bottom-up
+recurrence (Bareiss 1968; the first-row expansion of a Hessenberg
+determinant),
+
+    D_n = 1,
+    D_j = sum_{k=0}^{n-j-1} (-beta_0)^k * S[j+1][j+1+k] * D_{j+k+1},
+
+so all n+1 cofactors cost O(n^2) exact operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,28 +41,19 @@ from .qcore import QPoly, monomial_basis
 from .series import ESeq
 
 __all__ = [
-    "DetMatrix",
     "build_matrix",
     "det_eval",
     "det_poly",
     "det_appell_poly",
     "det_pair_poly",
-    "bareiss_det",
-    "principal_minor",
 ]
 
 
-@dataclass(frozen=True)
-class DetMatrix:
-    """Materialized matrix: polynomial row 0 plus scalar rows 1..n."""
+def build_matrix(beta: ESeq, basis: Sequence[QPoly], n: int) -> tuple[tuple, ...]:
+    """Lay out the (n+1)x(n+1) determinant matrix for degree n >= 1.
 
-    size: int
-    top: tuple[QPoly, ...]
-    scalars: tuple[tuple[Fraction, ...], ...]
-
-
-def build_matrix(beta: ESeq, basis: Sequence[QPoly], n: int) -> DetMatrix:
-    """Lay out the (n+1)x(n+1) determinant matrix for degree n >= 1."""
+    Row 0 holds the basis polynomials, rows 1..n the scalar entries.
+    """
     if n < 1:
         raise ValueError("build_matrix needs n >= 1; degree 0 is 1/beta_0 directly")
     if beta.order < n:
@@ -60,8 +65,7 @@ def build_matrix(beta: ESeq, basis: Sequence[QPoly], n: int) -> DetMatrix:
     if basis[0] != QPoly.one():
         raise ValueError("basis[0] must be the constant polynomial 1")
     ctx = beta.ctx
-    top = tuple(basis[j] for j in range(n + 1))
-    rows = []
+    rows = [tuple(basis[j] for j in range(n + 1))]
     for i in range(1, n + 1):
         row = []
         for j in range(n + 1):
@@ -70,53 +74,34 @@ def build_matrix(beta: ESeq, basis: Sequence[QPoly], n: int) -> DetMatrix:
             else:
                 row.append(ctx.q_binomial(j, i - 1) * beta[j - i + 1])
         rows.append(tuple(row))
-    return DetMatrix(n + 1, top, tuple(rows))
+    return tuple(rows)
 
 
-def bareiss_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square scalar matrix, fraction-free style.
+def det_eval(matrix: Sequence[Sequence]) -> QPoly:
+    """(-1)^n / beta_0^(n+1) times det(matrix), via cofactors along row 0.
 
-    Pivots by the first nonzero entry in each column (row swap flips the
-    sign); every division in the Bareiss update is exact.
+    matrix is laid out as by build_matrix; the cofactors come from the
+    Hessenberg recurrence in the module docstring.
     """
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(map(Fraction, r)) for r in rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def det_eval(matrix: DetMatrix, beta0: Fraction, n: int) -> QPoly:
-    """(-1)^n / beta0^(n+1) times det(matrix), via cofactors along row 0."""
-    scale = Fraction((-1) ** n) / beta0 ** (n + 1)
-    acc = QPoly.zero()
-    for j in range(n + 1):
-        entry = matrix.top[j]
-        if entry.is_zero:
-            continue
-        minor_rows = [row[:j] + row[j + 1 :] for row in matrix.scalars]
-        minor = bareiss_det(minor_rows)
-        if minor == 0:
-            continue
-        cofactor = minor if j % 2 == 0 else -minor
-        acc = acc + (scale * cofactor) * entry
-    return acc
+    top, scalars = matrix[0], matrix[1:]
+    n = len(scalars)
+    beta0 = scalars[0][0]
+    powers = [Fraction(1)]
+    for _ in range(n):
+        powers.append(powers[-1] * -beta0)
+    d = [Fraction(0)] * n + [Fraction(1)]
+    for j in range(n - 1, -1, -1):
+        row = scalars[j]
+        d[j] = sum(powers[c - j - 1] * row[c] * d[c] for c in range(j + 1, n + 1))
+    # (-1)^n / beta_0^(n+1) * (-1)^j * minor_j, with minor_j = beta_0^j * D_j
+    coeffs = [Fraction(0)] * max(len(entry.coeffs) for entry in top)
+    for j, entry in enumerate(top):
+        weight = d[j] / beta0 ** (n + 1 - j)
+        if (n + j) % 2:
+            weight = -weight
+        for i, c in enumerate(entry.coeffs):
+            coeffs[i] += weight * c
+    return QPoly(coeffs)
 
 
 def det_poly(beta: ESeq, basis: Sequence[QPoly], n: int) -> QPoly:
@@ -128,8 +113,7 @@ def det_poly(beta: ESeq, basis: Sequence[QPoly], n: int) -> QPoly:
     if n == 0:
         # stated separately in the source construction, not as a matrix
         return QPoly((1 / beta[0],))
-    matrix = build_matrix(beta, basis, n)
-    return det_eval(matrix, beta[0], n)
+    return det_eval(build_matrix(beta, basis, n))
 
 
 def det_appell_poly(fam: AppellFamily, n: int) -> QPoly:
@@ -142,9 +126,3 @@ def det_pair_poly(beta_fam: AppellFamily, basis_fam: AppellFamily, n: int) -> QP
     if beta_fam.ctx.q != basis_fam.ctx.q:
         raise ValueError("families disagree on q")
     return det_poly(beta_fam.beta, basis_fam.polys(max(n, 0)), n)
-
-
-def principal_minor(matrix: DetMatrix, n: int) -> Fraction:
-    """det of the scalar block left of column n (rows 1..n, cols 0..n-1)."""
-    rows = [row[:n] for row in matrix.scalars]
-    return bareiss_det(rows)

@@ -1,18 +1,19 @@
+import operator
+import time
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qappell import QContext, QPoly, iterate2, resolve
+from qappell import QContext, QPoly, iterate2, pair_family, resolve
 from qappell.determinant import (
-    bareiss_det,
     build_matrix,
     det_appell_poly,
     det_eval,
     det_pair_poly,
     det_poly,
-    principal_minor,
 )
 from qappell.families import FamilySpec
 from qappell.qcore import monomial_basis
@@ -26,19 +27,41 @@ GD = FamilySpec.builtin("genocchi-det")
 GT = FamilySpec.builtin("genocchi-table")
 
 
+def laplace(rows):
+    """Determinant by first-row cofactor expansion.
+
+    An independent oracle for det_eval: exponential cost, so it is only used
+    at sizes up to 6x6.  Row 0 may hold QPoly entries, the rest Fractions.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    terms = []
+    for j, entry in enumerate(rows[0]):
+        term = entry * laplace([r[:j] + r[j + 1 :] for r in rows[1:]])
+        terms.append(term if j % 2 == 0 else -term)
+    return reduce(operator.add, terms)
+
+
+def custom_beta():
+    """Strategy: beta_0 any nonzero small fraction, then 1..5 more entries."""
+    return st.tuples(
+        small_fractions().filter(lambda b: b != 0),
+        st.lists(small_fractions(), min_size=1, max_size=5),
+    ).map(lambda t: [t[0]] + t[1])
+
+
 class TestBuildMatrix:
     def test_hand_expanded_bernoulli_n1(self, ctx_half):
         fam = resolve(B, ctx_half, 1)
         m = build_matrix(fam.beta, monomial_basis(1), 1)
-        assert m.top == (QPoly.one(), QPoly.monomial(1))
-        assert m.scalars == ((F(1), F(2, 3)),)
+        assert m == ((QPoly.one(), QPoly.monomial(1)), (F(1), F(2, 3)))
         # the displayed orientation: (-1)^1 * det([[1, x], [1, 2/3]]) = x - 2/3
-        assert det_eval(m, fam.beta[0], 1) == QPoly([F(-2, 3), 1])
+        assert det_eval(m) == QPoly([F(-2, 3), 1])
 
     def test_euler_row_two(self, ctx_half):
         fam = resolve(E, ctx_half, 2)
         m = build_matrix(fam.beta, monomial_basis(2), 2)
-        assert m.scalars[1] == (F(0), F(1), F(1, 2) * ctx_half.q_number(2))
+        assert m[2] == (F(0), F(1), F(1, 2) * ctx_half.q_number(2))
 
     def test_preconditions(self, ctx_half):
         beta = ESeq(ctx_half, [1, F(1, 2), F(1, 2)])
@@ -120,77 +143,81 @@ class TestRowZeroLinearity:
         basis_b = [QPoly.one()] + [QPoly([F(1), F(2), F(1, 3)][: k + 1]) for k in range(1, 4)]
         m_a = build_matrix(fam.beta, basis_a, 3)
         m_b = build_matrix(fam.beta, basis_b, 3)
-        summed = [QPoly.one() + QPoly.one()] + [
+        # row 0 of the sum carries the doubled constant, which build_matrix
+        # would reject, so the matrix is assembled by hand
+        summed = (QPoly.one() + QPoly.one(),) + tuple(
             basis_a[k] + basis_b[k] for k in range(1, 4)
-        ]
-        # evaluate with the doubled constant via raw det_eval on a manual matrix
-        from qappell.determinant import DetMatrix
-
-        m_sum = DetMatrix(m_a.size, tuple(summed), m_a.scalars)
-        lhs = det_eval(m_sum, fam.beta[0], 3)
-        rhs = det_eval(m_a, fam.beta[0], 3) + det_eval(m_b, fam.beta[0], 3)
-        assert lhs == rhs
+        )
+        lhs = det_eval((summed,) + m_a[1:])
+        assert lhs == det_eval(m_a) + det_eval(m_b)
 
 
 class TestDegenerateRow:
     def test_beta_row_in_row_zero_kills_the_determinant(self, ctx_half):
         # replacing row 0 by (beta_0..beta_n) duplicates row 1, so the full
         # determinant vanishes; exercised through the row-0 cofactor path
-        from qappell.determinant import DetMatrix
-
         fam = resolve(B, ctx_half, 4)
         n = 4
         m = build_matrix(fam.beta, monomial_basis(n), n)
         beta_top = tuple(QPoly([fam.beta[j]]) for j in range(n + 1))
-        degenerate = DetMatrix(m.size, beta_top, m.scalars)
-        assert det_eval(degenerate, fam.beta[0], n).is_zero
-        full = [[fam.beta[j] for j in range(n + 1)]] + [list(r) for r in m.scalars]
-        assert bareiss_det(full) == 0
-
-    def test_principal_minor_is_beta0_power(self, ctx_half):
-        # the scalar block is triangular over its first n columns, with
-        # beta_0 down the staircase diagonal
-        for spec, order in ((B, 5), (E, 4), (GD, 4)):
-            fam = resolve(spec, ctx_half, order)
-            for n in range(1, order + 1):
-                m = build_matrix(fam.beta, monomial_basis(n), n)
-                assert principal_minor(m, n) == fam.beta[0] ** n
+        assert det_eval((beta_top,) + m[1:]).is_zero
+        assert laplace([m[1]] + list(m[1:])) == 0
 
 
-class TestBareiss:
-    def test_identity(self):
-        assert bareiss_det([[F(1), F(0)], [F(0), F(1)]]) == 1
-
-    def test_zero_pivot_needs_swap(self):
-        m = [
-            [F(0), F(1), F(2)],
-            [F(1), F(0), F(1)],
-            [F(2), F(1), F(0)],
-        ]
+class TestLaplaceOracle:
+    def test_hand_cases(self):
+        assert laplace([[F(1), F(0)], [F(0), F(1)]]) == 1
         # cofactor expansion by hand: det = 4
-        assert bareiss_det(m) == 4
-
-    def test_singular(self):
-        m = [[F(1), F(2)], [F(2), F(4)]]
-        assert bareiss_det(m) == 0
+        assert laplace([[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]]) == 4
+        assert laplace([[F(1), F(2)], [F(2), F(4)]]) == 0
 
     @given(
-        rows=st.lists(
-            st.lists(small_fractions(bound=4, max_denominator=6), min_size=4, max_size=4),
-            min_size=4,
-            max_size=4,
-        )
+        q=q_values(),
+        beta=custom_beta(),
+        tops=st.lists(st.lists(small_fractions(), max_size=4), min_size=5, max_size=5),
     )
-    def test_against_laplace_oracle(self, rows):
-        def laplace(mat):
-            k = len(mat)
-            if k == 1:
-                return mat[0][0]
-            total = F(0)
-            for j in range(k):
-                minor = [r[:j] + r[j + 1 :] for r in mat[1:]]
-                term = mat[0][j] * laplace(minor)
-                total += term if j % 2 == 0 else -term
-            return total
+    def test_det_eval_matches_laplace(self, q, beta, tops):
+        ctx = QContext(q)
+        n = len(beta) - 1
+        basis = [QPoly.one()] + [QPoly(cs) for cs in tops[:n]]
+        m = build_matrix(ESeq(ctx, beta), basis, n)
+        expected = laplace(m) * (F(-1) ** n / beta[0] ** (n + 1))
+        assert det_eval(m) == expected
 
-        assert bareiss_det(rows) == laplace(rows)
+
+class TestBlockTriangular:
+    @given(q=q_values(), beta=custom_beta())
+    def test_minors_are_beta0_powers_times_hessenberg_blocks(self, q, beta):
+        # deleting column j leaves beta_0 on a staircase over columns 0..j-1
+        # and the trailing Hessenberg block T_j (rows and columns j+1..n)
+        ctx = QContext(q)
+        n = len(beta) - 1
+        m = build_matrix(ESeq(ctx, beta), monomial_basis(n), n)
+        scalars = [list(r) for r in m[1:]]
+        for j in range(n + 1):
+            minor = laplace([r[:j] + r[j + 1 :] for r in scalars])
+            trailing = [r[j + 1 :] for r in scalars[j:]]
+            det_t = laplace(trailing) if trailing else F(1)
+            assert minor == beta[0] ** j * det_t
+            # det_eval with the unit row e_j in row 0 isolates cofactor j
+            unit_top = tuple(QPoly.one() if k == j else QPoly.zero() for k in range(n + 1))
+            sign = F(-1) ** (n + j)
+            assert det_eval((unit_top,) + m[1:]) == QPoly([sign * minor / beta[0] ** (n + 1)])
+
+
+class TestDeep:
+    """The time bound catches a return to a route that grows faster than O(n^2)."""
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(9, 10)], ids=str)
+    def test_order_32_matches_series_route(self, q):
+        ctx = QContext(q)
+        n = 32
+        bern, euler, gdet = (resolve(s, ctx, n) for s in (B, E, GD))
+        start = time.perf_counter()
+        pair = det_pair_poly(bern, euler, n)
+        plain = det_appell_poly(gdet, n)
+        elapsed = time.perf_counter() - start
+        assert pair == pair_family(B, E, ctx, n).poly(n)
+        assert pair == iterate2(B, E, ctx, n, n)
+        assert plain == gdet.poly(n)
+        assert elapsed < 2.0
