@@ -42,6 +42,29 @@ def laplace(rows):
     return reduce(operator.add, terms)
 
 
+def bareiss(rows):
+    """Determinant of a square Fraction matrix by fraction-free elimination.
+
+    A second oracle for det_eval, cubic in cost, for sizes the Laplace
+    expansion cannot reach.  A zero pivot is swapped with a lower row.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, F(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if swap is None:
+                return F(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else F(1)
+
+
 def custom_beta():
     """Strategy: beta_0 any nonzero small fraction, then 1..5 more entries."""
     return st.tuples(
@@ -164,13 +187,42 @@ class TestDegenerateRow:
         assert laplace([m[1]] + list(m[1:])) == 0
 
 
-class TestLaplaceOracle:
-    def test_hand_cases(self):
-        assert laplace([[F(1), F(0)], [F(0), F(1)]]) == 1
-        # cofactor expansion by hand: det = 4
-        assert laplace([[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]]) == 4
-        assert laplace([[F(1), F(2)], [F(2), F(4)]]) == 0
+class TestBareiss:
+    """Hand cases pin both test oracles; then Bareiss checks det_eval at order 12."""
 
+    def test_identity(self):
+        m = [[F(1), F(0)], [F(0), F(1)]]
+        assert bareiss(m) == laplace(m) == 1
+
+    def test_zero_pivot_needs_swap(self):
+        m = [
+            [F(0), F(1), F(2)],
+            [F(1), F(0), F(1)],
+            [F(2), F(1), F(0)],
+        ]
+        # cofactor expansion by hand: det = 4
+        assert bareiss(m) == laplace(m) == 4
+
+    def test_singular(self):
+        m = [[F(1), F(2)], [F(2), F(4)]]
+        assert bareiss(m) == laplace(m) == 0
+
+    @pytest.mark.parametrize("spec", [B, E, GD], ids=lambda s: s.name)
+    def test_det_eval_cofactors_at_order_12(self, ctx_half, spec):
+        # det_eval with the unit row e_j in row 0 isolates cofactor j, which
+        # must match the eliminated minor of the scalar rows
+        n = 12
+        fam = resolve(spec, ctx_half, n)
+        m = build_matrix(fam.beta, monomial_basis(n), n)
+        scalars = m[1:]
+        scale = fam.beta[0] ** (n + 1)
+        for j in range(n + 1):
+            minor = bareiss([r[:j] + r[j + 1 :] for r in scalars])
+            unit_top = tuple(QPoly.one() if k == j else QPoly.zero() for k in range(n + 1))
+            assert det_eval((unit_top,) + scalars) == QPoly([F(-1) ** (n + j) * minor / scale])
+
+
+class TestLaplaceOracle:
     @given(
         q=q_values(),
         beta=custom_beta(),
