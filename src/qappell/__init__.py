@@ -2,21 +2,20 @@
 number tables, zero finding, and reproducible audits of published values."""
 
 from .qcore import QContext, QPoly, Rat, parse_q, parse_rat, q_derive
-from .series import ESeq, convolve, q_exp, reciprocal, shift_down, shift_up, unit
+from .series import ESeq, convolve, q_exp, reciprocal, shift_up, unit
 from .families import (
     AppellFamily,
     FamilySpec,
     apply_operator,
     identity_residuals,
     iterate2,
-    iterate2_numbers,
     pair_family,
     product_family,
     resolve,
     umbral_compose,
 )
 from .determinant import det_appell_poly, det_pair_poly, det_poly
-from .roots import RootSet, classify, find_roots, sample, vieta_residuals
+from .roots import RootSet, find_roots, sample, vieta_residuals
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "convolve",
     "reciprocal",
     "shift_up",
-    "shift_down",
     "unit",
     "q_exp",
     "AppellFamily",
@@ -40,7 +38,6 @@ __all__ = [
     "product_family",
     "pair_family",
     "iterate2",
-    "iterate2_numbers",
     "umbral_compose",
     "apply_operator",
     "identity_residuals",
@@ -49,7 +46,6 @@ __all__ = [
     "det_pair_poly",
     "RootSet",
     "find_roots",
-    "classify",
     "sample",
     "vieta_residuals",
     "__version__",

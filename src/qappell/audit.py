@@ -57,7 +57,8 @@ __all__ = [
 ZERO_MATCH_TOL = 5e-5
 VIETA_TOL = 1e-9
 
-_PLAIN_KEYS = ("bernoulli", "euler", "genocchi")
+# printed-table key -> the built-in family its values come from
+_PLAIN_FAMILIES = {"bernoulli": "bernoulli", "euler": "euler", "genocchi": "genocchi-table"}
 _FAMILY_ORDER = (
     "bernoulli2",
     "euler2",
@@ -314,6 +315,12 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
         name: resolve(FamilySpec.builtin(name), ctx, _order_cap(name, order))
         for name in BUILTIN_NAMES
     }
+    # each ordered pair's members, at the lower of the two orders
+    pairs: dict[tuple[str, str], tuple[AppellFamily, AppellFamily]] = {}
+    for a in BUILTIN_NAMES:
+        for b in BUILTIN_NAMES:
+            cap = min(singles[a].order, singles[b].order)
+            pairs[(a, b)] = (singles[a].truncated(cap), singles[b].truncated(cap))
 
     # reciprocal orthogonality: numbers * beta = 1
     ok = True
@@ -334,16 +341,11 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
     for name, fam in singles.items():
         if not _ladder_ok(fam.polys(fam.order), ctx):
             ok = False
-    for a in BUILTIN_NAMES:
-        for b in BUILTIN_NAMES:
-            cap = min(_order_cap(a, order), _order_cap(b, order))
-            pf = product_family(
-                resolve(FamilySpec.builtin(a), ctx, cap),
-                resolve(FamilySpec.builtin(b), ctx, cap),
-            )
-            pair_fams[(a, b)] = pf
-            if not _ladder_ok(pf.polys(cap), ctx):
-                ok = False
+    for key, (fa, fb) in pairs.items():
+        pf = product_family(fa, fb)
+        pair_fams[key] = pf
+        if not _ladder_ok(pf.polys(pf.order), ctx):
+            ok = False
     records.append(
         PropertyRecord(
             "ladder-series",
@@ -358,10 +360,8 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
         det_polys = [det_appell_poly(fam, n) for n in range(fam.order + 1)]
         if not _ladder_ok(det_polys, ctx):
             ok = False
-    for (a, b), pf in pair_fams.items():
-        fa = resolve(FamilySpec.builtin(a), ctx, pf.order)
-        fb = resolve(FamilySpec.builtin(b), ctx, pf.order)
-        det_polys = [det_pair_poly(fa, fb, n) for n in range(pf.order + 1)]
+    for fa, fb in pairs.values():
+        det_polys = [det_pair_poly(fa, fb, n) for n in range(fa.order + 1)]
         if not _ladder_ok(det_polys, ctx):
             ok = False
     records.append(
@@ -381,17 +381,13 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
             oper = apply_operator(fam.numbers, QPoly.monomial(n))
             if not series == det == oper:
                 ok = False
-    for (a, b), pf in pair_fams.items():
-        fa = resolve(FamilySpec.builtin(a), ctx, pf.order)
-        fb = resolve(FamilySpec.builtin(b), ctx, pf.order)
-        for n in range(pf.order + 1):
-            series = iterate2(
-                FamilySpec.builtin(a), FamilySpec.builtin(b), ctx, pf.order, n
-            )
+    for key, (fa, fb) in pairs.items():
+        for n in range(fa.order + 1):
+            series = iterate2(fa, fb, n)
             det = det_pair_poly(fa, fb, n)
             oper = apply_operator(fa.numbers, fb.poly(n))
             umb = umbral_compose(fa.polys(n), fb.polys(n), n)
-            if not series == det == oper == umb == pf.poly(n):
+            if not series == det == oper == umb == pair_fams[key].poly(n):
                 ok = False
     records.append(
         PropertyRecord(
@@ -403,8 +399,7 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
 
     # inversion identities
     ok = True
-    for name in ("bernoulli", "euler", "genocchi-det", "genocchi-table"):
-        fam = singles[name]
+    for fam in singles.values():
         for n in range(1, min(6, fam.order) + 1):
             r1, r2 = identity_residuals(fam, n)
             if not (r1.is_zero and r2.is_zero):
@@ -419,18 +414,10 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
 
     # commutativity of the pair construction
     ok = True
-    for a in BUILTIN_NAMES:
-        for b in BUILTIN_NAMES:
-            cap = pair_fams[(a, b)].order
-            for n in range(cap + 1):
-                p_ab = iterate2(
-                    FamilySpec.builtin(a), FamilySpec.builtin(b), ctx, cap, n
-                )
-                p_ba = iterate2(
-                    FamilySpec.builtin(b), FamilySpec.builtin(a), ctx, cap, n
-                )
-                if p_ab != p_ba:
-                    ok = False
+    for fa, fb in pairs.values():
+        for n in range(fa.order + 1):
+            if iterate2(fa, fb, n) != iterate2(fb, fa, n):
+                ok = False
     records.append(
         PropertyRecord(
             "commutativity",
@@ -467,14 +454,11 @@ def _check(
     checks.append(CheckRecord(check_id, subject, printed, computed, status, note))
 
 
-def _audit_numbers(ctx: QContext, registry: dict, checks: list[CheckRecord]) -> None:
-    fams = {
-        "bernoulli": resolve(FamilySpec.builtin("bernoulli"), ctx, 4),
-        "euler": resolve(FamilySpec.builtin("euler"), ctx, 4),
-        "genocchi": resolve(FamilySpec.builtin("genocchi-table"), ctx, 4),
-    }
-    for key in _PLAIN_KEYS:
-        fam = fams[key]
+def _audit_numbers(
+    ctx: QContext, fams: dict[str, AppellFamily], registry: dict, checks: list[CheckRecord]
+) -> None:
+    for key, name in _PLAIN_FAMILIES.items():
+        fam = fams[name]
         for n in range(5):
             want = printed_number(ctx, key, n)
             got = fam.number(n)
@@ -490,15 +474,10 @@ def _audit_numbers(ctx: QContext, registry: dict, checks: list[CheckRecord]) -> 
 
 
 def _audit_family_polys(
-    ctx: QContext, registry: dict, checks: list[CheckRecord]
+    ctx: QContext, fams: dict[str, AppellFamily], registry: dict, checks: list[CheckRecord]
 ) -> None:
-    fams = {
-        "bernoulli": resolve(FamilySpec.builtin("bernoulli"), ctx, 4),
-        "euler": resolve(FamilySpec.builtin("euler"), ctx, 4),
-        "genocchi": resolve(FamilySpec.builtin("genocchi-table"), ctx, 4),
-    }
-    for key in _PLAIN_KEYS:
-        fam = fams[key]
+    for key, name in _PLAIN_FAMILIES.items():
+        fam = fams[name]
         for n in range(5):
             want = printed_family_poly(ctx, key, n)
             got = fam.poly(n)
@@ -517,27 +496,25 @@ def _fixture_poly(coeff_strings: list[str]) -> QPoly:
     return QPoly([Fraction(c) for c in reversed(coeff_strings)])
 
 
-def _pair_families(ctx: QContext, fixture: dict) -> dict[str, AppellFamily]:
+def _pair_families(
+    fams: dict[str, AppellFamily], fixture: dict
+) -> dict[str, AppellFamily]:
     out = {}
     for key in _FAMILY_ORDER:
         a, b = fixture["families"][key]["pair"]
-        out[key] = product_family(
-            resolve(FamilySpec.builtin(a), ctx, 4),
-            resolve(FamilySpec.builtin(b), ctx, 4),
-        )
+        out[key] = product_family(fams[a], fams[b])
     return out
 
 
 def _audit_iterated_polys(
-    ctx: QContext, fixture: dict, registry: dict, checks: list[CheckRecord]
+    pairs: dict[str, AppellFamily], fixture: dict, registry: dict, checks: list[CheckRecord]
 ) -> None:
-    fams = _pair_families(ctx, fixture)
     for key in _FAMILY_ORDER:
         display = fixture["families"][key]["display"]
         for n_str, coeffs in fixture["iterated_polys"][key].items():
             n = int(n_str)
             want = _fixture_poly(coeffs)
-            got = fams[key].poly(n)
+            got = pairs[key].poly(n)
             _check(
                 checks,
                 registry,
@@ -581,13 +558,12 @@ def _render_rootset(rs: RootSet) -> str:
 
 
 def _audit_zeros(
-    ctx: QContext,
+    pairs: dict[str, AppellFamily],
     fixture: dict,
     registry: dict,
     checks: list[CheckRecord],
     properties: list[PropertyRecord],
 ) -> None:
-    fams = _pair_families(ctx, fixture)
     worst_vieta = 0.0
     counts_ok = True
     for key in _FAMILY_ORDER:
@@ -596,7 +572,7 @@ def _audit_zeros(
         pair_rows = fixture["complex_zeros"].get(key, {})
         for n_str in sorted(real_rows, key=int):
             n = int(n_str)
-            poly = fams[key].poly(n)
+            poly = pairs[key].poly(n)
             rs = find_roots(poly)
             vs, vp = vieta_residuals(poly, rs.roots)
             worst_vieta = max(worst_vieta, vs, vp)
@@ -651,26 +627,25 @@ def _audit_zeros(
     )
 
 
-def _exhibits(ctx: QContext) -> list[str]:
+def _exhibits(fams: dict[str, AppellFamily]) -> list[str]:
     out: list[str] = []
-    gt = genocchi_table_numbers(ctx)
-    gd = resolve(FamilySpec.builtin("genocchi-det"), ctx, 4)
+    gd = fams["genocchi-det"]
+    gtab = fams["genocchi-table"]
+    eul = fams["euler"]
     out.append(
         "three inequivalent q-Genocchi readings: published numbers "
-        f"({', '.join(frac_str(c) for c in gt)}); determinant-recipe numbers "
+        f"({', '.join(frac_str(c) for c in gtab.numbers)}); determinant-recipe numbers "
         f"({', '.join(frac_str(gd.number(n)) for n in range(5))}); the "
         "generating-function form 2t/(e_q(t)+1) has constant term 0 and is "
         "not invertible"
     )
-    eul = resolve(FamilySpec.builtin("euler"), ctx, 4)
     shifted = shift_up(eul.numbers)
     out.append(
         "expansion of 2t/(e_q(t)+1) via t * (2/(e_q(t)+1)): coefficients "
         f"{', '.join(frac_str(c) for c in shifted)} (leading 0, so no "
         "reciprocal exists)"
     )
-    gtab = resolve(FamilySpec.builtin("genocchi-table"), ctx, 4)
-    bern = resolve(FamilySpec.builtin("bernoulli"), ctx, 4)
+    bern = fams["bernoulli"]
     recipes = (
         ("2-iterated q-Genocchi", gd, gtab, product_family(gtab, gtab)),
         ("q-Bernoulli-Genocchi", gd, bern, product_family(gtab, bern)),
@@ -694,15 +669,20 @@ def run_verify(q: Fraction, order: int = 8) -> VerifyReport:
     registry = dict(fixture["known_misprints"])
     report = VerifyReport(q=ctx.q, order=order)
     report.properties = run_properties(ctx, order)
-    _audit_numbers(ctx, registry, report.checks)
-    _audit_family_polys(ctx, registry, report.checks)
+    # the printed tables stop at degree 4; every table phase shares these
+    tables = {
+        name: resolve(FamilySpec.builtin(name), ctx, 4) for name in BUILTIN_NAMES
+    }
+    _audit_numbers(ctx, tables, registry, report.checks)
+    _audit_family_polys(ctx, tables, registry, report.checks)
     if ctx.q == Fraction(1, 2):
-        _audit_iterated_polys(ctx, fixture, registry, report.checks)
-        _audit_zeros(ctx, fixture, registry, report.checks, report.properties)
+        pairs = _pair_families(tables, fixture)
+        _audit_iterated_polys(pairs, fixture, registry, report.checks)
+        _audit_zeros(pairs, fixture, registry, report.checks, report.properties)
     else:
         report.skipped.append(
             "iterated-polynomial and zero tables were published for q = 1/2 "
             f"only; skipped at q = {frac_str(ctx.q)}"
         )
-    report.exhibits = _exhibits(ctx)
+    report.exhibits = _exhibits(tables)
     return report

@@ -19,7 +19,6 @@ from .families import (
     FamilyError,
     FamilySpec,
     apply_operator,
-    pair_family,
     product_family,
     resolve,
 )
@@ -137,27 +136,48 @@ def _label(specs: tuple[FamilySpec, ...]) -> str:
     return "*".join(s.label for s in specs)
 
 
-def _resolve_order(specs: tuple[FamilySpec, ...], ctx: QContext, order: int) -> AppellFamily:
+def _resolve(
+    specs: tuple[FamilySpec, ...], ctx: QContext, order: int
+) -> tuple[AppellFamily, tuple[AppellFamily, ...]]:
+    """The series family and its members, each resolved once at the top order."""
     try:
-        if len(specs) == 1:
-            return resolve(specs[0], ctx, order)
-        return pair_family(specs[0], specs[1], ctx, order)
+        members = tuple(resolve(spec, ctx, order) for spec in specs)
     except FamilyError as exc:
         raise CliError(str(exc)) from exc
+    series = members[0] if len(members) == 1 else product_family(*members)
+    return series, members
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 def _methods(args: argparse.Namespace) -> tuple[str, ...]:
-    if getattr(args, "method", "series") == "all":
+    if args.method == "all":
         return ("series", "determinant", "operator")
     return (args.method,)
+
+
+def _by_method(methods: tuple[str, ...], compute, render) -> dict | None:
+    """compute(m) for every method, or None once a divergence is reported.
+
+    A divergence from the first method writes each method's result, as
+    render gives it, to stderr.
+    """
+    computed = {m: compute(m) for m in methods}
+    if any(v != computed[methods[0]] for v in computed.values()):
+        sys.stderr.write("cross-method divergence:\n")
+        for m in methods:
+            sys.stderr.write(f"  {m}: {render(computed[m])}\n")
+        return None
+    return computed
 
 
 def cmd_numbers(args: argparse.Namespace) -> int:
@@ -165,18 +185,16 @@ def cmd_numbers(args: argparse.Namespace) -> int:
     specs = _specs(args)
     if args.upto < 0:
         raise CliError("--upto must be >= 0")
+    series, members = _resolve(specs, ctx, args.upto)
     methods = _methods(args)
-    try:
-        values = {
-            m: [_poly_by_method(specs, ctx, n, m)(0) for n in range(args.upto + 1)]
-            for m in methods
-        }
-    except FamilyError as exc:
-        raise CliError(str(exc)) from exc
-    if len(methods) > 1 and any(values[m] != values["series"] for m in methods):
-        sys.stderr.write("cross-method divergence:\n")
-        for m in methods:
-            sys.stderr.write(f"  {m}: {[frac_str(v) for v in values[m]]}\n")
+    values = _by_method(
+        methods,
+        lambda m: [
+            _poly_by_method(series, members, n, m)(0) for n in range(args.upto + 1)
+        ],
+        lambda vs: [frac_str(v) for v in vs],
+    )
+    if values is None:
         return 2
     rows = list(enumerate(values[methods[0]]))
     if args.format == "json":
@@ -202,19 +220,15 @@ def cmd_numbers(args: argparse.Namespace) -> int:
 
 
 def _poly_by_method(
-    specs: tuple[FamilySpec, ...], ctx: QContext, n: int, method: str
+    series: AppellFamily, members: tuple[AppellFamily, ...], n: int, method: str
 ) -> QPoly:
-    if len(specs) == 1:
-        fam = resolve(specs[0], ctx, n)
-        if method == "series":
-            return fam.poly(n)
-        if method == "determinant":
-            return det_appell_poly(fam, n)
-        return apply_operator(fam.numbers, QPoly.monomial(n))
-    fam_i = resolve(specs[0], ctx, n)
-    fam_ii = resolve(specs[1], ctx, n)
     if method == "series":
-        return product_family(fam_i, fam_ii).poly(n)
+        return series.poly(n)
+    if len(members) == 1:
+        if method == "determinant":
+            return det_appell_poly(members[0], n)
+        return apply_operator(members[0].numbers, QPoly.monomial(n))
+    fam_i, fam_ii = members
     if method == "determinant":
         return det_pair_poly(fam_i, fam_ii, n)
     return apply_operator(fam_i.numbers, fam_ii.poly(n))
@@ -229,19 +243,13 @@ def cmd_poly(args: argparse.Namespace) -> int:
     specs = _specs(args)
     if args.n < 0:
         raise CliError("-n must be >= 0")
-    methods = ("series", "determinant", "operator") if args.method == "all" else (args.method,)
-    try:
-        computed = {m: _poly_by_method(specs, ctx, args.n, m) for m in methods}
-    except FamilyError as exc:
-        raise CliError(str(exc)) from exc
-    if args.method == "all":
-        series = computed["series"]
-        diverging = {m: p for m, p in computed.items() if p != series}
-        if diverging:
-            sys.stderr.write("cross-method divergence:\n")
-            for m in methods:
-                sys.stderr.write(f"  {m}: {poly_text(computed[m])}\n")
-            return 2
+    series, members = _resolve(specs, ctx, args.n)
+    methods = _methods(args)
+    computed = _by_method(
+        methods, lambda m: _poly_by_method(series, members, args.n, m), poly_text
+    )
+    if computed is None:
+        return 2
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -274,15 +282,12 @@ def cmd_roots(args: argparse.Namespace) -> int:
     specs = _specs(args)
     if args.n < 1:
         raise CliError("-n must be >= 1 for roots")
+    series, members = _resolve(specs, ctx, args.n)
     methods = _methods(args)
-    try:
-        computed = {m: _poly_by_method(specs, ctx, args.n, m) for m in methods}
-    except FamilyError as exc:
-        raise CliError(str(exc)) from exc
-    if len(methods) > 1 and any(p != computed["series"] for p in computed.values()):
-        sys.stderr.write("cross-method divergence:\n")
-        for m in methods:
-            sys.stderr.write(f"  {m}: {poly_text(computed[m])}\n")
+    computed = _by_method(
+        methods, lambda m: _poly_by_method(series, members, args.n, m), poly_text
+    )
+    if computed is None:
         return 2
     p = computed[methods[0]]
     try:
@@ -361,7 +366,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise CliError("--steps must be >= 2")
     if not xmin < xmax:
         raise CliError("--xmin must be < --xmax")
-    fam = _resolve_order(specs, ctx, max(degrees))
+    fam, _ = _resolve(specs, ctx, max(degrees))
     columns = {d: sample(fam.poly(d), xmin, xmax, args.steps) for d in degrees}
     xs = [x for x, _ in columns[degrees[0]]]
     if args.format == "json":

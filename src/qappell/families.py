@@ -46,7 +46,6 @@ __all__ = [
     "product_family",
     "pair_family",
     "iterate2",
-    "iterate2_numbers",
     "umbral_compose",
     "apply_operator",
     "identity_residuals",
@@ -117,16 +116,20 @@ class AppellFamily:
     def __repr__(self) -> str:
         return f"AppellFamily({self.label}, q={self.ctx.q}, order={self.order})"
 
-    def number(self, n: int) -> Fraction:
-        """A_n, the value of the degree-n member at x = 0."""
+    def _check_degree(self, n: int) -> None:
+        if n < 0:
+            raise FamilyError(f"n must be >= 0, got {n}")
         if n > self.order:
             raise FamilyError(f"n={n} exceeds the truncation order {self.order}")
+
+    def number(self, n: int) -> Fraction:
+        """A_n, the value of the degree-n member at x = 0."""
+        self._check_degree(n)
         return self.numbers[n]
 
     def poly(self, n: int) -> QPoly:
         """The degree-n member P_n(x) = sum_k C(n,k)_q A_k x^(n-k)."""
-        if n > self.order:
-            raise FamilyError(f"n={n} exceeds the truncation order {self.order}")
+        self._check_degree(n)
         got = self._polys.get(n)
         if got is None:
             coeffs = [Fraction(0)] * (n + 1)
@@ -139,9 +142,13 @@ class AppellFamily:
     def polys(self, upto: int) -> list[QPoly]:
         return [self.poly(n) for n in range(upto + 1)]
 
-    def eval_at_zero(self, n: int) -> Fraction:
-        """P_n(0); equals number(n) by construction, kept as a cross-check."""
-        return self.poly(n)(0)
+    def truncated(self, order: int) -> "AppellFamily":
+        """The same family at a lower order; numbers and beta are prefix-stable."""
+        if order == self.order:
+            return self
+        return AppellFamily(
+            self.ctx, self.numbers.truncated(order), self.beta.truncated(order), self.label
+        )
 
 
 def _beta_bernoulli(ctx: QContext, order: int) -> ESeq:
@@ -248,37 +255,20 @@ def pair_family(
     return product_family(resolve(spec_i, ctx, order), resolve(spec_ii, ctx, order))
 
 
-def iterate2(
-    spec_i: FamilySpec, spec_ii: FamilySpec, ctx: QContext, order: int, n: int
-) -> QPoly:
+def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
     """Degree-n member of the 2-iterated family, by the direct double sum
 
         sum_k C(n,k)_q A^I_k P^II_{n-k}(x),
 
-    where the first spec contributes numbers and the second polynomials.
+    where the first family contributes numbers and the second polynomials.
     """
-    if n > order:
-        raise FamilyError(f"n={n} exceeds the truncation order {order}")
-    fam_i = resolve(spec_i, ctx, order)
-    fam_ii = resolve(spec_ii, ctx, order)
+    fam_i._check_degree(n)
+    fam_ii._check_degree(n)
+    ctx = fam_i.ctx
     acc = QPoly.zero()
     for k in range(n + 1):
         acc = acc + ctx.q_binomial(n, k) * fam_i.numbers[k] * fam_ii.poly(n - k)
     return acc
-
-
-def iterate2_numbers(
-    spec_i: FamilySpec, spec_ii: FamilySpec, ctx: QContext, order: int, n: int
-) -> Fraction:
-    """The 2-iterated number sum_k C(n,k)_q A^I_k A^II_{n-k}."""
-    if n > order:
-        raise FamilyError(f"n={n} exceeds the truncation order {order}")
-    fam_i = resolve(spec_i, ctx, order)
-    fam_ii = resolve(spec_ii, ctx, order)
-    s = Fraction(0)
-    for k in range(n + 1):
-        s += ctx.q_binomial(n, k) * fam_i.numbers[k] * fam_ii.numbers[n - k]
-    return s
 
 
 def umbral_compose(
@@ -328,8 +318,7 @@ def identity_residuals(fam: AppellFamily, n: int) -> tuple[QPoly, QPoly]:
     """
     if n == 0:
         return QPoly.zero(), QPoly.zero()
-    if n > fam.order:
-        raise FamilyError(f"n={n} exceeds the truncation order {fam.order}")
+    fam._check_degree(n)
     ctx = fam.ctx
     squared = product_family(fam, fam)
     first = QPoly.monomial(n)

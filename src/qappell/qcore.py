@@ -6,7 +6,6 @@ together with memo tables for the scalar quantities derived from it:
     [a]_q   = (1 - q^a) / (1 - q)                 (q-number)
     [n]_q!  = [1]_q [2]_q ... [n]_q,  [0]_q! = 1  (q-factorial)
     C(n,k)_q = [n]_q! / ([k]_q! [n-k]_q!)         (Gauss q-binomial)
-    (a;q)_n = prod_{m=0}^{n-1} (1 - q^m a)        (q-shifted factorial)
 
 All scalars are ``fractions.Fraction`` instances, so every operation in
 this module is exact.  ``QPoly`` is a dense polynomial in x over the
@@ -117,16 +116,6 @@ class QContext:
             got = self.q_factorial(n) / (self.q_factorial(k) * self.q_factorial(n - k))
             self._qbin[(n, k)] = got
         return got
-
-    def q_shifted_factorial(self, a: RatLike, n: int) -> Fraction:
-        """(a;q)_n = prod_{m=0}^{n-1} (1 - q^m a); the empty product is 1."""
-        if n < 0:
-            raise ValueError(f"q-shifted factorial needs n >= 0, got {n}")
-        acc = Fraction(1)
-        a = Fraction(a)
-        for m in range(n):
-            acc *= 1 - self.q**m * a
-        return acc
 
 
 class QPoly:

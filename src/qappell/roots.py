@@ -27,7 +27,6 @@ __all__ = [
     "ClassificationError",
     "to_float",
     "find_roots",
-    "classify",
     "vieta_residuals",
     "sample",
 ]
@@ -156,11 +155,6 @@ def find_roots(
             residuals,
         )
     return _build(n, z, coeffs, real_tol)
-
-
-def classify(rs: RootSet, real_tol: float) -> RootSet:
-    """Re-partition an existing RootSet at a different real tolerance."""
-    return _build(rs.degree, list(rs.roots), list(rs.monic_coeffs), real_tol)
 
 
 def _build(

@@ -11,8 +11,8 @@ reciprocal a triangular recursion:
 
     b_0 = 1/a_0,   b_n = -(1/a_0) sum_{k=1}^{n} C(n,k)_q a_k b_{n-k}.
 
-``shift_up`` / ``shift_down`` multiply and divide by t, which in this
-convention rescale by q-numbers rather than merely shifting indices.
+``shift_up`` multiplies by t, which in this convention rescales by
+q-numbers rather than merely shifting indices.
 Binary operations require equal q and equal truncation order; silently
 truncating would hide bugs in cross-method comparisons.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "convolve",
     "reciprocal",
     "shift_up",
-    "shift_down",
     "unit",
     "q_exp",
 ]
@@ -79,10 +78,6 @@ class ESeq:
 
     def __repr__(self) -> str:
         return f"ESeq(q={self.ctx.q}, {[str(c) for c in self.coeffs]})"
-
-    def ordinary(self, n: int) -> Fraction:
-        """Ordinary power-series coefficient of t^n, i.e. c_n/[n]_q!."""
-        return self.coeffs[n] / self.ctx.q_factorial(n)
 
     def truncated(self, order: int) -> "ESeq":
         """Copy truncated to a lower order."""
@@ -145,16 +140,3 @@ def shift_up(a: ESeq) -> ESeq:
     for n in range(1, a.order + 1):
         out.append(ctx.q_number(n) * a.coeffs[n - 1])
     return ESeq(ctx, out)
-
-
-def shift_down(a: ESeq) -> ESeq:
-    """Divide by t: requires a_0 = 0, gives r_n = a_{n+1}/[n+1]_q, order N-1."""
-    if a.coeffs[0] != 0:
-        raise ValueError("cannot divide by t: constant coefficient is nonzero")
-    if a.order < 1:
-        raise ValueError("cannot shift down an order-0 sequence")
-    ctx = a.ctx
-    return ESeq(
-        ctx,
-        [a.coeffs[n + 1] / ctx.q_number(n + 1) for n in range(a.order)],
-    )

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qappell import QContext, resolve
+from qappell import QContext, QPoly, audit, families, resolve
 from qappell.audit import (
     load_fixture,
     printed_family_poly,
@@ -82,11 +82,69 @@ class TestPrintedForms:
                     assert printed == fam.poly(n)
 
 
+def _add_one_where(real, wrong):
+    """real, but with 1 added to its result when wrong(*args) holds."""
+
+    def skewed(*args):
+        got = real(*args)
+        return got + QPoly.one() if wrong(*args) else got
+
+    return skewed
+
+
 class TestProperties:
     def test_all_pass_at_several_q(self):
         for qs in ("1/2", "1/3", "3/4"):
             for rec in run_properties(QContext(qs), order=6):
                 assert rec.ok, rec.prop_id
+
+    @pytest.mark.parametrize(
+        "name, wrong, failing",
+        [
+            pytest.param(
+                "det_pair_poly",
+                lambda fa, fb, n: n == 2,
+                {"ladder-determinant", "cross-method"},
+                id="determinant",
+            ),
+            pytest.param(
+                "iterate2",
+                lambda fa, fb, n: (fa.label, fb.label, n) == ("bernoulli", "euler", 2),
+                {"cross-method", "commutativity"},
+                id="iterate2-one-factor-order",
+            ),
+            pytest.param(
+                "apply_operator",
+                lambda coeffs, p: p == QPoly.monomial(2),
+                {"cross-method"},
+                id="operator-plain",
+            ),
+            pytest.param(
+                "apply_operator",
+                lambda coeffs, p: p.degree == 2 and p != QPoly.monomial(2),
+                {"cross-method"},
+                id="operator-pair",
+            ),
+        ],
+    )
+    def test_a_wrong_route_fails_its_checks(self, monkeypatch, name, wrong, failing):
+        monkeypatch.setattr(audit, name, _add_one_where(getattr(audit, name), wrong))
+        records = run_properties(QContext("1/2"), order=5)
+        assert {rec.prop_id for rec in records if not rec.ok} == failing
+
+    def test_verify_resolves_each_family_once(self, monkeypatch):
+        calls = []
+        real = families.resolve
+
+        def counting(spec, *args):
+            calls.append(spec.label)
+            return real(spec, *args)
+
+        monkeypatch.setattr(families, "resolve", counting)
+        monkeypatch.setattr(audit, "resolve", counting)
+        run_verify(F(1, 2), 8)
+        # four built-ins for the property suite, four at order 4 for the tables
+        assert len(calls) <= 8, calls
 
 
 class TestReport:

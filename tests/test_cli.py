@@ -276,24 +276,47 @@ class TestRoots:
         assert code == 3
         assert "root finding failed" in err
 
-    def test_cross_method_divergence_exits_2(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, report",
+        [
+            pytest.param(
+                "numbers --family euler --q 1/2 --upto 3",
+                "  series: ['1', '-1/2', '-1/8', '3/64']\n"
+                "  determinant: ['1', '-1/2', '-1/8', '3/64']\n"
+                "  operator: ['1', '-1/2', '1', '3/64']\n",
+                id="numbers",
+            ),
+            pytest.param(
+                "poly --family euler --q 1/2 -n 2",
+                "  series: x^2 - 3/4x - 1/8\n"
+                "  determinant: x^2 - 3/4x - 1/8\n"
+                "  operator: x + 1\n",
+                id="poly",
+            ),
+            pytest.param(
+                "roots --iterate euler,bernoulli --q 1/2 -n 2",
+                "  series: x^2 - 7/4x + 79/168\n"
+                "  determinant: x^2 - 7/4x + 79/168\n"
+                "  operator: x + 1\n",
+                id="roots",
+            ),
+        ],
+    )
+    def test_cross_method_divergence_exits_2(self, capsys, monkeypatch, argv, report):
         from qappell import cli
         from qappell.qcore import QPoly
 
         real = cli._poly_by_method
 
-        def skewed(specs, ctx, n, method):
-            if method == "operator":
+        def skewed(series, members, n, method):
+            if method == "operator" and n == 2:
                 return QPoly([1, 1])
-            return real(specs, ctx, n, method)
+            return real(series, members, n, method)
 
         monkeypatch.setattr(cli, "_poly_by_method", skewed)
-        code, _, err = run_cli(
-            capsys, "poly", "--family", "euler", "--q", "1/2", "-n", "2",
-            "--method", "all",
-        )
-        assert code == 2
-        assert "cross-method divergence" in err
+        code, out, err = run_cli(capsys, *argv.split(), "--method", "all")
+        assert (code, out) == (2, "")
+        assert err == "cross-method divergence:\n" + report
 
 
 class TestSample:
@@ -434,3 +457,13 @@ class TestOutFile(object):
         body = target.read_text()
         assert body.startswith("n,exact,decimal\n")
         assert "\r" not in body
+
+    def test_unwritable_path_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(
+            capsys, "numbers", "--family", "euler", "--q", "1/2", "--upto", "2",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err

@@ -139,13 +139,13 @@ class TestDetPoly:
             fa = resolve(sa, ctx_half, 4)
             fb = resolve(sb, ctx_half, 4)
             for n in range(5):
-                assert det_pair_poly(fa, fb, n) == iterate2(sa, sb, ctx_half, 4, n)
+                assert det_pair_poly(fa, fb, n) == iterate2(fa, fb, n)
 
     def test_pairs_match_iterate2_deeper(self, ctx_half):
         fa = resolve(B, ctx_half, 8)
         fb = resolve(E, ctx_half, 8)
         for n in range(9):
-            assert det_pair_poly(fa, fb, n) == iterate2(B, E, ctx_half, 8, n)
+            assert det_pair_poly(fa, fb, n) == iterate2(fa, fb, n)
 
     def test_genocchi_recipe_vs_published_row(self, ctx_half):
         # the literal determinant recipe pairs the 1/(2[i+1]_q) beta with the
@@ -156,7 +156,7 @@ class TestDetPoly:
         assert got == QPoly([F(-1), 1])
         published_row = QPoly([F(-1, 3), 1])
         assert got != published_row
-        assert got == iterate2(GD, B, ctx_half, 2, 1)
+        assert got == iterate2(gdet, bern, 1)
 
 
 class TestRowZeroLinearity:
@@ -270,6 +270,6 @@ class TestDeep:
         plain = det_appell_poly(gdet, n)
         elapsed = time.perf_counter() - start
         assert pair == pair_family(B, E, ctx, n).poly(n)
-        assert pair == iterate2(B, E, ctx, n, n)
+        assert pair == iterate2(bern, euler, n)
         assert plain == gdet.poly(n)
         assert elapsed < 2.0

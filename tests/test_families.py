@@ -11,7 +11,6 @@ from qappell import (
     convolve,
     identity_residuals,
     iterate2,
-    iterate2_numbers,
     pair_family,
     product_family,
     q_derive,
@@ -115,51 +114,81 @@ class TestAppellPoly:
         for spec in (B, E, GT):
             fam = resolve(spec, ctx_half, 4)
             for n in range(5):
-                assert fam.eval_at_zero(n) == fam.number(n)
+                assert fam.poly(n)(0) == fam.number(n)
 
     def test_out_of_range(self, ctx_half):
         fam = resolve(B, ctx_half, 2)
         with pytest.raises(FamilyError, match="exceeds"):
             fam.poly(3)
 
+    def test_negative_degree_rejected(self, ctx_half):
+        fam = resolve(E, ctx_half, 4)
+        for call in (fam.number, fam.poly, lambda n: iterate2(fam, fam, n)):
+            with pytest.raises(FamilyError, match=">= 0"):
+                call(-1)
+        assert fam.poly(0) == QPoly.one()
+
+    def test_truncated_keeps_the_prefix(self, ctx_half):
+        fam = resolve(B, ctx_half, 8)
+        assert fam.truncated(8) is fam
+        low = fam.truncated(3)
+        assert low.order == 3
+        assert low.numbers == resolve(B, ctx_half, 3).numbers
+        assert low.beta == resolve(B, ctx_half, 3).beta
+        assert low.polys(3) == fam.polys(3)
+
 
 class TestIterate2:
     def test_self_pair_degree_two(self, ctx_half):
-        assert iterate2(B, B, ctx_half, 4, 2) == QPoly([F(6, 7), -2, 1])
+        fb = resolve(B, ctx_half, 4)
+        assert iterate2(fb, fb, 2) == QPoly([F(6, 7), -2, 1])
 
     def test_self_pair_degree_three(self, ctx_half):
+        fb = resolve(B, ctx_half, 4)
         want = QPoly([F(-8, 45), F(3, 2), F(-7, 3), 1])
-        assert iterate2(B, B, ctx_half, 4, 3) == want
+        assert iterate2(fb, fb, 3) == want
 
     def test_mixed_euler_bernoulli(self, ctx_half):
-        assert iterate2(E, B, ctx_half, 4, 1) == QPoly([F(-7, 6), 1])
+        fe, fb = resolve(E, ctx_half, 4), resolve(B, ctx_half, 4)
+        assert iterate2(fe, fb, 1) == QPoly([F(-7, 6), 1])
 
     def test_numbers_match_polynomial_at_zero(self, ctx_half):
         for sa, sb in ((B, B), (E, B), (GT, E)):
+            fa, fb = resolve(sa, ctx_half, 4), resolve(sb, ctx_half, 4)
+            pair = product_family(fa, fb)
             for n in range(5):
-                poly = iterate2(sa, sb, ctx_half, 4, n)
-                assert poly(0) == iterate2_numbers(sa, sb, ctx_half, 4, n)
+                assert iterate2(fa, fb, n)(0) == pair.number(n)
 
     def test_numbers_examples(self, ctx_half):
-        assert iterate2_numbers(B, B, ctx_half, 4, 0) == 1
-        assert iterate2_numbers(B, B, ctx_half, 4, 2) == F(6, 7)
-        assert iterate2_numbers(E, B, ctx_half, 4, 1) == F(-7, 6)
+        fb, fe = resolve(B, ctx_half, 4), resolve(E, ctx_half, 4)
+        assert iterate2(fb, fb, 0)(0) == 1
+        assert iterate2(fb, fb, 2)(0) == F(6, 7)
+        assert iterate2(fe, fb, 1)(0) == F(-7, 6)
+        assert pair_family(B, B, ctx_half, 4).number(2) == F(6, 7)
+        assert pair_family(E, B, ctx_half, 4).number(1) == F(-7, 6)
 
     def test_product_family_agrees(self, ctx_half):
+        fb, fe = resolve(B, ctx_half, 6), resolve(E, ctx_half, 6)
         pf = pair_family(B, E, ctx_half, 6)
         for n in range(7):
-            assert pf.poly(n) == iterate2(B, E, ctx_half, 6, n)
-            assert pf.number(n) == iterate2_numbers(B, E, ctx_half, 6, n)
+            assert pf.poly(n) == iterate2(fb, fe, n)
+            assert pf.number(n) == iterate2(fb, fe, n)(0)
 
     def test_commutativity_all_pairs(self, ctx_half):
         specs = (B, E, GD, GT)
         for sa in specs:
             for sb in specs:
                 cap = 4 if GT in (sa, sb) else 6
+                fa, fb = resolve(sa, ctx_half, cap), resolve(sb, ctx_half, cap)
                 for n in range(cap + 1):
-                    assert iterate2(sa, sb, ctx_half, cap, n) == iterate2(
-                        sb, sa, ctx_half, cap, n
-                    )
+                    assert iterate2(fa, fb, n) == iterate2(fb, fa, n)
+
+    def test_degree_beyond_either_order_rejected(self, ctx_half):
+        fb, fg = resolve(B, ctx_half, 6), resolve(GT, ctx_half, 4)
+        assert iterate2(fb, fg, 4) == iterate2(fg, fb, 4)
+        for fa, fc in ((fb, fg), (fg, fb)):
+            with pytest.raises(FamilyError, match="exceeds"):
+                iterate2(fa, fc, 5)
 
 
 class TestUmbral:
@@ -173,9 +202,7 @@ class TestUmbral:
         fa = resolve(B, ctx_half, 4)
         fb = resolve(B, ctx_half, 4)
         for n in range(5):
-            assert umbral_compose(fa.polys(n), fb.polys(n), n) == iterate2(
-                B, B, ctx_half, 4, n
-            )
+            assert umbral_compose(fa.polys(n), fb.polys(n), n) == iterate2(fa, fb, n)
 
     def test_composition_commutes(self, ctx_half):
         fa = resolve(B, ctx_half, 8)
@@ -199,7 +226,7 @@ class TestOperator:
     def test_family_poly_gives_iterated(self, ctx_half):
         fam = resolve(B, ctx_half, 4)
         got = apply_operator(fam.numbers, fam.poly(2))
-        assert got == iterate2(B, B, ctx_half, 4, 2)
+        assert got == iterate2(fam, fam, 2)
 
     def test_short_coefficients_rejected(self, ctx_half):
         with pytest.raises(ValueError, match="stop at order"):

@@ -1,8 +1,10 @@
-"""Byte-identical gate on `qappell verify` output.
+"""Byte-identical gate on `qappell verify` output and on CLI stdout.
 
 The digests pin the text rendering and the sorted-key JSON rendering of
-`run_verify`.  Any change to either rendering, intended or not, shows up
-here and has to be stated in CHANGES.md.
+`run_verify`, and the stdout and exit code of a few CLI commands that take
+the pair, determinant and cross-method paths.  Any change to either
+rendering, intended or not, shows up here and has to be stated in
+CHANGES.md.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qappell import cli
 from qappell.audit import run_verify
 
 GOLDEN = {
@@ -28,6 +31,19 @@ GOLDEN = {
     ),
 }
 
+CLI_GOLDEN = {
+    "numbers --iterate bernoulli,euler --q 1/2 --upto 12 --method all":
+        "45b7ca6b55e0989b01d6ff22ee4b8b269d742db5ce3e13d7a6dbd11dc6d26c41",
+    "numbers --mixed euler,genocchi-table --q 1/3 --upto 4 --format csv":
+        "9bc37cee8b1f870a5fb816b6301f5526a63f12cacdeca5f9eb760371480856a7",
+    "poly --family genocchi-det --q 2/5 -n 9 --method all --format json":
+        "68b9ac5961a14a2b0376cbf1d00a1f57350d006ec1ad0572b12082e57769b299",
+    "roots --iterate bernoulli,bernoulli --q 1/2 -n 6 --method all":
+        "fddb05a127ccbcad1d5c48cd5fc274e78c43dac49bcbb5d596f1b37a0126b165",
+    "sample --iterate bernoulli,euler --q 1/2 --degrees 1,3,5 --xmin -2 --xmax 2 --steps 9":
+        "3cd7921fd86fb47af5a8ea0e29490e5171a713a675b7153e1c407e35f81d2005",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -40,3 +56,11 @@ def test_verify_digests(q, order):
     assert report.exit_code == 0
     assert _sha256(report.to_text()) == text_digest
     assert _sha256(json.dumps(report.to_json_dict(), sort_keys=True)) == json_digest
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_cli_digests(command, capsys):
+    code = cli.main(command.split())
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert _sha256(out) == CLI_GOLDEN[command]

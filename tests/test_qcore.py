@@ -104,17 +104,6 @@ class TestQBinomial:
                 assert lhs == rhs
 
 
-class TestQShiftedFactorial:
-    def test_empty_product(self, ctx_half):
-        assert ctx_half.q_shifted_factorial(F(7, 3), 0) == 1
-
-    def test_vanishing_factor(self, ctx_half):
-        assert ctx_half.q_shifted_factorial(F(1), 1) == 0
-
-    def test_direct_product(self, ctx_half):
-        assert ctx_half.q_shifted_factorial(F(1, 2), 2) == F(1, 2) * F(3, 4) == F(3, 8)
-
-
 class TestQPoly:
     def test_normalization_and_degree(self):
         assert QPoly([1, 2, 0, 0]).coeffs == (F(1), F(2))

@@ -1,13 +1,12 @@
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from qappell import QPoly, classify, find_roots, pair_family, sample, vieta_residuals
+from qappell import QPoly, find_roots, pair_family, sample, vieta_residuals
 from qappell.families import FamilySpec
 from qappell.fmt import decimal_str, real_str
-from qappell.roots import ClassificationError, RootFindingError, to_float
+from qappell.roots import ClassificationError, RootFindingError, _build, to_float
 
 B = FamilySpec.builtin("bernoulli")
 
@@ -146,15 +145,14 @@ class TestClassify:
         p = QPoly([F(1) + F(1, 10**14), -2, 1])
         rs = find_roots(p)
         assert len(rs.complex_pairs) == 1
-        loose = classify(rs, real_tol=1e-5)
+        loose = find_roots(p, real_tol=1e-5)
         assert len(loose.real_roots) == 2
 
     def test_unpaired_root_raises(self, b2):
         rs = find_roots(b2.poly(4))
         upper, _ = rs.complex_pairs[0]
-        broken = replace(rs, roots=rs.roots[:-1], degree=3)
         with pytest.raises(ClassificationError):
-            classify(broken, real_tol=rs.real_tol)
+            _build(3, list(rs.roots[:-1]), list(rs.monic_coeffs), rs.real_tol)
 
 
 class TestSample:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qappell import QContext, convolve, q_exp, reciprocal, shift_down, shift_up, unit
+from qappell import QContext, convolve, q_exp, reciprocal, shift_up, unit
 from qappell.series import ESeq, NonInvertibleError
 
 from conftest import q_values, small_fractions
@@ -29,10 +29,6 @@ class TestBasics:
         assert unit(ctx_half, 3).coeffs == (1, 0, 0, 0)
         assert q_exp(ctx_half, 0).coeffs == (1,)
         assert q_exp(ctx_half, 3).coeffs == (1, 1, 1, 1)
-
-    def test_ordinary_coefficient(self, ctx_half):
-        # ordinary t^3 coefficient of e_q is 1/[3]_q!
-        assert q_exp(ctx_half, 3).ordinary(3) == 1 / ctx_half.q_factorial(3) == F(8, 21)
 
     def test_truncated(self, ctx_half):
         a = ESeq(ctx_half, [1, 2, 3])
@@ -120,21 +116,12 @@ class TestShifts:
     def test_shift_up_zero(self, ctx_half):
         assert shift_up(ESeq(ctx_half, [0, 0, 0])).coeffs == (0, 0, 0)
 
-    def test_shift_down_exp_minus_one(self, ctx_half):
-        a = ESeq(ctx_half, [0, 1, 1, 1])  # e_q - 1
-        got = shift_down(a)
-        assert got.coeffs == (1, F(2, 3), F(4, 7))
-
-    def test_shift_down_pole(self, ctx_half):
-        with pytest.raises(ValueError, match="divide by t"):
-            shift_down(ESeq(ctx_half, [1, 1]))
-
-    def test_shift_down_of_t(self, ctx_half):
-        assert shift_down(ESeq(ctx_half, [0, 1, 0])) == unit(ctx_half, 1)
-
     @given(a=seqs())
     def test_round_trip(self, a):
         if a.order < 1:
             return
-        back = shift_down(shift_up(a))
-        assert back.coeffs == a.coeffs[: a.order]
+        # dividing by t again: r_n / [n]_q recovers a_(n-1) below the top term
+        up = shift_up(a)
+        assert up[0] == 0
+        back = [up[n] / a.ctx.q_number(n) for n in range(1, a.order + 1)]
+        assert back == list(a.coeffs[: a.order])
