@@ -354,14 +354,18 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
         )
     )
 
-    # ladder, determinant route
+    # ladder, determinant route; each determinant polynomial is built once
+    # here and reused by the cross-method check
+    det_singles = {
+        name: [det_appell_poly(fam, n) for n in range(fam.order + 1)]
+        for name, fam in singles.items()
+    }
+    det_pairs = {
+        key: [det_pair_poly(fa, fb, n) for n in range(fa.order + 1)]
+        for key, (fa, fb) in pairs.items()
+    }
     ok = True
-    for name, fam in singles.items():
-        det_polys = [det_appell_poly(fam, n) for n in range(fam.order + 1)]
-        if not _ladder_ok(det_polys, ctx):
-            ok = False
-    for fa, fb in pairs.values():
-        det_polys = [det_pair_poly(fa, fb, n) for n in range(fa.order + 1)]
+    for det_polys in [*det_singles.values(), *det_pairs.values()]:
         if not _ladder_ok(det_polys, ctx):
             ok = False
     records.append(
@@ -377,14 +381,14 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
     for name, fam in singles.items():
         for n in range(fam.order + 1):
             series = fam.poly(n)
-            det = det_appell_poly(fam, n)
+            det = det_singles[name][n]
             oper = apply_operator(fam.numbers, QPoly.monomial(n))
             if not series == det == oper:
                 ok = False
     for key, (fa, fb) in pairs.items():
         for n in range(fa.order + 1):
             series = iterate2(fa, fb, n)
-            det = det_pair_poly(fa, fb, n)
+            det = det_pairs[key][n]
             oper = apply_operator(fa.numbers, fb.poly(n))
             umb = umbral_compose(fa.polys(n), fb.polys(n), n)
             if not series == det == oper == umb == pair_fams[key].poly(n):

@@ -351,11 +351,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
             degrees = [int(s) for s in args.degrees.split(",") if s.strip()]
         except ValueError as exc:
             raise CliError(f"bad --degrees list {args.degrees!r}") from exc
+        if not degrees:
+            raise CliError(f"--degrees {args.degrees!r} lists no degree")
     elif args.n is not None:
         degrees = [args.n]
     else:
         raise CliError("sample needs -n or --degrees")
-    if not degrees or any(d < 0 for d in degrees):
+    if any(d < 0 for d in degrees):
         raise CliError("degrees must be >= 0")
     try:
         xmin = parse_rat(args.xmin)

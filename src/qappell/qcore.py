@@ -17,6 +17,7 @@ x^n -> [n]_q x^(n-1), which agrees with the difference quotient
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 Rat = Fraction
@@ -128,7 +129,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -166,11 +167,17 @@ class QPoly:
         return Fraction(0)
 
     def __call__(self, x: RatLike) -> Fraction:
+        """p(x), by homogeneous integer Horner over a common denominator.
+
+        With x = a/b, p(x) = (sum_i C_i a^i b^(n-i)) / (D b^n), where
+        c_i = C_i / D: integer multiply-adds only, and one ``Fraction``.
+        """
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        hom, den = homogeneous_image(self, x.denominator)
+        acc = 0
+        for c in hom:
+            acc = acc * x.numerator + c
+        return Fraction(acc, den)
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
@@ -202,6 +209,21 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({[str(c) for c in self.coeffs]})"
+
+
+def homogeneous_image(p: QPoly, b: int) -> tuple[list[int], int]:
+    """Integers H_0..H_n and E with p(a/b) = (sum_j H_j a^(n-j)) / E for all a.
+
+    D is the least common denominator of p's coefficients, c_i = C_i / D;
+    then H_j = C_(n-j) b^j (highest power of a first) and E = D b^n.  The
+    zero polynomial gives ([], 1).
+    """
+    den = lcm(*(c.denominator for c in p.coeffs))
+    hom, bpow = [], 1
+    for c in reversed(p.coeffs):
+        hom.append(c.numerator * (den // c.denominator) * bpow)
+        bpow *= b
+    return hom, den * b ** max(p.degree, 0)
 
 
 def q_derive(p: QPoly, ctx: QContext) -> QPoly:

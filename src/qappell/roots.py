@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qcore import QPoly
+from .qcore import QPoly, homogeneous_image
 
 __all__ = [
     "RootSet",
@@ -229,16 +229,31 @@ def vieta_residuals(p: QPoly, roots: tuple[complex, ...]) -> tuple[float, float]
 def sample(
     p: QPoly, xmin: Fraction, xmax: Fraction, steps: int
 ) -> list[tuple[Fraction, Fraction]]:
-    """Exact values at equally spaced rational abscissae over [xmin, xmax]."""
+    """Exact values at equally spaced rational abscissae over [xmin, xmax].
+
+    The whole grid is written over one shared denominator B, x_i = a_i/B, so
+    p's homogeneous integer image for B (see ``QPoly.__call__``) is formed
+    once, and each point costs an integer Horner pass in a_i and one
+    ``Fraction``.
+    """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     xmin = Fraction(xmin)
     xmax = Fraction(xmax)
     if not xmin < xmax:
         raise ValueError("xmin must be < xmax")
-    step = (xmax - xmin) / (steps - 1)
+    # xmin = lo/ends and xmax = (lo + width)/ends over the lcm of their
+    # denominators, so x_i = (lo (steps - 1) + i width) / grid
+    ends = math.lcm(xmin.denominator, xmax.denominator)
+    lo = xmin.numerator * (ends // xmin.denominator)
+    width = xmax.numerator * (ends // xmax.denominator) - lo
+    grid = ends * (steps - 1)
+    hom, den = homogeneous_image(p, grid)
     out = []
     for i in range(steps):
-        x = xmin + i * step
-        out.append((x, p(x)))
+        a = lo * (steps - 1) + i * width
+        acc = 0
+        for c in hom:
+            acc = acc * a + c
+        out.append((Fraction(a, grid), Fraction(acc, den)))
     return out

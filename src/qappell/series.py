@@ -11,6 +11,17 @@ reciprocal a triangular recursion:
 
     b_0 = 1/a_0,   b_n = -(1/a_0) sum_{k=1}^{n} C(n,k)_q a_k b_{n-k}.
 
+Both are computed as ordinary Cauchy products.  With alpha_k = a_k/[k]_q!
+and beta_k = b_k/[k]_q! (the ordinary power-series coefficients of f),
+
+    (ab)_n = [n]_q! sum_k alpha_k beta_{n-k},
+    beta_n = -(1/alpha_0) sum_{k=1}^{n} alpha_k beta_{n-k},
+
+so each input is rescaled by the q-factorials once, and every output
+coefficient is one inner product that sums integer numerators over a
+running common denominator and builds a single ``Fraction`` at the end.
+No q-binomial is formed in the quadratic loop.
+
 ``shift_up`` multiplies by t, which in this convention rescales by
 q-numbers rather than merely shifting indices.
 Binary operations require equal q and equal truncation order; silently
@@ -20,6 +31,7 @@ truncating would hide bugs in cross-method comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .qcore import QContext, RatLike
@@ -46,7 +58,9 @@ class ESeq:
 
     def __init__(self, ctx: QContext, coeffs: Iterable[RatLike]):
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            c if type(c) is Fraction else Fraction(c) for c in coeffs
+        ))
         if not self.coeffs:
             raise ValueError("an ESeq needs at least the order-0 coefficient")
 
@@ -103,17 +117,37 @@ def q_exp(ctx: QContext, order: int) -> ESeq:
     return ESeq(ctx, (1,) * (order + 1))
 
 
+def _dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
+    """sum x_k y_k, normalised once: numerator products over a running lcm."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        n = x.numerator * y.numerator
+        if not n:
+            continue
+        d = x.denominator * y.denominator
+        g = gcd(den, d)
+        if g == d:
+            num += n * (den // d)
+        else:
+            d //= g
+            num = num * d + n * (den // g)
+            den *= d
+    return Fraction(num, den)
+
+
+def _ordinary(a: ESeq) -> list[Fraction]:
+    """alpha_k = a_k/[k]_q!, the coefficients of f(t) = sum alpha_k t^k."""
+    return [c / a.ctx.q_factorial(k) for k, c in enumerate(a.coeffs)]
+
+
 def convolve(a: ESeq, b: ESeq) -> ESeq:
     """q-binomial Cauchy product of two sequences of equal q and order."""
     _check_compatible(a, b)
-    ctx = a.ctx
-    out = []
-    for n in range(a.order + 1):
-        s = Fraction(0)
-        for k in range(n + 1):
-            s += ctx.q_binomial(n, k) * a.coeffs[k] * b.coeffs[n - k]
-        out.append(s)
-    return ESeq(ctx, out)
+    alpha, beta = _ordinary(a), _ordinary(b)
+    return ESeq(a.ctx, [
+        a.ctx.q_factorial(n) * _dot(alpha[: n + 1], beta[n::-1])
+        for n in range(a.order + 1)
+    ])
 
 
 def reciprocal(a: ESeq) -> ESeq:
@@ -122,15 +156,12 @@ def reciprocal(a: ESeq) -> ESeq:
         raise NonInvertibleError(
             "leading coefficient is zero; the sequence has no reciprocal"
         )
-    ctx = a.ctx
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0]
+    alpha = _ordinary(a)
+    minus_inv0 = -1 / alpha[0]
+    beta = [-minus_inv0]
     for n in range(1, a.order + 1):
-        s = Fraction(0)
-        for k in range(1, n + 1):
-            s += ctx.q_binomial(n, k) * a.coeffs[k] * out[n - k]
-        out.append(-inv0 * s)
-    return ESeq(ctx, out)
+        beta.append(minus_inv0 * _dot(alpha[1 : n + 1], beta[n - 1 :: -1]))
+    return ESeq(a.ctx, [a.ctx.q_factorial(n) * c for n, c in enumerate(beta)])
 
 
 def shift_up(a: ESeq) -> ESeq:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -131,6 +132,26 @@ class TestProperties:
         monkeypatch.setattr(audit, name, _add_one_where(getattr(audit, name), wrong))
         records = run_properties(QContext("1/2"), order=5)
         assert {rec.prop_id for rec in records if not rec.ok} == failing
+
+    def test_each_determinant_poly_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting(real, key):
+            def wrapper(*args):
+                built.append(key(*args))
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(audit, "det_appell_poly", counting(
+            audit.det_appell_poly, lambda fam, n: (fam.label, n)))
+        monkeypatch.setattr(audit, "det_pair_poly", counting(
+            audit.det_pair_poly, lambda fa, fb, n: (fa.label, fb.label, n)))
+        run_properties(QContext(F(1, 2)), 12)
+        twice = [key for key, count in Counter(built).items() if count > 1]
+        assert not twice
+        # 4 built-ins (genocchi-table capped at 4) and 16 ordered pairs
+        assert len(built) == 3 * 13 + 5 + 9 * 13 + 7 * 5
 
     def test_verify_resolves_each_family_once(self, monkeypatch):
         calls = []

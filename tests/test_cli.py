@@ -404,6 +404,19 @@ class TestSample:
         assert code == 0
         assert "1.333333333333,0.000000000000" in out
 
+    SAMPLE_ARGS = ("sample", "--family", "bernoulli", "--q", "1/2",
+                   "--xmin", "0", "--xmax", "1")
+
+    @pytest.mark.parametrize("listing", [",", " , ,"])
+    def test_empty_degrees_list_exits_2(self, capsys, listing):
+        code, out, err = run_cli(capsys, *self.SAMPLE_ARGS, "--degrees", listing)
+        assert (code, out) == (2, "")
+        assert err == f"error: --degrees {listing!r} lists no degree\n"
+
+    def test_negative_degree_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, *self.SAMPLE_ARGS, "--degrees", "1,-1")
+        assert (code, err) == (2, "error: degrees must be >= 0\n")
+
 
 class TestVerify:
     def test_exit_zero_and_summary(self, capsys):

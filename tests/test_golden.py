@@ -1,10 +1,12 @@
-"""Byte-identical gate on `qappell verify` output and on CLI stdout.
+"""Byte-identical gate on `qappell verify` output, CLI stdout and deep series.
 
 The digests pin the text rendering and the sorted-key JSON rendering of
 `run_verify`, and the stdout and exit code of a few CLI commands that take
 the pair, determinant and cross-method paths.  Any change to either
 rendering, intended or not, shows up here and has to be stated in
-CHANGES.md.
+CHANGES.md.  A last pair of digests pins the exact numbers, beta and sampled
+values of one pair family at order 48, the coefficient size (thousands of
+bits) where the series kernels and ``sample`` spend their time.
 """
 
 import hashlib
@@ -13,8 +15,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from qappell import cli
+from qappell import QContext, cli
 from qappell.audit import run_verify
+from qappell.families import FamilySpec, pair_family
+from qappell.roots import sample
 
 GOLDEN = {
     (F(1, 2), 8): (
@@ -44,6 +48,11 @@ CLI_GOLDEN = {
         "3cd7921fd86fb47af5a8ea0e29490e5171a713a675b7153e1c407e35f81d2005",
 }
 
+# bernoulli * euler at q = 5/11, order 48: numbers and beta, one per line;
+# then sample(P_48, -2, 2, 33) as "x value" lines
+DEEP_SERIES_DIGEST = "a4ed31b0a4db67934aa41ed88005c8b27567cab8b3766427a342a25a1e59774d"
+DEEP_SAMPLE_DIGEST = "fda110b7edd56ff793472841d5285c631c8c084e23b2a22fc757431c548dff0b"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -64,3 +73,13 @@ def test_cli_digests(command, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert _sha256(out) == CLI_GOLDEN[command]
+
+
+def test_deep_pair_digests():
+    fam = pair_family(
+        FamilySpec.builtin("bernoulli"), FamilySpec.builtin("euler"), QContext(F(5, 11)), 48
+    )
+    seq_text = "".join(f"{c}\n" for c in fam.numbers.coeffs + fam.beta.coeffs)
+    assert _sha256(seq_text) == DEEP_SERIES_DIGEST
+    points = sample(fam.poly(48), F(-2), F(2), 33)
+    assert _sha256("".join(f"{x} {v}\n" for x, v in points)) == DEEP_SAMPLE_DIGEST

@@ -5,8 +5,39 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qappell import QContext, QPoly, parse_q, parse_rat, q_derive
+from qappell.roots import sample
 
 from conftest import q_values, small_fractions
+
+
+def horner_oracle(p: QPoly, x) -> F:
+    """p(x) by plain Horner over Fraction: the evaluation QPoly used before
+    its integer kernel, kept as the test oracle."""
+    x = F(x)
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def sample_oracle(p: QPoly, xmin, xmax, steps: int) -> list[tuple[F, F]]:
+    step = (F(xmax) - F(xmin)) / (steps - 1)
+    xs = [F(xmin) + i * step for i in range(steps)]
+    return [(x, horner_oracle(p, x)) for x in xs]
+
+
+# zero, negative, int and large-denominator coefficients
+coefficients = st.one_of(
+    st.integers(-40, 40),
+    small_fractions(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+)
+polys = st.lists(coefficients, max_size=14).map(QPoly)
+abscissae = st.one_of(
+    st.integers(-9, 9),
+    small_fractions(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**4),
+)
 
 
 class TestParsing:
@@ -132,6 +163,54 @@ class TestQPoly:
         p = QPoly([1])
         with pytest.raises(AttributeError):
             p.coeffs = ()
+
+
+class TestIntegerHorner:
+    """``QPoly.__call__`` and ``sample`` against the plain Fraction Horner."""
+
+    @given(p=polys, x=abscissae)
+    def test_call_matches_oracle(self, p, x):
+        got = p(x)
+        assert type(got) is F
+        assert got == horner_oracle(p, x)
+
+    @pytest.mark.parametrize("x", [0, 3, -2, F(-7, 3), F(5, 12)])
+    def test_zero_polynomial(self, x):
+        assert QPoly.zero()(x) == 0
+        assert QPoly([0, 0])(x) == 0
+
+    def test_constant_and_integer_points(self):
+        assert QPoly([F(-5, 6)])(F(9, 7)) == F(-5, 6)
+        p = QPoly([1, F(-1, 2), F(1, 3)])
+        assert p(3) == 1 - F(3, 2) + 3 == F(5, 2)
+        assert p(-3) == 1 + F(3, 2) + 3 == F(11, 2)
+
+    @given(
+        p=polys,
+        xmin=abscissae,
+        width=st.fractions(min_value=F(1, 50), max_value=6, max_denominator=50),
+        steps=st.integers(2, 12),
+    )
+    def test_sample_matches_oracle(self, p, xmin, width, steps):
+        xmax = F(xmin) + width
+        assert sample(p, xmin, xmax, steps) == sample_oracle(p, xmin, xmax, steps)
+
+    @pytest.mark.parametrize(
+        "xmin, xmax, steps",
+        [
+            (-2, 2, 33),  # every other grid point reduces
+            ("-6/4", "10/4", 9),  # unreduced endpoint strings
+            (F(-1, 6), F(3, 4), 7),  # endpoints over different denominators
+            (F(1, 3), 1, 2),
+        ],
+    )
+    def test_sample_grids(self, xmin, xmax, steps):
+        p = QPoly([F(2, 3), -1, 0, F(-5, 7), 1])
+        assert sample(p, xmin, xmax, steps) == sample_oracle(p, xmin, xmax, steps)
+
+    def test_sample_zero_polynomial(self):
+        got = sample(QPoly.zero(), F(-1, 2), 1, 4)
+        assert got == [(F(-1, 2), 0), (0, 0), (F(1, 2), 0), (1, 0)]
 
 
 class TestQDerive:

@@ -10,7 +10,33 @@ from qappell.series import ESeq, NonInvertibleError
 from conftest import q_values, small_fractions
 
 
-def seqs(order_max=10, invertible=False):
+def convolve_oracle(a: ESeq, b: ESeq) -> ESeq:
+    """The q-binomial double loop ``convolve`` used before its integer
+    kernel, kept as the test oracle."""
+    ctx = a.ctx
+    out = []
+    for n in range(a.order + 1):
+        s = F(0)
+        for k in range(n + 1):
+            s += ctx.q_binomial(n, k) * a.coeffs[k] * b.coeffs[n - k]
+        out.append(s)
+    return ESeq(ctx, out)
+
+
+def reciprocal_oracle(a: ESeq) -> ESeq:
+    """The q-binomial triangular recursion, kept as the test oracle."""
+    ctx = a.ctx
+    inv0 = 1 / a.coeffs[0]
+    out = [inv0]
+    for n in range(1, a.order + 1):
+        s = F(0)
+        for k in range(1, n + 1):
+            s += ctx.q_binomial(n, k) * a.coeffs[k] * out[n - k]
+        out.append(-inv0 * s)
+    return ESeq(ctx, out)
+
+
+def seqs(order_max=10, invertible=False, coefficients=small_fractions()):
     def build(q, coeffs):
         ctx = QContext(q)
         if invertible and coeffs[0] == 0:
@@ -20,8 +46,21 @@ def seqs(order_max=10, invertible=False):
     return st.builds(
         build,
         q_values(),
-        st.lists(small_fractions(), min_size=1, max_size=order_max + 1),
+        st.lists(coefficients, min_size=1, max_size=order_max + 1),
     )
+
+
+# zero, negative, int and large-denominator coefficients
+mixed = st.one_of(
+    st.integers(-30, 30),
+    small_fractions(),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+)
+
+
+def same_order(a: ESeq, b: ESeq) -> ESeq:
+    """b over a's context, cut or zero-padded to a's order."""
+    return ESeq(a.ctx, list(b.coeffs[: a.order + 1]) + [0] * (a.order - b.order))
 
 
 class TestBasics:
@@ -79,6 +118,33 @@ class TestConvolve:
         b = ESeq(a.ctx, list(b.coeffs[: n + 1]) + [F(0)] * max(0, n - b.order))
         c = ESeq(a.ctx, list(c.coeffs[: n + 1]) + [F(0)] * max(0, n - c.order))
         assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
+
+
+class TestOracles:
+    """``convolve`` and ``reciprocal`` against the q-binomial loops."""
+
+    @given(a=seqs(coefficients=mixed), b=seqs(coefficients=mixed))
+    def test_convolve_matches_oracle(self, a, b):
+        b = same_order(a, b)
+        assert convolve(a, b).coeffs == convolve_oracle(a, b).coeffs
+
+    @given(a=seqs(invertible=True, coefficients=mixed))
+    def test_reciprocal_matches_oracle(self, a):
+        assert reciprocal(a).coeffs == reciprocal_oracle(a).coeffs
+
+    @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10"])
+    def test_int_inputs_at_order_16(self, qs):
+        ctx = QContext(F(qs))
+        a = ESeq(ctx, [3, -1, 0, 2, -7, 0, 0, 1, 5, -2, 0, 4, 1, -1, 0, 6, 2])
+        b = ESeq(ctx, [1] * 17)
+        assert convolve(a, b) == convolve_oracle(a, b)
+        assert reciprocal(a) == reciprocal_oracle(a)
+        assert all(type(c) is F for c in convolve(a, b).coeffs + reciprocal(a).coeffs)
+
+    @given(a=seqs(coefficients=mixed))
+    def test_zero_lead_still_rejected(self, a):
+        with pytest.raises(NonInvertibleError):
+            reciprocal(ESeq(a.ctx, (0,) + a.coeffs[1:]))
 
 
 class TestReciprocal:
