@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .families import AppellFamily
-from .qcore import QPoly, monomial_basis
+from .qcore import QPoly, dot, lincomb, monomial_basis
 from .series import ESeq
 
 __all__ = [
@@ -86,22 +86,16 @@ def det_eval(matrix: Sequence[Sequence]) -> QPoly:
     top, scalars = matrix[0], matrix[1:]
     n = len(scalars)
     beta0 = scalars[0][0]
-    powers = [Fraction(1)]
-    for _ in range(n):
+    powers = [Fraction(1)]  # (-beta_0)^k
+    for _ in range(n + 1):
         powers.append(powers[-1] * -beta0)
     d = [Fraction(0)] * n + [Fraction(1)]
     for j in range(n - 1, -1, -1):
         row = scalars[j]
-        d[j] = sum(powers[c - j - 1] * row[c] * d[c] for c in range(j + 1, n + 1))
-    # (-1)^n / beta_0^(n+1) * (-1)^j * minor_j, with minor_j = beta_0^j * D_j
-    coeffs = [Fraction(0)] * max(len(entry.coeffs) for entry in top)
-    for j, entry in enumerate(top):
-        weight = d[j] / beta0 ** (n + 1 - j)
-        if (n + j) % 2:
-            weight = -weight
-        for i, c in enumerate(entry.coeffs):
-            coeffs[i] += weight * c
-    return QPoly(coeffs)
+        d[j] = dot(powers, [row[c] * d[c] for c in range(j + 1, n + 1)])
+    # (-1)^n / beta_0^(n+1) * (-1)^j * minor_j, with minor_j = beta_0^j * D_j,
+    # is -D_j / (-beta_0)^(n+1-j)
+    return lincomb([-d[j] / powers[n + 1 - j] for j in range(n + 1)], top)
 
 
 def det_poly(beta: ESeq, basis: Sequence[QPoly], n: int) -> QPoly:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .qcore import QContext, QPoly, q_derive
+from .qcore import QContext, QPoly, lincomb, q_derive
 from .series import ESeq, NonInvertibleError, convolve, reciprocal
 
 __all__ = [
@@ -265,10 +265,10 @@ def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
     fam_i._check_degree(n)
     fam_ii._check_degree(n)
     ctx = fam_i.ctx
-    acc = QPoly.zero()
-    for k in range(n + 1):
-        acc = acc + ctx.q_binomial(n, k) * fam_i.numbers[k] * fam_ii.poly(n - k)
-    return acc
+    return lincomb(
+        [ctx.q_binomial(n, k) * fam_i.numbers[k] for k in range(n + 1)],
+        [fam_ii.poly(n - k) for k in range(n + 1)],
+    )
 
 
 def umbral_compose(
@@ -280,13 +280,8 @@ def umbral_compose(
 
     where a_{n,k} is the x^k coefficient of A_n(x).
     """
-    a_n = polys_a[n]
-    acc = QPoly.zero()
-    for k in range(a_n.degree + 1):
-        c = a_n.coeff(k)
-        if c != 0:
-            acc = acc + c * polys_b[k]
-    return acc
+    a_n = polys_a[n].coeffs
+    return lincomb(a_n, polys_b[: len(a_n)])
 
 
 def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:
@@ -297,14 +292,14 @@ def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:
             f"operator coefficients stop at order {coeffs.order}, "
             f"polynomial has degree {p.degree}"
         )
-    acc = QPoly.zero()
+    weights, derivs = [], []
     d = p
-    k = 0
     while not d.is_zero:
-        acc = acc + (coeffs[k] / ctx.q_factorial(k)) * d
+        k = len(derivs)
+        weights.append(coeffs[k] / ctx.q_factorial(k))
+        derivs.append(d)
         d = q_derive(d, ctx)
-        k += 1
-    return acc
+    return lincomb(weights, derivs)
 
 
 def identity_residuals(fam: AppellFamily, n: int) -> tuple[QPoly, QPoly]:
@@ -321,10 +316,7 @@ def identity_residuals(fam: AppellFamily, n: int) -> tuple[QPoly, QPoly]:
     fam._check_degree(n)
     ctx = fam.ctx
     squared = product_family(fam, fam)
-    first = QPoly.monomial(n)
-    second = fam.poly(n)
-    for k in range(n + 1):
-        w = ctx.q_binomial(n, k) * fam.beta[n - k]
-        first = first - w * fam.poly(k)
-        second = second - w * squared.poly(k)
+    weights = [1] + [-ctx.q_binomial(n, k) * fam.beta[n - k] for k in range(n + 1)]
+    first = lincomb(weights, [QPoly.monomial(n)] + fam.polys(n))
+    second = lincomb(weights, [fam.poly(n)] + squared.polys(n))
     return first, second

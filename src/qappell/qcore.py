@@ -12,13 +12,17 @@ this module is exact.  ``QPoly`` is a dense polynomial in x over the
 rationals; the q-derivative acts on it by the monomial rule
 x^n -> [n]_q x^(n-1), which agrees with the difference quotient
 (p(qx) - p(x)) / (qx - x) for every polynomial.
+
+Sums go through one kernel, ``dot``: integer numerator products over a
+running common denominator, then one ``Fraction``, so each sum is normalised
+once.  ``lincomb`` sums polynomials with one ``dot`` per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int]
@@ -224,6 +228,36 @@ def homogeneous_image(p: QPoly, b: int) -> tuple[list[int], int]:
         hom.append(c.numerator * (den // c.denominator) * bpow)
         bpow *= b
     return hom, den * b ** max(p.degree, 0)
+
+
+def dot(xs: Iterable[RatLike], ys: Iterable[RatLike]) -> Fraction:
+    """sum x_k y_k, normalised once: numerator products over a running lcm."""
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        n = x.numerator * y.numerator
+        if not n:
+            continue
+        d = x.denominator * y.denominator
+        g = gcd(den, d)
+        if g == d:
+            num += n * (den // d)
+        else:
+            d //= g
+            num = num * d + n * (den // g)
+            den *= d
+    return Fraction(num, den)
+
+
+def lincomb(weights: Sequence[RatLike], polys: Sequence[QPoly]) -> QPoly:
+    """sum_k w_k p_k, with one ``dot`` and one ``Fraction`` per coefficient."""
+    if len(weights) != len(polys):
+        raise ValueError(f"{len(weights)} weights for {len(polys)} polynomials")
+    rows = [p.coeffs for p in polys]
+    width = max(map(len, rows), default=0)
+    return QPoly(
+        dot(weights, [cs[i] if i < len(cs) else 0 for cs in rows])
+        for i in range(width)
+    )
 
 
 def q_derive(p: QPoly, ctx: QContext) -> QPoly:

@@ -108,9 +108,12 @@ def find_roots(
         radius * cmath.exp(1j * (2 * math.pi * k / n + _ANGLE_OFFSET))
         for k in range(n)
     ]
-    converged = False
+
+    def failure(message: str) -> RootFindingError:
+        return RootFindingError(message, z, [abs(_horner(coeffs, w)) for w in z])
+
     max_update = math.inf
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps):
         max_update = 0.0
         for i in range(n):
             value = _horner(coeffs, z[i])
@@ -119,22 +122,21 @@ def find_roots(
                 if j != i:
                     denom *= z[i] - z[j]
             if denom == 0:
-                raise RootFindingError(
-                    "iterates collided", z, [abs(_horner(coeffs, w)) for w in z]
-                )
+                raise failure("iterates collided")
             delta = value / denom
             z[i] -= delta
+            if not cmath.isfinite(z[i]):  # a NaN delta never exceeds max_update
+                raise failure(
+                    f"iterates overflowed in double precision at sweep {sweep}"
+                )
             if abs(delta) > max_update:
                 max_update = abs(delta)
         if max_update < tol:
-            converged = True
             break
-    if not converged:
-        raise RootFindingError(
+    else:
+        raise failure(
             f"no convergence after {max_sweeps} sweeps "
-            f"(last max update {max_update:.3e})",
-            z,
-            [abs(_horner(coeffs, w)) for w in z],
+            f"(last max update {max_update:.3e})"
         )
 
     deriv = _derivative(coeffs)
@@ -149,10 +151,8 @@ def find_roots(
     residuals = [abs(_horner(coeffs, w)) for w in z]
     bad = [r for r in residuals if not (r < residual_tol) or math.isnan(r)]
     if bad:
-        raise RootFindingError(
-            f"residuals exceed {residual_tol:.3e}: worst {max(residuals):.3e}",
-            z,
-            residuals,
+        raise failure(
+            f"residuals exceed {residual_tol:.3e}: worst {max(residuals):.3e}"
         )
     return _build(n, z, coeffs, real_tol)
 

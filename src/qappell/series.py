@@ -18,9 +18,8 @@ and beta_k = b_k/[k]_q! (the ordinary power-series coefficients of f),
     beta_n = -(1/alpha_0) sum_{k=1}^{n} alpha_k beta_{n-k},
 
 so each input is rescaled by the q-factorials once, and every output
-coefficient is one inner product that sums integer numerators over a
-running common denominator and builds a single ``Fraction`` at the end.
-No q-binomial is formed in the quadratic loop.
+coefficient is one inner product, ``qcore.dot``, normalised once.  No
+q-binomial is formed in the quadratic loop.
 
 ``shift_up`` multiplies by t, which in this convention rescales by
 q-numbers rather than merely shifting indices.
@@ -31,10 +30,9 @@ truncating would hide bugs in cross-method comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable
 
-from .qcore import QContext, RatLike
+from .qcore import QContext, RatLike, dot
 
 __all__ = [
     "ESeq",
@@ -117,24 +115,6 @@ def q_exp(ctx: QContext, order: int) -> ESeq:
     return ESeq(ctx, (1,) * (order + 1))
 
 
-def _dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
-    """sum x_k y_k, normalised once: numerator products over a running lcm."""
-    num, den = 0, 1
-    for x, y in zip(xs, ys):
-        n = x.numerator * y.numerator
-        if not n:
-            continue
-        d = x.denominator * y.denominator
-        g = gcd(den, d)
-        if g == d:
-            num += n * (den // d)
-        else:
-            d //= g
-            num = num * d + n * (den // g)
-            den *= d
-    return Fraction(num, den)
-
-
 def _ordinary(a: ESeq) -> list[Fraction]:
     """alpha_k = a_k/[k]_q!, the coefficients of f(t) = sum alpha_k t^k."""
     return [c / a.ctx.q_factorial(k) for k, c in enumerate(a.coeffs)]
@@ -145,7 +125,7 @@ def convolve(a: ESeq, b: ESeq) -> ESeq:
     _check_compatible(a, b)
     alpha, beta = _ordinary(a), _ordinary(b)
     return ESeq(a.ctx, [
-        a.ctx.q_factorial(n) * _dot(alpha[: n + 1], beta[n::-1])
+        a.ctx.q_factorial(n) * dot(alpha[: n + 1], beta[n::-1])
         for n in range(a.order + 1)
     ])
 
@@ -160,7 +140,7 @@ def reciprocal(a: ESeq) -> ESeq:
     minus_inv0 = -1 / alpha[0]
     beta = [-minus_inv0]
     for n in range(1, a.order + 1):
-        beta.append(minus_inv0 * _dot(alpha[1 : n + 1], beta[n - 1 :: -1]))
+        beta.append(minus_inv0 * dot(alpha[1 : n + 1], beta[n - 1 :: -1]))
     return ESeq(a.ctx, [a.ctx.q_factorial(n) * c for n, c in enumerate(beta)])
 
 

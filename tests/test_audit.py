@@ -126,12 +126,32 @@ class TestProperties:
                 {"cross-method"},
                 id="operator-pair",
             ),
+            pytest.param(
+                "umbral_compose",
+                lambda pa, pb, n: n == 2,
+                {"cross-method"},
+                id="umbral",
+            ),
         ],
     )
     def test_a_wrong_route_fails_its_checks(self, monkeypatch, name, wrong, failing):
         monkeypatch.setattr(audit, name, _add_one_where(getattr(audit, name), wrong))
         records = run_properties(QContext("1/2"), order=5)
         assert {rec.prop_id for rec in records if not rec.ok} == failing
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["monomial", "2-iterated"])
+    def test_a_wrong_identity_residual_fails_its_check(self, monkeypatch, which):
+        real = audit.identity_residuals
+
+        def skewed(fam, n):
+            got = list(real(fam, n))
+            if n == 2:
+                got[which] = got[which] + QPoly.one()
+            return tuple(got)
+
+        monkeypatch.setattr(audit, "identity_residuals", skewed)
+        records = run_properties(QContext("1/2"), order=5)
+        assert {rec.prop_id for rec in records if not rec.ok} == {"inversion-identities"}
 
     def test_each_determinant_poly_is_built_once(self, monkeypatch):
         built = []

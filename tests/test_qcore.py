@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qappell import QContext, QPoly, parse_q, parse_rat, q_derive
+from qappell.qcore import lincomb
 from qappell.roots import sample
 
 from conftest import q_values, small_fractions
@@ -17,6 +18,15 @@ def horner_oracle(p: QPoly, x) -> F:
     acc = F(0)
     for c in reversed(p.coeffs):
         acc = acc * x + c
+    return acc
+
+
+def lincomb_oracle(weights, polys) -> QPoly:
+    """sum w_k p_k by repeated QPoly + and scalar *: how the families summed
+    polynomials before the ``lincomb`` kernel, kept as the test oracle."""
+    acc = QPoly.zero()
+    for w, p in zip(weights, polys):
+        acc = acc + w * p
     return acc
 
 
@@ -33,6 +43,13 @@ coefficients = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
 )
 polys = st.lists(coefficients, max_size=14).map(QPoly)
+# int, negative, zero and 10^6-denominator weights
+weights = st.one_of(
+    st.integers(-40, 40),
+    st.just(0),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+)
+terms = st.lists(st.tuples(weights, polys), max_size=8)
 abscissae = st.one_of(
     st.integers(-9, 9),
     small_fractions(),
@@ -163,6 +180,34 @@ class TestQPoly:
         p = QPoly([1])
         with pytest.raises(AttributeError):
             p.coeffs = ()
+
+
+class TestLincomb:
+    """``lincomb`` against the repeated + and scalar * it replaced."""
+
+    @given(terms=terms)
+    def test_matches_oracle(self, terms):
+        ws = [w for w, _ in terms]
+        ps = [p for _, p in terms]
+        got = lincomb(ws, ps)
+        assert all(type(c) is F for c in got.coeffs)
+        assert got == lincomb_oracle(ws, ps)
+
+    def test_empty_and_zero_weights(self):
+        assert lincomb([], []) == QPoly.zero()
+        assert lincomb([0, F(0)], [QPoly([1, 2]), QPoly([F(1, 3)])]).coeffs == ()
+
+    def test_cancellation_strips_trailing_zeros(self):
+        p, q = QPoly([F(1, 3), 2, F(-5, 7)]), QPoly([1, 1, F(-1, 2)])
+        assert lincomb([1, -1], [p, p]).coeffs == ()
+        # the x^2 terms cancel: F(-5, 7) * 7 - F(-1, 2) * 10 = 0
+        got = lincomb([7, -10], [p, q])
+        assert got.coeffs == (F(7, 3) - 10, 4)
+        assert got == lincomb_oracle([7, -10], [p, q])
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            lincomb([1, 2], [QPoly.one()])
 
 
 class TestIntegerHorner:

@@ -3,7 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from qappell import QPoly, find_roots, pair_family, sample, vieta_residuals
+from qappell import (
+    QContext,
+    QPoly,
+    find_roots,
+    pair_family,
+    resolve,
+    sample,
+    vieta_residuals,
+)
 from qappell.families import FamilySpec
 from qappell.fmt import decimal_str, real_str
 from qappell.roots import ClassificationError, RootFindingError, _build, to_float
@@ -101,6 +109,16 @@ class TestFindRoots:
             find_roots(b2.poly(4), max_sweeps=2)
         assert len(info.value.best) == 4
         assert len(info.value.residuals) == 4
+
+    def test_overflowing_iterates_refuse_at_once(self):
+        # start radius 2.7e8, so z^38 overflows in Horner and every first
+        # update is NaN; a NaN update must not count as converged
+        fam = resolve(FamilySpec.builtin("genocchi-det"), QContext(F(9, 10)), 38)
+        with pytest.raises(RootFindingError, match=(
+            "iterates overflowed in double precision at sweep 0"
+        )) as info:
+            find_roots(fam.poly(38))
+        assert len(info.value.best) == len(info.value.residuals) == 38
 
     def test_residual_bound(self, b2):
         for n in range(1, 5):
