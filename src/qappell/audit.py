@@ -6,7 +6,12 @@ together with a registry of known misprints in them.  ``run_verify`` first
 executes the exact property suite (ladder, reciprocal orthogonality,
 cross-method equality, the inversion identities, commutativity, Vieta and
 zero-count checks) and then compares engine output against the printed
-values.  Each comparison gets one of three statuses:
+values.  The exact tables are one phase: ``_table_rows`` yields one row
+(check id, subject, printed, computed, renderer) per printed number, plain
+polynomial and, at q = 1/2, 2-iterated or mixed polynomial, and
+``_audit_tables`` checks every row in one loop; the printed zeros,
+compared within a tolerance, follow.  Each comparison gets one of three
+statuses:
 
     match                 equal (exactly for rationals, within 5e-5 for
                           printed 4-decimal zeros)
@@ -59,14 +64,6 @@ VIETA_TOL = 1e-9
 
 # printed-table key -> the built-in family its values come from
 _PLAIN_FAMILIES = {"bernoulli": "bernoulli", "euler": "euler", "genocchi": "genocchi-table"}
-_FAMILY_ORDER = (
-    "bernoulli2",
-    "euler2",
-    "genocchi2",
-    "bernoulli_euler",
-    "bernoulli_genocchi",
-    "euler_genocchi",
-)
 
 
 def load_fixture() -> dict:
@@ -310,7 +307,6 @@ def _ladder_ok(polys: list[QPoly], ctx: QContext) -> bool:
 
 def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
     """The exact whole-pipeline checks; every one must pass."""
-    records: list[PropertyRecord] = []
     singles = {
         name: resolve(FamilySpec.builtin(name), ctx, _order_cap(name, order))
         for name in BUILTIN_NAMES
@@ -321,41 +317,8 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
         for b in BUILTIN_NAMES:
             cap = min(singles[a].order, singles[b].order)
             pairs[(a, b)] = (singles[a].truncated(cap), singles[b].truncated(cap))
-
-    # reciprocal orthogonality: numbers * beta = 1
-    ok = True
-    for name, fam in singles.items():
-        if convolve(fam.numbers, fam.beta) != unit(ctx, fam.order):
-            ok = False
-    records.append(
-        PropertyRecord(
-            "reciprocal-orthogonality",
-            ok,
-            "numbers convolved with beta give the unit sequence, all built-ins",
-        )
-    )
-
-    # ladder, series route, singles and all ordered pairs
-    ok = True
-    pair_fams: dict[tuple[str, str], AppellFamily] = {}
-    for name, fam in singles.items():
-        if not _ladder_ok(fam.polys(fam.order), ctx):
-            ok = False
-    for key, (fa, fb) in pairs.items():
-        pf = product_family(fa, fb)
-        pair_fams[key] = pf
-        if not _ladder_ok(pf.polys(pf.order), ctx):
-            ok = False
-    records.append(
-        PropertyRecord(
-            "ladder-series",
-            ok,
-            "D_q P_n = [n]_q P_(n-1) for built-ins and all ordered pairs (series route)",
-        )
-    )
-
-    # ladder, determinant route; each determinant polynomial is built once
-    # here and reused by the cross-method check
+    pair_fams = {key: product_family(fa, fb) for key, (fa, fb) in pairs.items()}
+    # each determinant polynomial is built once, for both checks that use it
     det_singles = {
         name: [det_appell_poly(fam, n) for n in range(fam.order + 1)]
         for name, fam in singles.items()
@@ -364,72 +327,73 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
         key: [det_pair_poly(fa, fb, n) for n in range(fa.order + 1)]
         for key, (fa, fb) in pairs.items()
     }
-    ok = True
-    for det_polys in [*det_singles.values(), *det_pairs.values()]:
-        if not _ladder_ok(det_polys, ctx):
-            ok = False
-    records.append(
-        PropertyRecord(
+
+    properties = (
+        (
+            "reciprocal-orthogonality",
+            "numbers convolved with beta give the unit sequence, all built-ins",
+            all(
+                convolve(fam.numbers, fam.beta) == unit(ctx, fam.order)
+                for fam in singles.values()
+            ),
+        ),
+        (
+            "ladder-series",
+            "D_q P_n = [n]_q P_(n-1) for built-ins and all ordered pairs (series route)",
+            all(
+                _ladder_ok(fam.polys(fam.order), ctx)
+                for fam in [*singles.values(), *pair_fams.values()]
+            ),
+        ),
+        (
             "ladder-determinant",
-            ok,
             "the same ladder along determinant-constructed sequences",
-        )
-    )
-
-    # cross-method equality: series, determinant, operator (and umbral on pairs)
-    ok = True
-    for name, fam in singles.items():
-        for n in range(fam.order + 1):
-            series = fam.poly(n)
-            det = det_singles[name][n]
-            oper = apply_operator(fam.numbers, QPoly.monomial(n))
-            if not series == det == oper:
-                ok = False
-    for key, (fa, fb) in pairs.items():
-        for n in range(fa.order + 1):
-            series = iterate2(fa, fb, n)
-            det = det_pairs[key][n]
-            oper = apply_operator(fa.numbers, fb.poly(n))
-            umb = umbral_compose(fa.polys(n), fb.polys(n), n)
-            if not series == det == oper == umb == pair_fams[key].poly(n):
-                ok = False
-    records.append(
-        PropertyRecord(
+            all(
+                _ladder_ok(det_polys, ctx)
+                for det_polys in [*det_singles.values(), *det_pairs.values()]
+            ),
+        ),
+        (
             "cross-method",
-            ok,
             "series, determinant, operator and umbral routes agree exactly",
-        )
-    )
-
-    # inversion identities
-    ok = True
-    for fam in singles.values():
-        for n in range(1, min(6, fam.order) + 1):
-            r1, r2 = identity_residuals(fam, n)
-            if not (r1.is_zero and r2.is_zero):
-                ok = False
-    records.append(
-        PropertyRecord(
+            all(
+                fam.poly(n)
+                == det_singles[name][n]
+                == apply_operator(fam.numbers, QPoly.monomial(n))
+                for name, fam in singles.items()
+                for n in range(fam.order + 1)
+            )
+            and all(
+                iterate2(fa, fb, n)
+                == det_pairs[key][n]
+                == apply_operator(fa.numbers, fb.poly(n))
+                == umbral_compose(fa.polys(n), fb.polys(n), n)
+                == pair_fams[key].poly(n)
+                for key, (fa, fb) in pairs.items()
+                for n in range(fa.order + 1)
+            ),
+        ),
+        (
             "inversion-identities",
-            ok,
             "monomial and 2-iterated inversion identities have zero residuals",
-        )
-    )
-
-    # commutativity of the pair construction
-    ok = True
-    for fa, fb in pairs.values():
-        for n in range(fa.order + 1):
-            if iterate2(fa, fb, n) != iterate2(fb, fa, n):
-                ok = False
-    records.append(
-        PropertyRecord(
+            all(
+                r.is_zero
+                for fam in singles.values()
+                for n in range(1, min(6, fam.order) + 1)
+                for r in identity_residuals(fam, n)
+            ),
+        ),
+        (
             "commutativity",
-            ok,
             "the two factor orders give identical polynomials for every pair",
-        )
+            all(
+                iterate2(fa, fb, n) == iterate2(fb, fa, n)
+                for fa, fb in pairs.values()
+                for n in range(fa.order + 1)
+            ),
+        ),
     )
-    return records
+    return [PropertyRecord(prop_id, ok, detail) for prop_id, detail, ok in properties]
 
 
 # ---------------------------------------------------------------------------
@@ -458,76 +422,64 @@ def _check(
     checks.append(CheckRecord(check_id, subject, printed, computed, status, note))
 
 
-def _audit_numbers(
-    ctx: QContext, fams: dict[str, AppellFamily], registry: dict, checks: list[CheckRecord]
-) -> None:
-    for key, name in _PLAIN_FAMILIES.items():
-        fam = fams[name]
-        for n in range(5):
-            want = printed_number(ctx, key, n)
-            got = fam.number(n)
-            _check(
-                checks,
-                registry,
-                f"numbers:{key}:{n}",
-                f"q-{key.capitalize()} number, n={n}",
-                f"{frac_str(want)} = {decimal_str(want)}",
-                f"{frac_str(got)} = {decimal_str(got)}",
-                want == got,
-            )
-
-
-def _audit_family_polys(
-    ctx: QContext, fams: dict[str, AppellFamily], registry: dict, checks: list[CheckRecord]
-) -> None:
-    for key, name in _PLAIN_FAMILIES.items():
-        fam = fams[name]
-        for n in range(5):
-            want = printed_family_poly(ctx, key, n)
-            got = fam.poly(n)
-            _check(
-                checks,
-                registry,
-                f"family-polys:{key}:{n}",
-                f"q-{key.capitalize()} polynomial, degree {n}",
-                poly_text(want),
-                poly_text(got),
-                want == got,
-            )
+def _number_text(x: Fraction) -> str:
+    return f"{frac_str(x)} = {decimal_str(x)}"
 
 
 def _fixture_poly(coeff_strings: list[str]) -> QPoly:
     return QPoly([Fraction(c) for c in reversed(coeff_strings)])
 
 
-def _pair_families(
-    fams: dict[str, AppellFamily], fixture: dict
-) -> dict[str, AppellFamily]:
-    out = {}
-    for key in _FAMILY_ORDER:
-        a, b = fixture["families"][key]["pair"]
-        out[key] = product_family(fams[a], fams[b])
-    return out
-
-
-def _audit_iterated_polys(
-    pairs: dict[str, AppellFamily], fixture: dict, registry: dict, checks: list[CheckRecord]
-) -> None:
-    for key in _FAMILY_ORDER:
+def _table_rows(
+    ctx: QContext,
+    tables: dict[str, AppellFamily],
+    pairs: dict[str, AppellFamily],
+    fixture: dict,
+):
+    """(check id, subject, printed, computed, render) for each printed value,
+    in report order; the iterated rows only for the pairs given."""
+    for key, name in _PLAIN_FAMILIES.items():
+        for n in range(5):
+            yield (
+                f"numbers:{key}:{n}",
+                f"q-{key.capitalize()} number, n={n}",
+                printed_number(ctx, key, n),
+                tables[name].number(n),
+                _number_text,
+            )
+    for key, name in _PLAIN_FAMILIES.items():
+        for n in range(5):
+            yield (
+                f"family-polys:{key}:{n}",
+                f"q-{key.capitalize()} polynomial, degree {n}",
+                printed_family_poly(ctx, key, n),
+                tables[name].poly(n),
+                poly_text,
+            )
+    for key, fam in pairs.items():
         display = fixture["families"][key]["display"]
         for n_str, coeffs in fixture["iterated_polys"][key].items():
             n = int(n_str)
-            want = _fixture_poly(coeffs)
-            got = pairs[key].poly(n)
-            _check(
-                checks,
-                registry,
+            yield (
                 f"iterated-polys:{key}:{n}",
                 f"{display} polynomial, degree {n}",
-                poly_text(want),
-                poly_text(got),
-                want == got,
+                _fixture_poly(coeffs),
+                fam.poly(n),
+                poly_text,
             )
+
+
+def _audit_tables(rows, registry: dict, checks: list[CheckRecord]) -> None:
+    for check_id, subject, printed, computed, render in rows:
+        _check(
+            checks,
+            registry,
+            check_id,
+            subject,
+            render(printed),
+            render(computed),
+            printed == computed,
+        )
 
 
 def _zeros_match(
@@ -570,13 +522,13 @@ def _audit_zeros(
 ) -> None:
     worst_vieta = 0.0
     counts_ok = True
-    for key in _FAMILY_ORDER:
+    for key, fam in pairs.items():
         display = fixture["families"][key]["display"]
         real_rows = fixture["real_zeros"][key]
         pair_rows = fixture["complex_zeros"].get(key, {})
         for n_str in sorted(real_rows, key=int):
             n = int(n_str)
-            poly = pairs[key].poly(n)
+            poly = fam.poly(n)
             rs = find_roots(poly)
             vs, vp = vieta_residuals(poly, rs.roots)
             worst_vieta = max(worst_vieta, vs, vp)
@@ -677,11 +629,13 @@ def run_verify(q: Fraction, order: int = 8) -> VerifyReport:
     tables = {
         name: resolve(FamilySpec.builtin(name), ctx, 4) for name in BUILTIN_NAMES
     }
-    _audit_numbers(ctx, tables, registry, report.checks)
-    _audit_family_polys(ctx, tables, registry, report.checks)
+    pairs: dict[str, AppellFamily] = {}
     if ctx.q == Fraction(1, 2):
-        pairs = _pair_families(tables, fixture)
-        _audit_iterated_polys(pairs, fixture, registry, report.checks)
+        for key, family in fixture["families"].items():
+            a, b = family["pair"]
+            pairs[key] = product_family(tables[a], tables[b])
+    _audit_tables(_table_rows(ctx, tables, pairs, fixture), registry, report.checks)
+    if pairs:
         _audit_zeros(pairs, fixture, registry, report.checks, report.properties)
     else:
         report.skipped.append(

@@ -183,21 +183,6 @@ class QPoly:
             acc = acc * x.numerator + c
         return Fraction(acc, den)
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(self.coeff(i) - other.coeff(i) for i in range(n))
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(-c for c in self.coeffs)
-
     def __mul__(self, scalar: RatLike) -> "QPoly":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented

@@ -21,6 +21,18 @@ def ctx_half():
     return QContext(Fraction(1, 2))
 
 
+def lincomb_oracle(weights, polys):
+    """sum w_k p_k by summing coefficient lists directly: the reference for
+    ``qcore.lincomb``, independent of the library's polynomial arithmetic."""
+    from qappell import QPoly
+
+    acc = [Fraction(0)] * max((len(p.coeffs) for p in polys), default=0)
+    for w, p in zip(weights, polys):
+        for i, c in enumerate(p.coeffs):
+            acc[i] += w * c
+    return QPoly(acc)
+
+
 def q_values():
     """Strategy for the base: rationals strictly inside (0, 1)."""
     return st.fractions(

@@ -13,6 +13,8 @@ from qappell.audit import (
     run_verify,
 )
 from qappell.families import FamilySpec
+from qappell.qcore import lincomb
+from qappell.series import ESeq
 
 EXPECTED_TYPO_IDS = {
     "family-polys:genocchi:3",
@@ -88,7 +90,7 @@ def _add_one_where(real, wrong):
 
     def skewed(*args):
         got = real(*args)
-        return got + QPoly.one() if wrong(*args) else got
+        return lincomb([1, 1], [got, QPoly.one()]) if wrong(*args) else got
 
     return skewed
 
@@ -139,6 +141,37 @@ class TestProperties:
         records = run_properties(QContext("1/2"), order=5)
         assert {rec.prop_id for rec in records if not rec.ok} == failing
 
+    def test_a_wrong_pair_family_poly_fails_its_checks(self, monkeypatch):
+        # pair families (label "a*b") feed the series ladder, the last link of
+        # cross-method and, as self-products, the 2-iterated identity
+        skewed = _add_one_where(
+            families.AppellFamily.poly, lambda fam, n: n == 2 and "*" in fam.label
+        )
+        monkeypatch.setattr(families.AppellFamily, "poly", skewed)
+        records = run_properties(QContext("1/2"), order=5)
+        assert {rec.prop_id for rec in records if not rec.ok} == {
+            "ladder-series",
+            "cross-method",
+            "inversion-identities",
+        }
+
+    def test_a_wrong_convolution_fails_reciprocal_orthogonality(self, monkeypatch):
+        ctx = QContext("1/2")
+        euler = resolve(FamilySpec.builtin("euler"), ctx, 5).numbers
+        real = audit.convolve
+
+        def skewed(a, b):
+            got = real(a, b)
+            if a != euler:
+                return got
+            return ESeq(got.ctx, (got.coeffs[0] + 1,) + got.coeffs[1:])
+
+        monkeypatch.setattr(audit, "convolve", skewed)
+        records = run_properties(ctx, order=5)
+        assert {rec.prop_id for rec in records if not rec.ok} == {
+            "reciprocal-orthogonality"
+        }
+
     @pytest.mark.parametrize("which", [0, 1], ids=["monomial", "2-iterated"])
     def test_a_wrong_identity_residual_fails_its_check(self, monkeypatch, which):
         real = audit.identity_residuals
@@ -146,7 +179,7 @@ class TestProperties:
         def skewed(fam, n):
             got = list(real(fam, n))
             if n == 2:
-                got[which] = got[which] + QPoly.one()
+                got[which] = lincomb([1, 1], [got[which], QPoly.one()])
             return tuple(got)
 
         monkeypatch.setattr(audit, "identity_residuals", skewed)

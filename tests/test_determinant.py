@@ -1,7 +1,5 @@
-import operator
 import time
 from fractions import Fraction as F
-from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -16,10 +14,10 @@ from qappell.determinant import (
     det_poly,
 )
 from qappell.families import FamilySpec
-from qappell.qcore import monomial_basis
+from qappell.qcore import lincomb, monomial_basis
 from qappell.series import ESeq
 
-from conftest import q_values, small_fractions
+from conftest import lincomb_oracle, q_values, small_fractions
 
 B = FamilySpec.builtin("bernoulli")
 E = FamilySpec.builtin("euler")
@@ -35,11 +33,13 @@ def laplace(rows):
     """
     if len(rows) == 1:
         return rows[0][0]
-    terms = []
-    for j, entry in enumerate(rows[0]):
-        term = entry * laplace([r[:j] + r[j + 1 :] for r in rows[1:]])
-        terms.append(term if j % 2 == 0 else -term)
-    return reduce(operator.add, terms)
+    cofactors = [
+        (-1) ** j * laplace([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows[0]))
+    ]
+    if isinstance(rows[0][0], QPoly):
+        return lincomb_oracle(cofactors, rows[0])
+    return sum(c * entry for c, entry in zip(cofactors, rows[0]))
 
 
 def bareiss(rows):
@@ -168,11 +168,11 @@ class TestRowZeroLinearity:
         m_b = build_matrix(fam.beta, basis_b, 3)
         # row 0 of the sum carries the doubled constant, which build_matrix
         # would reject, so the matrix is assembled by hand
-        summed = (QPoly.one() + QPoly.one(),) + tuple(
-            basis_a[k] + basis_b[k] for k in range(1, 4)
+        summed = (QPoly([2]),) + tuple(
+            lincomb([1, 1], [basis_a[k], basis_b[k]]) for k in range(1, 4)
         )
         lhs = det_eval((summed,) + m_a[1:])
-        assert lhs == det_eval(m_a) + det_eval(m_b)
+        assert lhs == lincomb([1, 1], [det_eval(m_a), det_eval(m_b)])
 
 
 class TestDegenerateRow:
