@@ -3,7 +3,7 @@
 Subcommands: numbers, poly, roots, sample, verify.  Exact rationals are
 printed as p/r and serialized as strings; floats only ever appear where
 zeros are involved.  Exit codes: 0 success, 1 failed verification,
-2 usage or cross-method error, 3 root-finder non-convergence.
+2 usage or cross-method error, 3 root-finder refusal.
 """
 
 from __future__ import annotations

@@ -1,15 +1,33 @@
 """Numerical zero finding and classification for exact polynomials.
 
-The solver is the Weierstrass (Durand-Kerner) simultaneous iteration
-started from deterministic points on a circle of radius 1 + max|a_i|
-(the Cauchy bound of the monic float image) with a fixed angular offset
-to break symmetry, followed by a few Newton steps per root.  There is no
-randomness anywhere, so identical inputs give bit-identical results.
+The solver is the Aberth-Ehrlich simultaneous iteration (Aberth 1973,
+Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
+
+* start: n points on a circle of the Fujiwara radius
+  2 max_k |a_(n-k)|^(1/k), the last term |a_0/2|^(1/n), with a fixed angular
+  offset to break symmetry;
+* update: z_i -= r/(1 - r sum_(j != i) 1/(z_i - z_j)) with r = p(z_i)/p'(z_i),
+  applied in place (Gauss-Seidel style); it converges cubically to simple
+  zeros, so no Newton polish follows;
+* stop: when the largest update falls below ``tol``, or when in one sweep
+  every |p(z_i)| is within Horner's rounding error bound
+  2n u sum |a_k||z_i|^k (u = 2^-53; Higham, *Accuracy and Stability of
+  Numerical Algorithms*, ch. 5) and the largest update has stopped
+  shrinking.  All iterates stop together, so a cluster stays symmetric;
+* refusal: after the residual check, each zero gets the Weierstrass
+  inclusion disc of radius n |p(z_i) / prod_(j != i) (z_i - z_j)| (Braess &
+  Hadeler 1973; Neumaier 2003).  Overlapping discs mean the float image
+  cannot separate those zeros, and ``RootFindingError`` names the cluster.
+
+There is no randomness anywhere, so identical inputs give bit-identical
+results.  Every failure, also a coefficient ratio outside double range or
+a failed classification, is a ``RootFindingError``.
 
 Classification splits roots into reals (imaginary part below a relative
-tolerance, forced onto the axis, sorted ascending) and conjugate pairs;
-an unpaired complex root signals solver trouble and raises.  Residual
-and Vieta checks are provided separately so callers can assert them.
+tolerance, forced onto the axis, sorted ascending) and conjugate pairs,
+stored exactly conjugate; an unpaired complex root signals solver trouble
+and raises.  Residual and Vieta checks are provided separately so callers
+can assert them.
 """
 
 from __future__ import annotations
@@ -34,12 +52,12 @@ __all__ = [
 _ANGLE_OFFSET = 0.4  # radians; fixed, keeps the start set asymmetric
 _DEFAULT_TOL = 1e-13
 _DEFAULT_SWEEPS = 500
-_NEWTON_STEPS = 3
+_UNIT_ROUNDOFF = 2.0**-53
 _DEFAULT_REAL_TOL = 1e-8
 
 
 class RootFindingError(RuntimeError):
-    """Iteration failed to converge; carries the best iterate found."""
+    """No trustworthy zeros; carries the last iterates and their residuals."""
 
     def __init__(self, message: str, best: list[complex], residuals: list[float]):
         super().__init__(message)
@@ -87,8 +105,23 @@ def _horner(coeffs, z: complex) -> complex:
     return acc
 
 
-def _derivative(coeffs: list[float]) -> list[float]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
+def _monic_horner(tail: list[float], z: complex) -> tuple[complex, complex]:
+    """p(z) and p'(z) in one Horner pass; tail = p's coefficients below
+    the leading 1, descending."""
+    value: complex = 1.0
+    deriv: complex = 0.0
+    for c in tail:
+        deriv = deriv * z + value
+        value = value * z + c
+    return value, deriv
+
+
+def _fujiwara_radius(coeffs: list[float]) -> float:
+    """2 max_k |a_(n-k)|^(1/k), the last term halved, for monic coeffs."""
+    n = len(coeffs) - 1
+    terms = [abs(coeffs[n - k]) ** (1.0 / k) for k in range(1, n)]
+    terms.append(abs(coeffs[0] / 2) ** (1.0 / n))
+    return 2.0 * max(terms)
 
 
 def find_roots(
@@ -101,9 +134,14 @@ def find_roots(
     """All zeros of p (degree >= 1), classified; deterministic."""
     if p.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
-    coeffs = to_float(p)
+    try:
+        coeffs = to_float(p)
+    except OverflowError as exc:
+        raise RootFindingError(
+            f"coefficient ratio outside double range ({exc})", [], []
+        ) from exc
     n = p.degree
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
+    radius = _fujiwara_radius(coeffs) or 1.0  # 0 only for p = x^n
     z = [
         radius * cmath.exp(1j * (2 * math.pi * k / n + _ANGLE_OFFSET))
         for k in range(n)
@@ -112,40 +150,48 @@ def find_roots(
     def failure(message: str) -> RootFindingError:
         return RootFindingError(message, z, [abs(_horner(coeffs, w)) for w in z])
 
-    max_update = math.inf
+    tail = coeffs[-2::-1]
+    abs_coeffs = [abs(c) for c in coeffs]
+    values: list[complex] = [0j] * n
+    moduli = [0.0] * n
+    last_update = math.inf
     for sweep in range(max_sweeps):
         max_update = 0.0
         for i in range(n):
-            value = _horner(coeffs, z[i])
-            denom: complex = 1.0
-            for j in range(n):
-                if j != i:
-                    denom *= z[i] - z[j]
-            if denom == 0:
-                raise failure("iterates collided")
-            delta = value / denom
-            z[i] -= delta
+            zi = z[i]
+            value, deriv = _monic_horner(tail, zi)
+            try:
+                pull = sum([1 / (zi - w) for w in z[:i]]) + sum(
+                    [1 / (zi - w) for w in z[i + 1 :]]
+                )
+                # r/(1 - r pull) with r = p/p', written without dividing by p'
+                delta = value / (deriv - value * pull)
+            except ZeroDivisionError:
+                raise failure(
+                    f"zero divisor in the Aberth update at sweep {sweep}"
+                ) from None
+            z[i] = zi - delta
             if not cmath.isfinite(z[i]):  # a NaN delta never exceeds max_update
                 raise failure(
                     f"iterates overflowed in double precision at sweep {sweep}"
                 )
-            if abs(delta) > max_update:
-                max_update = abs(delta)
+            values[i] = value
+            moduli[i] = abs(zi)
+            max_update = max(max_update, abs(delta))
         if max_update < tol:
             break
+        # Horner's rounding error bound 2n u sum |a_k||z|^k (Higham, ch. 5)
+        if max_update >= last_update and all(
+            abs(v) <= 2 * n * _UNIT_ROUNDOFF * _horner(abs_coeffs, m)
+            for v, m in zip(values, moduli)
+        ):
+            break
+        last_update = max_update
     else:
         raise failure(
             f"no convergence after {max_sweeps} sweeps "
             f"(last max update {max_update:.3e})"
         )
-
-    deriv = _derivative(coeffs)
-    for i in range(n):
-        for _ in range(_NEWTON_STEPS):
-            d = _horner(deriv, z[i])
-            if d == 0:
-                break
-            z[i] -= _horner(coeffs, z[i]) / d
 
     residual_tol = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
     residuals = [abs(_horner(coeffs, w)) for w in z]
@@ -154,7 +200,43 @@ def find_roots(
         raise failure(
             f"residuals exceed {residual_tol:.3e}: worst {max(residuals):.3e}"
         )
-    return _build(n, z, coeffs, real_tol)
+    cluster = _unisolated_cluster(z, residuals)
+    if cluster:
+        raise failure(cluster)
+    try:
+        return _build(n, z, coeffs, real_tol)
+    except ClassificationError as exc:
+        raise failure(f"classification failed: {exc}") from exc
+
+
+def _unisolated_cluster(z: list[complex], residuals: list[float]) -> str:
+    """Name a cluster whose Weierstrass inclusion discs overlap, or "".
+
+    The disc about z_i has radius n |p(z_i) / prod_(j != i) (z_i - z_j)|
+    (Braess & Hadeler 1973): each connected union of m discs holds exactly m
+    zeros, so disjoint discs isolate one zero each.
+    """
+    n = len(z)
+    radii = []
+    for i, zi in enumerate(z):
+        prod: complex = 1.0
+        for j, w in enumerate(z):
+            if j != i:
+                prod *= zi - w
+        radii.append(n * residuals[i] / abs(prod) if prod else math.inf)
+    for i in range(n):
+        cluster = [j for j in range(n) if abs(z[i] - z[j]) <= radii[i] + radii[j]]
+        if len(cluster) > 1:
+            centre = sum(z[j] for j in cluster) / len(cluster)
+            where = f"{centre.real:.4g}"
+            if round(centre.imag, 4):
+                where += f"{centre.imag:+.4g}i"
+            listed = ", ".join(f"{radii[j]:.1e}" for j in cluster)
+            return (
+                f"zeros near {where} not isolated in double precision "
+                f"(inclusion radii {listed})"
+            )
+    return ""
 
 
 def _build(
@@ -187,7 +269,9 @@ def _build(
             raise ClassificationError(
                 f"complex root {u!r} has no conjugate partner within {pair_tol:.3e}"
             )
-        pairs.append((u, remaining.pop(best_i)))
+        # p is real, so store the pair exactly conjugate
+        m = (u + remaining.pop(best_i).conjugate()) / 2
+        pairs.append((m, m.conjugate()))
     if remaining:
         raise ClassificationError(f"unpaired lower-half roots remain: {remaining!r}")
     flat: list[complex] = [complex(r, 0.0) for r in reals]

@@ -276,6 +276,27 @@ class TestRoots:
         assert code == 3
         assert "root finding failed" in err
 
+    def test_unisolated_cluster_exits_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "roots", "--iterate", "bernoulli,bernoulli", "--q", "1/10", "-n", "23"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("root finding failed: zeros near 1 not isolated")
+
+    def test_classification_failure_exits_3(self, capsys, monkeypatch):
+        from qappell import roots
+        from qappell.roots import ClassificationError
+
+        def skewed(*args):
+            raise ClassificationError("forced for the exit-code contract")
+
+        monkeypatch.setattr(roots, "_build", skewed)
+        code, _, err = run_cli(
+            capsys, "roots", "--family", "euler", "--q", "1/2", "-n", "2"
+        )
+        assert code == 3
+        assert "classification failed: forced" in err
+
     @pytest.mark.parametrize(
         "argv, report",
         [

@@ -22,12 +22,12 @@ from qappell.roots import sample
 
 GOLDEN = {
     (F(1, 2), 8): (
-        "9be3bda4f4463bdfa6c99ef44c812c3a3b12e6ea086447a6eb9cbef696817e9f",
-        "690a086a8c030c9076982605bbcb9ac5a6d3042f71b49d7f5a79f6d0e2a83d3b",
+        "e881d206f0db93110cb613788fc5623f41eb664ba4f3e8c6b1542fedb3917197",
+        "2312d24d7453da4cde0b8243db2e3c47df5370aaf8e57cf1e903e36c902c107d",
     ),
     (F(1, 2), 12): (
-        "8ce32f9fa432603cff29cadd4dbbe89f9042358d0da48296a5e0f82cf237dd9b",
-        "8bd0c376b143e72d8b036c5321b31a24bb14c92b8155abb0524a695ad9d29e46",
+        "a16e3428bfaf8e75c23ccce90f7c2eea2adcac36b82fb65d4692ac86ec3e9c0d",
+        "3b75781f65ff1aeb9db38c8bc18bb9c1fd9dfdbc0a85954c5656d2cc2dc46285",
     ),
     (F(1, 3), 8): (
         "7bce3119c3b5de91be21d238b7c57b04f5d3c643e0cde9d991aaecc598dc1477",
@@ -43,7 +43,7 @@ CLI_GOLDEN = {
     "poly --family genocchi-det --q 2/5 -n 9 --method all --format json":
         "68b9ac5961a14a2b0376cbf1d00a1f57350d006ec1ad0572b12082e57769b299",
     "roots --iterate bernoulli,bernoulli --q 1/2 -n 6 --method all":
-        "fddb05a127ccbcad1d5c48cd5fc274e78c43dac49bcbb5d596f1b37a0126b165",
+        "cd502a25766b31071e39236a4a83b864626896a9c58f68aa134a5369f8485247",
     "sample --iterate bernoulli,euler --q 1/2 --degrees 1,3,5 --xmin -2 --xmax 2 --steps 9":
         "3cd7921fd86fb47af5a8ea0e29490e5171a713a675b7153e1c407e35f81d2005",
 }

@@ -9,6 +9,7 @@ from qappell import (
     find_roots,
     pair_family,
     resolve,
+    roots,
     sample,
     vieta_residuals,
 )
@@ -38,6 +39,17 @@ def bisect_root(coeffs, lo, hi, iters=200):
         else:
             lo, flo = mid, fm
     return (lo + hi) / 2
+
+
+def relative_vieta(p, found):
+    """Vieta residuals, each relative to its target where that exceeds 1."""
+    n = p.degree
+    lead = p.coeffs[-1]
+    targets = (-p.coeff(n - 1) / lead, (-1) ** n * p.coeff(0) / lead)
+    return [
+        r / max(1.0, abs(float(t)))
+        for r, t in zip(vieta_residuals(p, tuple(found)), targets)
+    ]
 
 
 @pytest.fixture
@@ -89,7 +101,7 @@ class TestFindRoots:
         assert [real_str(w) for w in rs.real_roots] == ["-0.0617", "0.3823"]
         assert len(rs.complex_pairs) == 1
         u, low = rs.complex_pairs[0]
-        assert low == u.conjugate() or abs(low - u.conjugate()) < 1e-12
+        assert low == u.conjugate()  # stored exactly conjugate
         assert real_str(u.real) == "1.0897"
         assert real_str(u.imag) == "0.1112"
 
@@ -111,14 +123,57 @@ class TestFindRoots:
         assert len(info.value.residuals) == 4
 
     def test_overflowing_iterates_refuse_at_once(self):
-        # start radius 2.7e8, so z^38 overflows in Horner and every first
+        # start radius 2e300, so z^2 overflows in Horner and every first
         # update is NaN; a NaN update must not count as converged
-        fam = resolve(FamilySpec.builtin("genocchi-det"), QContext(F(9, 10)), 38)
         with pytest.raises(RootFindingError, match=(
             "iterates overflowed in double precision at sweep 0"
         )) as info:
-            find_roots(fam.poly(38))
-        assert len(info.value.best) == len(info.value.residuals) == 38
+            find_roots(QPoly([1, 10**300, 1]))
+        assert len(info.value.best) == len(info.value.residuals) == 2
+
+    def test_fujiwara_start_does_not_overflow(self):
+        # the old start radius 1 + max|a_i| was 2.7e8 here, and z^38 overflowed
+        fam = resolve(FamilySpec.builtin("genocchi-det"), QContext(F(9, 10)), 38)
+        p = fam.poly(38)
+        rs = find_roots(p)
+        assert sum(rs.counts()) == 38
+        bound = 1e-9 * (1 + max(abs(c) for c in rs.monic_coeffs))
+        assert all(r < bound for r in rs.residuals)
+        assert all(v < 1e-9 for v in relative_vieta(p, rs.roots))
+
+    def test_coefficient_ratio_outside_double_range(self):
+        with pytest.raises(RootFindingError, match="outside double range"):
+            find_roots(QPoly([10**400, 1]))
+
+    def test_classification_failure_is_a_refusal(self, b2, monkeypatch):
+        def skewed(*args):
+            raise ClassificationError("forced")
+
+        monkeypatch.setattr(roots, "_build", skewed)
+        with pytest.raises(RootFindingError, match="classification failed: forced"):
+            find_roots(b2.poly(4))
+
+    @pytest.mark.parametrize("q, n", [(F(1, 2), 16), (F(1, 10), 9), (F(9, 10), 14)])
+    def test_former_false_failures(self, q, n):
+        # bernoulli x bernoulli, where the absolute 1e-13 update rule of the
+        # Durand-Kerner loop stalled near 1e-12
+        p = pair_family(B, B, QContext(q), n).poly(n)
+        rs = find_roots(p)
+        assert sum(rs.counts()) == len(rs.roots) == n
+        assert all(v < 1e-9 for v in relative_vieta(p, rs.roots))
+
+    def test_multiple_zero_refuses(self):
+        # (x - 1)^2: the inclusion discs of a double zero always overlap
+        with pytest.raises(RootFindingError, match="zeros near 1 not isolated"):
+            find_roots(QPoly([1, -2, 1]))
+
+    def test_unisolated_cluster_refuses_by_name(self):
+        # two zeros 7e-12 apart at x = 1; no double image separates them
+        p = pair_family(B, B, QContext(F(1, 10)), 23).poly(23)
+        with pytest.raises(RootFindingError, match=(
+            r"zeros near 1 not isolated in double precision \(inclusion radii "
+        )):
+            find_roots(p)
 
     def test_residual_bound(self, b2):
         for n in range(1, 5):
@@ -147,6 +202,45 @@ class TestFindRoots:
                 rs = find_roots(pf.poly(n))
                 nreal, ncomplex = rs.counts()
                 assert nreal + ncomplex == n
+
+
+# q x {plain, x bernoulli}, a different base family per q; combo k takes
+# every 12th degree from 4 + 2k, so together they cover the even degrees 4..40
+SWEEP = [
+    (F(1, 10), "euler", None),
+    (F(1, 10), "euler", "bernoulli"),
+    (F(1, 2), "genocchi-det", None),
+    (F(1, 2), "genocchi-det", "bernoulli"),
+    (F(9, 10), "bernoulli", None),
+    (F(9, 10), "bernoulli", "bernoulli"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(SWEEP)), ids=lambda k: "{}-{}-{}".format(*SWEEP[k]))
+def test_sweep_agrees_with_mpmath_or_refuses(k):
+    mpmath = pytest.importorskip("mpmath")
+    q, name, times = SWEEP[k]
+    spec = FamilySpec.builtin(name)
+    ctx = QContext(q)
+    fam = pair_family(spec, B, ctx, 40) if times else resolve(spec, ctx, 40)
+    for n in range(4 + 2 * k, 41, 12):
+        p = fam.poly(n)
+        try:
+            rs = find_roots(p)
+        except RootFindingError as exc:
+            assert "not isolated in double precision" in str(exc), (n, str(exc))
+            continue
+        with mpmath.workdps(20):
+            exact = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)],
+                maxsteps=200,
+                extraprec=20,
+            )
+            want = [complex(w) for w in exact]
+        for got in rs.roots:
+            nearest = min(want, key=lambda w: abs(got - w))
+            want.remove(nearest)
+            assert abs(got - nearest) < 1e-8 * max(1.0, abs(nearest)), (n, got, nearest)
 
 
 class TestClassify:
