@@ -28,6 +28,13 @@ from .roots import RootFindingError, find_roots, sample, vieta_residuals
 
 __all__ = ["main"]
 
+# The largest sizes a command accepts (README, "Caps").  The cost of an exact
+# family grows like about the fourth power of its order, and sample's cost
+# linearly with its step count, so larger values would run for hours.
+MAX_ORDER = 128  # -n / --upto / --degrees of numbers, poly, roots and sample
+MAX_VERIFY_ORDER = 64  # --upto of verify
+MAX_STEPS = 10_001  # sample --steps
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = 2):
@@ -111,6 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    """Refuse, before any work starts, a value that would run for hours."""
+    if value > cap:
+        raise CliError(f"{flag} {value} is above the cap of {cap} (see the README)")
+
+
 def _context(args: argparse.Namespace) -> QContext:
     q_text = args.q if args.q is not None else "1/2"
     try:
@@ -185,6 +198,7 @@ def cmd_numbers(args: argparse.Namespace) -> int:
     specs = _specs(args)
     if args.upto < 0:
         raise CliError("--upto must be >= 0")
+    _check_cap("--upto", args.upto, MAX_ORDER)
     series, members = _resolve(specs, ctx, args.upto)
     methods = _methods(args)
     values = _by_method(
@@ -243,6 +257,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
     specs = _specs(args)
     if args.n < 0:
         raise CliError("-n must be >= 0")
+    _check_cap("-n", args.n, MAX_ORDER)
     series, members = _resolve(specs, ctx, args.n)
     methods = _methods(args)
     computed = _by_method(
@@ -282,6 +297,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     specs = _specs(args)
     if args.n < 1:
         raise CliError("-n must be >= 1 for roots")
+    _check_cap("-n", args.n, MAX_ORDER)
     series, members = _resolve(specs, ctx, args.n)
     methods = _methods(args)
     computed = _by_method(
@@ -359,6 +375,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise CliError("sample needs -n or --degrees")
     if any(d < 0 for d in degrees):
         raise CliError("degrees must be >= 0")
+    _check_cap("degree", max(degrees), MAX_ORDER)
     try:
         xmin = parse_rat(args.xmin)
         xmax = parse_rat(args.xmax)
@@ -366,6 +383,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     if args.steps < 2:
         raise CliError("--steps must be >= 2")
+    _check_cap("--steps", args.steps, MAX_STEPS)
     if not xmin < xmax:
         raise CliError("--xmin must be < --xmax")
     fam, _ = _resolve(specs, ctx, max(degrees))
@@ -402,6 +420,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ctx = _context(args)
     if args.upto < 4:
         raise CliError("verify needs --upto >= 4 to cover the reference tables")
+    _check_cap("--upto", args.upto, MAX_VERIFY_ORDER)
     if args.format == "csv":
         raise CliError("verify supports text or json output")
     report = run_verify(ctx.q, order=args.upto)

@@ -3,9 +3,12 @@
 The solver is the Aberth-Ehrlich simultaneous iteration (Aberth 1973,
 Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
 
-* start: n points on a circle of the Fujiwara radius
-  2 max_k |a_(n-k)|^(1/k), the last term |a_0/2|^(1/n), with a fixed angular
-  offset to break symmetry;
+* start: Bini's Newton-polygon start.  Each edge k0 -> k1 of the upper
+  convex hull of the points (k, log|a_k|), a_k != 0, gets m = k1 - k0
+  points on the circle of radius (|a_k0|/|a_k1|)^(1/m), so zeros of very
+  different moduli start near their own circle.  A factor x^k starts k
+  points at 0, exact for k = 1; for k > 1 the coincident points refuse at
+  the first sweep, as a multiple zero must;
 * update: z_i -= r/(1 - r sum_(j != i) 1/(z_i - z_j)) with r = p(z_i)/p'(z_i),
   applied in place (Gauss-Seidel style); it converges cubically to simple
   zeros, so no Newton polish follows;
@@ -14,10 +17,16 @@ Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
   2n u sum |a_k||z_i|^k (u = 2^-53; Higham, *Accuracy and Stability of
   Numerical Algorithms*, ch. 5) and the largest update has stopped
   shrinking.  All iterates stop together, so a cluster stays symmetric;
-* refusal: after the residual check, each zero gets the Weierstrass
-  inclusion disc of radius n |p(z_i) / prod_(j != i) (z_i - z_j)| (Braess &
-  Hadeler 1973; Neumaier 2003).  Overlapping discs mean the float image
-  cannot separate those zeros, and ``RootFindingError`` names the cluster.
+* isolation: each zero gets the Weierstrass inclusion disc of radius
+  n |p(z_i) / prod_(j != i) (z_i - z_j)| (Braess & Hadeler 1973; Neumaier
+  2003).  Float discs, from |fl p(z_i)| plus Horner's bound, contain the
+  exact ones and flag the members whose discs overlap.  At a cluster the
+  float residual is rounding noise, so each flagged member gets a few more
+  Aberth corrections with p(z_i) evaluated exactly (Gaussian-integer
+  Horner at the dyadic iterate), and the discs from those exact residuals
+  decide.  If they still overlap, double precision cannot separate those
+  zeros, and ``RootFindingError`` names the cluster.  The residual check
+  and the classification then run on the refined iterates.
 
 There is no randomness anywhere, so identical inputs give bit-identical
 results.  Every failure, also a coefficient ratio outside double range or
@@ -54,15 +63,24 @@ _DEFAULT_TOL = 1e-13
 _DEFAULT_SWEEPS = 500
 _UNIT_ROUNDOFF = 2.0**-53
 _DEFAULT_REAL_TOL = 1e-8
+_EXACT_STEPS = 8  # exact-residual corrections of a clustered zero, at most
 
 
 class RootFindingError(RuntimeError):
-    """No trustworthy zeros; carries the last iterates and their residuals."""
+    """No trustworthy zeros; carries the last iterates, their residuals and
+    the number of Aberth sweeps run (0 when it failed before the first)."""
 
-    def __init__(self, message: str, best: list[complex], residuals: list[float]):
+    def __init__(
+        self,
+        message: str,
+        best: list[complex],
+        residuals: list[float],
+        sweeps: int = 0,
+    ):
         super().__init__(message)
         self.best = best
         self.residuals = residuals
+        self.sweeps = sweeps
 
 
 class ClassificationError(RuntimeError):
@@ -75,7 +93,8 @@ class RootSet:
 
     ``roots`` lists every zero (length = degree), reals first with the
     imaginary part forced to zero, then the pairs, upper half first.
-    ``monic_coeffs`` is the float image the roots were computed from.
+    ``monic_coeffs`` is the float image the roots were computed from, and
+    ``sweeps`` the number of Aberth sweeps it took.
     """
 
     degree: int
@@ -85,6 +104,7 @@ class RootSet:
     complex_pairs: tuple[tuple[complex, complex], ...]
     real_tol: float
     monic_coeffs: tuple[float, ...]
+    sweeps: int
 
     def counts(self) -> tuple[int, int]:
         return len(self.real_roots), 2 * len(self.complex_pairs)
@@ -116,12 +136,35 @@ def _monic_horner(tail: list[float], z: complex) -> tuple[complex, complex]:
     return value, deriv
 
 
-def _fujiwara_radius(coeffs: list[float]) -> float:
-    """2 max_k |a_(n-k)|^(1/k), the last term halved, for monic coeffs."""
+def _newton_polygon_start(coeffs: list[float]) -> list[complex]:
+    """Bini's start points for the monic float image (ascending coeffs).
+
+    Each edge k0 -> k1 of the upper convex hull of the points (k, log|a_k|),
+    a_k != 0, gets m = k1 - k0 points on the circle of radius
+    (|a_k0|/|a_k1|)^(1/m) at the angles 2 pi j/m + 2 pi k1/n + offset.  When
+    a_0 = ... = a_(k-1) = 0, x^k divides p and its k zeros start at 0.
+    """
     n = len(coeffs) - 1
-    terms = [abs(coeffs[n - k]) ** (1.0 / k) for k in range(1, n)]
-    terms.append(abs(coeffs[0] / 2) ** (1.0 / n))
-    return 2.0 * max(terms)
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        y = math.log(abs(c))
+        while len(hull) >= 2:
+            (ka, ya), (kb, yb) = hull[-2:]
+            if (kb - ka) * (y - ya) < (yb - ya) * (k - ka):
+                break  # (kb, yb) lies above the chord from (ka, ya) to (k, y)
+            hull.pop()
+        hull.append((k, y))
+    z = [0j] * hull[0][0]
+    for (k0, y0), (k1, y1) in zip(hull, hull[1:]):
+        m = k1 - k0
+        radius = math.exp((y0 - y1) / m)
+        z += [
+            radius * cmath.exp(1j * (2 * math.pi * (j / m + k1 / n) + _ANGLE_OFFSET))
+            for j in range(m)
+        ]
+    return z
 
 
 def find_roots(
@@ -136,26 +179,25 @@ def find_roots(
         raise ValueError("find_roots needs degree >= 1")
     try:
         coeffs = to_float(p)
+        z = _newton_polygon_start(coeffs)
     except OverflowError as exc:
         raise RootFindingError(
             f"coefficient ratio outside double range ({exc})", [], []
         ) from exc
     n = p.degree
-    radius = _fujiwara_radius(coeffs) or 1.0  # 0 only for p = x^n
-    z = [
-        radius * cmath.exp(1j * (2 * math.pi * k / n + _ANGLE_OFFSET))
-        for k in range(n)
-    ]
+    sweeps = 0
 
     def failure(message: str) -> RootFindingError:
-        return RootFindingError(message, z, [abs(_horner(coeffs, w)) for w in z])
+        return RootFindingError(
+            message, z, [abs(_horner(coeffs, w)) for w in z], sweeps
+        )
 
     tail = coeffs[-2::-1]
     abs_coeffs = [abs(c) for c in coeffs]
     values: list[complex] = [0j] * n
     moduli = [0.0] * n
-    last_update = math.inf
-    for sweep in range(max_sweeps):
+    last_update = max_update = math.inf
+    for sweeps in range(1, max_sweeps + 1):
         max_update = 0.0
         for i in range(n):
             zi = z[i]
@@ -168,12 +210,12 @@ def find_roots(
                 delta = value / (deriv - value * pull)
             except ZeroDivisionError:
                 raise failure(
-                    f"zero divisor in the Aberth update at sweep {sweep}"
+                    f"zero divisor in the Aberth update at sweep {sweeps - 1}"
                 ) from None
             z[i] = zi - delta
             if not cmath.isfinite(z[i]):  # a NaN delta never exceeds max_update
                 raise failure(
-                    f"iterates overflowed in double precision at sweep {sweep}"
+                    f"iterates overflowed in double precision at sweep {sweeps - 1}"
                 )
             values[i] = value
             moduli[i] = abs(zi)
@@ -193,6 +235,9 @@ def find_roots(
             f"(last max update {max_update:.3e})"
         )
 
+    cluster = _settle_clusters(p, z, coeffs)
+    if cluster:
+        raise failure(cluster)
     residual_tol = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
     residuals = [abs(_horner(coeffs, w)) for w in z]
     bad = [r for r in residuals if not (r < residual_tol) or math.isnan(r)]
@@ -200,47 +245,127 @@ def find_roots(
         raise failure(
             f"residuals exceed {residual_tol:.3e}: worst {max(residuals):.3e}"
         )
-    cluster = _unisolated_cluster(z, residuals)
-    if cluster:
-        raise failure(cluster)
     try:
-        return _build(n, z, coeffs, real_tol)
+        return _build(n, z, coeffs, real_tol, sweeps)
     except ClassificationError as exc:
         raise failure(f"classification failed: {exc}") from exc
 
 
-def _unisolated_cluster(z: list[complex], residuals: list[float]) -> str:
-    """Name a cluster whose Weierstrass inclusion discs overlap, or "".
+def _exact_value(p: QPoly, z: complex) -> complex:
+    """p(z)/lead(p), rounded once from its exact value at the dyadic point z.
 
-    The disc about z_i has radius n |p(z_i) / prod_(j != i) (z_i - z_j)|
-    (Braess & Hadeler 1973): each connected union of m discs holds exactly m
-    zeros, so disjoint discs isolate one zero each.
+    Gaussian-integer Horner on p's homogeneous image over the common
+    power-of-two denominator of z's parts; a value beyond double range is inf.
+    """
+    (xr, dr), (xi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    b = max(dr, di)
+    ar, ai = xr * (b // dr), xi * (b // di)
+    hom, den = homogeneous_image(p, b)
+    re = im = 0
+    for c in hom:
+        re, im = re * ar - im * ai + c, re * ai + im * ar
+    lead = p.coeffs[-1]
+    try:
+        return complex(
+            re * lead.denominator / (den * lead.numerator),
+            im * lead.denominator / (den * lead.numerator),
+        )
+    except OverflowError:
+        return complex(math.inf)
+
+
+def _weierstrass_radii(z: list[complex], residuals: list[float]) -> list[float]:
+    """n |p(z_i) / prod_(j != i) (z_i - z_j)| for each i, from |p(z_i)|.
+
+    The factor n is widened by 4n u for the rounding of the product; two
+    coincident iterates give inf.
     """
     n = len(z)
+    widened = n * (1 + 4 * n * _UNIT_ROUNDOFF)
     radii = []
     for i, zi in enumerate(z):
         prod: complex = 1.0
         for j, w in enumerate(z):
             if j != i:
                 prod *= zi - w
-        radii.append(n * residuals[i] / abs(prod) if prod else math.inf)
-    for i in range(n):
-        cluster = [j for j in range(n) if abs(z[i] - z[j]) <= radii[i] + radii[j]]
-        if len(cluster) > 1:
-            centre = sum(z[j] for j in cluster) / len(cluster)
-            where = f"{centre.real:.4g}"
-            if round(centre.imag, 4):
-                where += f"{centre.imag:+.4g}i"
-            listed = ", ".join(f"{radii[j]:.1e}" for j in cluster)
-            return (
-                f"zeros near {where} not isolated in double precision "
-                f"(inclusion radii {listed})"
-            )
-    return ""
+        radii.append(widened * residuals[i] / abs(prod) if prod else math.inf)
+    return radii
+
+
+def _meeting(z: list[complex], radii: list[float], i: int) -> list[int]:
+    """The members whose disc meets the disc about z_i, i among them."""
+    return [j for j, w in enumerate(z) if abs(z[i] - w) <= radii[i] + radii[j]]
+
+
+def _overlapping(z: list[complex], radii: list[float]) -> list[int]:
+    """The members whose disc meets another member's disc."""
+    return [i for i in range(len(z)) if len(_meeting(z, radii, i)) > 1]
+
+
+def _settle_clusters(p: QPoly, z: list[complex], coeffs: list[float]) -> str:
+    """Name a cluster whose Weierstrass inclusion discs overlap, or "".
+
+    The disc about z_i has radius n |p(z_i) / prod_(j != i) (z_i - z_j)|
+    (Braess & Hadeler 1973): each connected union of m discs holds exactly m
+    zeros of p, so disjoint discs isolate one zero each.  A float disc,
+    from |fl p(z_i)| plus Horner's bound (2n + 1) u sum |a_k||z_i|^k (the
+    extra u for rounding the coefficients), contains the exact one.  The
+    members whose float discs overlap get up to ``_EXACT_STEPS`` Aberth
+    corrections from exact residuals (``_exact_value``), updating z in
+    place, and only their exact discs decide the verdict.
+    """
+    n = len(z)
+    bound = (2 * n + 1) * _UNIT_ROUNDOFF
+    abs_coeffs = [abs(c) for c in coeffs]
+    residuals = [
+        abs(_horner(coeffs, w)) + bound * _horner(abs_coeffs, abs(w)) for w in z
+    ]
+    radii = _weierstrass_radii(z, residuals)
+    flagged = _overlapping(z, radii)
+    if not flagged:
+        return ""
+    tail = coeffs[-2::-1]
+    for _ in range(_EXACT_STEPS):
+        moved = False
+        for i in flagged:
+            zi = z[i]
+            value = _exact_value(p, zi)
+            if not value:  # z_i is a zero of p
+                continue
+            try:
+                pull = sum(1 / (zi - w) for j, w in enumerate(z) if j != i)
+                delta = value / (_monic_horner(tail, zi)[1] - value * pull)
+            except ZeroDivisionError:
+                continue
+            if cmath.isfinite(delta):
+                z[i] = zi - delta
+                moved = moved or abs(delta) > _UNIT_ROUNDOFF * abs(zi)
+        if not moved:
+            break
+    for i in flagged:
+        residuals[i] = abs(_exact_value(p, z[i]))
+    radii = _weierstrass_radii(z, residuals)
+    overlapping = _overlapping(z, radii)
+    if not overlapping:
+        return ""
+    cluster = _meeting(z, radii, overlapping[0])
+    centre = sum(z[j] for j in cluster) / len(cluster)
+    where = f"{centre.real:.4g}"
+    if round(centre.imag, 4):
+        where += f"{centre.imag:+.4g}i"
+    listed = ", ".join(f"{radii[j]:.1e}" for j in cluster)
+    return (
+        f"zeros near {where} not isolated in double precision "
+        f"(inclusion radii {listed})"
+    )
 
 
 def _build(
-    degree: int, z: list[complex], coeffs: list[float], real_tol: float
+    degree: int,
+    z: list[complex],
+    coeffs: list[float],
+    real_tol: float,
+    sweeps: int = 0,
 ) -> RootSet:
     reals: list[float] = []
     uppers: list[complex] = []
@@ -293,6 +418,7 @@ def _build(
         complex_pairs=tuple(pairs),
         real_tol=real_tol,
         monic_coeffs=tuple(coeffs),
+        sweeps=sweeps,
     )
 
 

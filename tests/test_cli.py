@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qappell.cli import main
+from qappell.cli import MAX_ORDER, MAX_STEPS, MAX_VERIFY_ORDER, main
 
 
 def run_cli(capsys, *argv):
@@ -501,3 +501,43 @@ class TestOutFile(object):
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+CAPPED = [
+    ("numbers --family bernoulli --q 1/2 --upto {}", "--upto", MAX_ORDER),
+    ("poly --iterate bernoulli,euler --q 1/2 -n {}", "-n", MAX_ORDER),
+    ("roots --family euler --q 1/2 -n {}", "-n", MAX_ORDER),
+    ("sample --family euler --q 1/2 -n {} --xmin 0 --xmax 1", "degree", MAX_ORDER),
+    ("sample --family euler --q 1/2 --degrees 1,{} --xmin 0 --xmax 1", "degree", MAX_ORDER),
+    ("sample --family euler --q 1/2 -n 2 --xmin 0 --xmax 1 --steps {}", "--steps", MAX_STEPS),
+    ("verify --q 1/2 --upto {}", "--upto", MAX_VERIFY_ORDER),
+]
+
+
+class TestCaps:
+    """-n, --upto, --degrees and --steps are capped before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from qappell import cli
+
+        def started(*args, **kwargs):
+            raise _WorkStarted
+
+        monkeypatch.setattr(cli, "resolve", started)
+        monkeypatch.setattr(cli, "run_verify", started)
+
+    @pytest.mark.parametrize("template, flag, cap", CAPPED, ids=[c[0] for c in CAPPED])
+    def test_just_above_cap_exits_2(self, capsys, template, flag, cap):
+        code, out, err = run_cli(capsys, *template.format(cap + 1).split())
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} {cap + 1} is above the cap of {cap} (see the README)\n"
+
+    @pytest.mark.parametrize("template, flag, cap", CAPPED, ids=[c[0] for c in CAPPED])
+    def test_at_cap_starts_work(self, capsys, template, flag, cap):
+        with pytest.raises(_WorkStarted):
+            run_cli(capsys, *template.format(cap).split())

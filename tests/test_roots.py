@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -15,7 +16,14 @@ from qappell import (
 )
 from qappell.families import FamilySpec
 from qappell.fmt import decimal_str, real_str
-from qappell.roots import ClassificationError, RootFindingError, _build, to_float
+from qappell.roots import (
+    ClassificationError,
+    RootFindingError,
+    _build,
+    _exact_value,
+    _newton_polygon_start,
+    to_float,
+)
 
 B = FamilySpec.builtin("bernoulli")
 
@@ -202,6 +210,106 @@ class TestFindRoots:
                 rs = find_roots(pf.poly(n))
                 nreal, ncomplex = rs.counts()
                 assert nreal + ncomplex == n
+
+
+class TestNewtonPolygonStart:
+    def test_one_circle_per_hull_edge(self):
+        # (x - 1e-3)(x - 1e3): the hull edges 0 -> 1 and 1 -> 2 give radii
+        # 1/1000.001 and 1000.001, where one circle would give ~2000 for both
+        small, big = sorted(map(abs, _newton_polygon_start([1.0, -1000.001, 1.0])))
+        assert small == pytest.approx(1 / 1000.001, rel=1e-12)
+        assert big == pytest.approx(1000.001, rel=1e-12)
+
+    def test_collinear_points_share_one_circle(self):
+        # x^4 + 2x^3 + 4x^2 + 8x + 16: every (k, log|a_k|) on one line
+        starts = _newton_polygon_start([16.0, 8.0, 4.0, 2.0, 1.0])
+        assert [abs(w) for w in starts] == pytest.approx([2.0] * 4, rel=1e-12)
+        assert len({round(cmath.phase(w), 9) for w in starts}) == 4
+
+    def test_zero_low_coefficients_start_at_zero(self):
+        # x^3 - x: x divides p, so one start is exactly 0
+        starts = _newton_polygon_start([0.0, -1.0, 0.0, 1.0])
+        assert starts[0] == 0
+        assert [abs(w) for w in starts[1:]] == pytest.approx([1.0, 1.0])
+
+    def test_sweeps_fall_at_high_degree(self):
+        # bernoulli x bernoulli at q = 9/10, n = 40 took 53 sweeps from one
+        # Fujiwara circle
+        p = pair_family(B, B, QContext(F(9, 10)), 40).poly(40)
+        rs = find_roots(p)
+        assert 1 <= rs.sweeps <= 20
+        assert all(v < 1e-9 for v in relative_vieta(p, rs.roots))
+
+    def test_refusal_carries_sweeps(self, b2):
+        with pytest.raises(RootFindingError) as info:
+            find_roots(b2.poly(4), max_sweeps=2)
+        assert info.value.sweeps == 2
+        with pytest.raises(RootFindingError) as info:
+            find_roots(QPoly([10**400, 1]))
+        assert info.value.sweeps == 0
+
+
+class TestExactClusterCheck:
+    def test_exact_value_matches_rational_evaluation(self, b2):
+        p = b2.poly(4)
+        x, y = F(5, 4), F(-3, 8)
+        re, im = F(0), F(0)
+        for c in reversed(p.coeffs):  # Horner over Q(i)
+            re, im = re * x - im * y + c, re * y + im * x
+        lead = p.coeffs[-1]
+        got = _exact_value(p, complex(1.25, -0.375))
+        assert got == complex(float(re / lead), float(im / lead))
+
+    @pytest.mark.parametrize(
+        "coeffs", [[-1, 3, -3, 1], [1, 0, -2, 0, 1]], ids=["(x-1)^3", "(x^2-1)^2"]
+    )
+    def test_multiple_zeros_stay_refused(self, coeffs):
+        # exact Weierstrass discs about a multiple zero always meet, also
+        # when one iterate lands on the zero and its residual is exactly 0;
+        # test_multiple_zero_refuses covers (x - 1)^2
+        with pytest.raises(RootFindingError, match="not isolated in double precision"):
+            find_roots(QPoly(coeffs))
+
+    @pytest.mark.parametrize(
+        "coeffs, reals",
+        [([0, -1, 0, 1], (-1.0, 0.0, 1.0)), ([0, -2, 1, 1], (-2.0, 0.0, 1.0))],
+        ids=["x^3-x", "x(x-1)(x+2)"],
+    )
+    def test_zero_coefficients_real(self, coeffs, reals):
+        rs = find_roots(QPoly(coeffs))
+        assert rs.real_roots == reals  # 0 is exact: the start at 0 never moves
+        assert rs.complex_pairs == ()
+
+    def test_zero_coefficients_complex(self):
+        rs = find_roots(QPoly([1, 0, 0, 0, 1]))  # x^4 + 1
+        h = math.sqrt(0.5)
+        assert rs.real_roots == ()
+        assert [u for u, _ in rs.complex_pairs] == pytest.approx(
+            [complex(-h, h), complex(h, h)], abs=1e-15
+        )
+
+    def test_close_pair_accepted_and_accurate(self):
+        # euler x bernoulli at q = 2/7, n = 38 has zeros 1 +/- 2.07e-8; its
+        # float discs overlap, the exact ones do not
+        mpmath = pytest.importorskip("mpmath")
+        E = FamilySpec.builtin("euler")
+        p = pair_family(E, B, QContext(F(2, 7)), 38).poly(38)
+        rs = find_roots(p)
+        with mpmath.workdps(40):
+            want = [
+                complex(w)
+                for w in mpmath.polyroots(
+                    [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)],
+                    maxsteps=200,
+                    extraprec=100,
+                )
+            ]
+        for got in rs.roots:
+            nearest = min(want, key=lambda w: abs(got - w))
+            want.remove(nearest)
+            assert abs(got - nearest) < 1e-8 * max(1.0, abs(nearest)), (got, nearest)
+        near_one = sorted(r for r in rs.real_roots if abs(r - 1) < 1e-6)
+        assert near_one[1] - near_one[0] == pytest.approx(4.14e-8, rel=1e-2)
 
 
 # q x {plain, x bernoulli}, a different base family per q; combo k takes
