@@ -7,8 +7,8 @@ Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
   convex hull of the points (k, log|a_k|), a_k != 0, gets m = k1 - k0
   points on the circle of radius (|a_k0|/|a_k1|)^(1/m), so zeros of very
   different moduli start near their own circle.  A factor x^k starts k
-  points at 0, exact for k = 1; for k > 1 the coincident points refuse at
-  the first sweep, as a multiple zero must;
+  points at 0, exact for k = 1; for k > 1 the multiple zero at 0 is
+  refused at once, as every multiple zero is;
 * update: z_i -= r/(1 - r sum_(j != i) 1/(z_i - z_j)) with r = p(z_i)/p'(z_i),
   applied in place (Gauss-Seidel style); it converges cubically to simple
   zeros, so no Newton polish follows;
@@ -19,28 +19,34 @@ Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
   shrinking.  All iterates stop together, so a cluster stays symmetric;
 * isolation: each zero gets the Weierstrass inclusion disc of radius
   n |p(z_i) / prod_(j != i) (z_i - z_j)| (Braess & Hadeler 1973; Neumaier
-  2003).  Float discs, from |fl p(z_i)| plus Horner's bound, contain the
-  exact ones and flag the members whose discs overlap.  At a cluster the
-  float residual is rounding noise, so each flagged member gets a few more
-  Aberth corrections with p(z_i) evaluated exactly (Gaussian-integer
-  Horner at the dyadic iterate), and the discs from those exact residuals
-  decide.  If they still overlap, double precision cannot separate those
-  zeros, and ``RootFindingError`` names the cluster.  The residual check
-  and the classification then run on the refined iterates.
+  2003).  Float discs, from |fl p(z_i)| plus Horner's bound for complex
+  arithmetic, contain the exact ones and flag the members whose discs
+  overlap.  At a cluster the float residual is rounding noise, so each
+  flagged member gets up to ``_EXACT_STEPS`` more Aberth corrections with
+  p(z_i) evaluated exactly (Gaussian-integer Horner at the dyadic iterate),
+  and the discs from those exact residuals decide.  If they still overlap,
+  ``RootFindingError`` names the cluster.  The residual check and the
+  classification then run on the refined iterates.
 
 There is no randomness anywhere, so identical inputs give bit-identical
 results.  Every failure, also a coefficient ratio outside double range or
 a failed classification, is a ``RootFindingError``.
 
-Classification splits roots into reals (imaginary part below a relative
-tolerance, forced onto the axis, sorted ascending) and conjugate pairs,
-stored exactly conjugate; an unpaired complex root signals solver trouble
-and raises.  Residual and Vieta checks are provided separately so callers
-can assert them.
+Classification rests on the same discs, since p is real and the mirror
+image of a zero is a zero.  A zero is real when its disc meets the real
+axis and the mirrored disc meets no other disc; it is one of a conjugate
+pair when its disc misses the axis and the mirrored disc meets exactly one
+other disc, its partner's.  Reals are put on the axis and sorted
+ascending; pairs are stored exactly conjugate.  Any other configuration
+raises.  A caller may pass ``real_tol`` > 0 to report, in addition, each
+pair whose imaginary part is below real_tol max(1, |re|) as two real
+zeros.  Residual and Vieta checks are provided separately so callers can
+assert them.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -62,7 +68,6 @@ _ANGLE_OFFSET = 0.4  # radians; fixed, keeps the start set asymmetric
 _DEFAULT_TOL = 1e-13
 _DEFAULT_SWEEPS = 500
 _UNIT_ROUNDOFF = 2.0**-53
-_DEFAULT_REAL_TOL = 1e-8
 _EXACT_STEPS = 8  # exact-residual corrections of a clustered zero, at most
 
 
@@ -84,7 +89,7 @@ class RootFindingError(RuntimeError):
 
 
 class ClassificationError(RuntimeError):
-    """A complex root has no conjugate partner within tolerance."""
+    """The inclusion discs certify neither a real zero nor a conjugate pair."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,8 @@ class RootSet:
 
     ``roots`` lists every zero (length = degree), reals first with the
     imaginary part forced to zero, then the pairs, upper half first.
+    ``real_tol`` is the caller's tolerance for reporting a close pair as
+    two reals (0.0: none).
     ``monic_coeffs`` is the float image the roots were computed from, and
     ``sweeps`` the number of Aberth sweeps it took.
     """
@@ -136,13 +143,30 @@ def _monic_horner(tail: list[float], z: complex) -> tuple[complex, complex]:
     return value, deriv
 
 
+def _aberth_delta(
+    z: list[complex], i: int, value: complex, deriv: complex
+) -> complex:
+    """The Aberth correction of z_i from p(z_i) and p'(z_i).
+
+    r/(1 - r pull) with r = p/p' and pull = sum_(j != i) 1/(z_i - z_j),
+    written without dividing by p'; raises ``ZeroDivisionError`` when two
+    iterates coincide or the denominator vanishes.
+    """
+    zi = z[i]
+    pull = sum([1 / (zi - w) for w in z[:i]]) + sum(
+        [1 / (zi - w) for w in z[i + 1 :]]
+    )
+    return value / (deriv - value * pull)
+
+
 def _newton_polygon_start(coeffs: list[float]) -> list[complex]:
     """Bini's start points for the monic float image (ascending coeffs).
 
     Each edge k0 -> k1 of the upper convex hull of the points (k, log|a_k|),
     a_k != 0, gets m = k1 - k0 points on the circle of radius
     (|a_k0|/|a_k1|)^(1/m) at the angles 2 pi j/m + 2 pi k1/n + offset.  When
-    a_0 = ... = a_(k-1) = 0, x^k divides p and its k zeros start at 0.
+    a_0 = ... = a_(k-1) = 0, x^k divides p and its k zeros start at 0
+    (``find_roots`` refuses k > 1 before iterating).
     """
     n = len(coeffs) - 1
     hull: list[tuple[int, float]] = []
@@ -172,7 +196,7 @@ def find_roots(
     *,
     tol: float = _DEFAULT_TOL,
     max_sweeps: int = _DEFAULT_SWEEPS,
-    real_tol: float = _DEFAULT_REAL_TOL,
+    real_tol: float = 0.0,
 ) -> RootSet:
     """All zeros of p (degree >= 1), classified; deterministic."""
     if p.degree < 1:
@@ -192,6 +216,12 @@ def find_roots(
             message, z, [abs(_horner(coeffs, w)) for w in z], sweeps
         )
 
+    at_zero = next(k for k, c in enumerate(coeffs) if c)
+    if at_zero > 1:
+        raise failure(
+            "zeros near 0 not isolated in double precision "
+            f"(multiplicity {at_zero} in the float image)"
+        )
     tail = coeffs[-2::-1]
     abs_coeffs = [abs(c) for c in coeffs]
     values: list[complex] = [0j] * n
@@ -203,11 +233,7 @@ def find_roots(
             zi = z[i]
             value, deriv = _monic_horner(tail, zi)
             try:
-                pull = sum([1 / (zi - w) for w in z[:i]]) + sum(
-                    [1 / (zi - w) for w in z[i + 1 :]]
-                )
-                # r/(1 - r pull) with r = p/p', written without dividing by p'
-                delta = value / (deriv - value * pull)
+                delta = _aberth_delta(z, i, value, deriv)
             except ZeroDivisionError:
                 raise failure(
                     f"zero divisor in the Aberth update at sweep {sweeps - 1}"
@@ -235,7 +261,7 @@ def find_roots(
             f"(last max update {max_update:.3e})"
         )
 
-    cluster = _settle_clusters(p, z, coeffs)
+    cluster, radii = _settle_clusters(p, z, coeffs)
     if cluster:
         raise failure(cluster)
     residual_tol = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
@@ -246,7 +272,7 @@ def find_roots(
             f"residuals exceed {residual_tol:.3e}: worst {max(residuals):.3e}"
         )
     try:
-        return _build(n, z, coeffs, real_tol, sweeps)
+        return _build(n, z, coeffs, real_tol, sweeps, radii)
     except ClassificationError as exc:
         raise failure(f"classification failed: {exc}") from exc
 
@@ -302,20 +328,25 @@ def _overlapping(z: list[complex], radii: list[float]) -> list[int]:
     return [i for i in range(len(z)) if len(_meeting(z, radii, i)) > 1]
 
 
-def _settle_clusters(p: QPoly, z: list[complex], coeffs: list[float]) -> str:
-    """Name a cluster whose Weierstrass inclusion discs overlap, or "".
+def _settle_clusters(
+    p: QPoly, z: list[complex], coeffs: list[float]
+) -> tuple[str, list[float]]:
+    """Name a cluster whose Weierstrass inclusion discs overlap, or "", and
+    give every member's disc radius.
 
     The disc about z_i has radius n |p(z_i) / prod_(j != i) (z_i - z_j)|
     (Braess & Hadeler 1973): each connected union of m discs holds exactly m
-    zeros of p, so disjoint discs isolate one zero each.  A float disc,
-    from |fl p(z_i)| plus Horner's bound (2n + 1) u sum |a_k||z_i|^k (the
-    extra u for rounding the coefficients), contains the exact one.  The
-    members whose float discs overlap get up to ``_EXACT_STEPS`` Aberth
-    corrections from exact residuals (``_exact_value``), updating z in
-    place, and only their exact discs decide the verdict.
+    zeros of p, so disjoint discs isolate one zero each.  A float disc uses
+    |fl p(z_i)| plus Horner's bound for complex z, (4n + 1) u sum
+    |a_k||z_i|^k: each complex multiply-add errs by at most (2 sqrt 2 + 1) u
+    < 4u (Higham, ch. 3.6), and the extra u covers the rounding of the
+    coefficients, so it contains the exact disc.  The members whose float
+    discs overlap get up to ``_EXACT_STEPS`` Aberth corrections from exact
+    residuals (``_exact_value``), updating z in place, and their discs are
+    then sized from the exact residuals.
     """
     n = len(z)
-    bound = (2 * n + 1) * _UNIT_ROUNDOFF
+    bound = (4 * n + 1) * _UNIT_ROUNDOFF
     abs_coeffs = [abs(c) for c in coeffs]
     residuals = [
         abs(_horner(coeffs, w)) + bound * _horner(abs_coeffs, abs(w)) for w in z
@@ -323,7 +354,7 @@ def _settle_clusters(p: QPoly, z: list[complex], coeffs: list[float]) -> str:
     radii = _weierstrass_radii(z, residuals)
     flagged = _overlapping(z, radii)
     if not flagged:
-        return ""
+        return "", radii
     tail = coeffs[-2::-1]
     for _ in range(_EXACT_STEPS):
         moved = False
@@ -333,8 +364,7 @@ def _settle_clusters(p: QPoly, z: list[complex], coeffs: list[float]) -> str:
             if not value:  # z_i is a zero of p
                 continue
             try:
-                pull = sum(1 / (zi - w) for j, w in enumerate(z) if j != i)
-                delta = value / (_monic_horner(tail, zi)[1] - value * pull)
+                delta = _aberth_delta(z, i, value, _monic_horner(tail, zi)[1])
             except ZeroDivisionError:
                 continue
             if cmath.isfinite(delta):
@@ -347,7 +377,7 @@ def _settle_clusters(p: QPoly, z: list[complex], coeffs: list[float]) -> str:
     radii = _weierstrass_radii(z, residuals)
     overlapping = _overlapping(z, radii)
     if not overlapping:
-        return ""
+        return "", radii
     cluster = _meeting(z, radii, overlapping[0])
     centre = sum(z[j] for j in cluster) / len(cluster)
     where = f"{centre.real:.4g}"
@@ -357,7 +387,7 @@ def _settle_clusters(p: QPoly, z: list[complex], coeffs: list[float]) -> str:
     return (
         f"zeros near {where} not isolated in double precision "
         f"(inclusion radii {listed})"
-    )
+    ), radii
 
 
 def _build(
@@ -366,40 +396,63 @@ def _build(
     coeffs: list[float],
     real_tol: float,
     sweeps: int = 0,
+    radii: list[float] | None = None,
 ) -> RootSet:
-    reals: list[float] = []
-    uppers: list[complex] = []
-    lowers: list[complex] = []
-    for w in z:
-        if abs(w.imag) < real_tol * max(1.0, abs(w.real)):
-            reals.append(w.real)
-        elif w.imag > 0:
-            uppers.append(w)
-        else:
-            lowers.append(w)
-    reals.sort()
-    uppers.sort(key=lambda w: (w.real, w.imag))
-    pairs: list[tuple[complex, complex]] = []
-    remaining = list(lowers)
-    for u in uppers:
-        best_i = -1
-        best_d = math.inf
-        for i, low in enumerate(remaining):
-            d = abs(u.conjugate() - low)
-            if d < best_d:
-                best_d = d
-                best_i = i
-        pair_tol = real_tol * max(1.0, abs(u))
-        if best_i < 0 or not best_d < pair_tol:
+    """Classify the iterates by their disjoint inclusion discs.
+
+    The disc D_i about z_i (radius ``radii[i]``; 0 when not given) holds
+    exactly one zero w_i.  p is real, so conj(w_i) is a zero and lies in
+    the mirrored disc conj(D_i).  If D_i meets the real axis and conj(D_i)
+    meets no other disc, conj(w_i) = w_i is real.  If D_i misses the axis,
+    w_i is not real, and when conj(D_i) meets exactly one other disc D_j,
+    w_j = conj(w_i).  Whatever is left raises ``ClassificationError``.  A
+    pair whose imaginary part is below real_tol max(1, |re|) is reported as
+    two reals.
+    """
+    if radii is None:
+        radii = [0.0] * len(z)
+    # a disc meets the mirror of disc i only if its centre's real part is
+    # within radii[i] + max(radii) of z_i's, so scan that window of the
+    # iterates sorted by real part
+    order = sorted(range(len(z)), key=lambda j: z[j].real)
+    keys = [z[j].real for j in order]
+    reach = max(radii, default=0.0)
+    mirrored = []
+    for i, w in enumerate(z):
+        lo = bisect.bisect_left(keys, w.real - radii[i] - reach)
+        hi = bisect.bisect_right(keys, w.real + radii[i] + reach)
+        mirrored.append([
+            j
+            for j in order[lo:hi]
+            if j != i and abs(w.conjugate() - z[j]) <= radii[i] + radii[j]
+        ])
+    real = [abs(w.imag) <= r and not m for w, r, m in zip(z, radii, mirrored)]
+    partner: dict[int, int] = {}
+    for i, w in enumerate(z):
+        if abs(w.imag) > radii[i] and len(mirrored[i]) == 1:
+            j = mirrored[i][0]
+            if partner.setdefault(i, j) != j or partner.setdefault(j, i) != i:
+                raise ClassificationError(f"root {z[j]!r} mirrors two roots")
+    for i, w in enumerate(z):
+        if not real[i] and i not in partner:
             raise ClassificationError(
-                f"complex root {u!r} has no conjugate partner within {pair_tol:.3e}"
+                f"root {w!r} (disc radius {radii[i]:.1e}) is neither certified "
+                "real nor one of a certified conjugate pair"
             )
-        # p is real, so store the pair exactly conjugate
-        m = (u + remaining.pop(best_i).conjugate()) / 2
-        pairs.append((m, m.conjugate()))
-    if remaining:
-        raise ClassificationError(f"unpaired lower-half roots remain: {remaining!r}")
-    flat: list[complex] = [complex(r, 0.0) for r in reals]
+    real_parts = [w.real for w, is_real in zip(z, real) if is_real]
+    pairs: list[tuple[complex, complex]] = []
+    for i, j in partner.items():
+        if i < j:
+            up, low = (z[i], z[j]) if z[i].imag > 0 else (z[j], z[i])
+            # p is real, so store the pair exactly conjugate
+            m = (up + low.conjugate()) / 2
+            if abs(m.imag) < real_tol * max(1.0, abs(m.real)):
+                real_parts += [m.real, m.real]
+            else:
+                pairs.append((m, m.conjugate()))
+    real_parts.sort()
+    pairs.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    flat: list[complex] = [complex(r, 0.0) for r in real_parts]
     for u, low in pairs:
         flat.extend((u, low))
     if len(flat) != degree:
@@ -414,7 +467,7 @@ def _build(
         degree=degree,
         roots=tuple(flat),
         residuals=residuals,
-        real_roots=tuple(reals),
+        real_roots=tuple(real_parts),
         complex_pairs=tuple(pairs),
         real_tol=real_tol,
         monic_coeffs=tuple(coeffs),

@@ -175,6 +175,14 @@ class TestFindRoots:
         with pytest.raises(RootFindingError, match="zeros near 1 not isolated"):
             find_roots(QPoly([1, -2, 1]))
 
+    def test_multiple_zero_at_zero_refuses_by_name(self):
+        # x^2 (x - 1): two starts at exactly 0 would meet in the first update
+        with pytest.raises(RootFindingError, match=(
+            r"zeros near 0 not isolated in double precision \(multiplicity 2"
+        )) as info:
+            find_roots(QPoly([0, 0, -1, 1]))
+        assert info.value.sweeps == 0
+
     def test_unisolated_cluster_refuses_by_name(self):
         # two zeros 7e-12 apart at x = 1; no double image separates them
         p = pair_family(B, B, QContext(F(1, 10)), 23).poly(23)
@@ -310,6 +318,45 @@ class TestExactClusterCheck:
             assert abs(got - nearest) < 1e-8 * max(1.0, abs(nearest)), (got, nearest)
         near_one = sorted(r for r in rs.real_roots if abs(r - 1) < 1e-6)
         assert near_one[1] - near_one[0] == pytest.approx(4.14e-8, rel=1e-2)
+
+
+class TestDiscClassification:
+    @pytest.mark.parametrize(
+        "q, name, n, imag",
+        [
+            (F(1, 2), "bernoulli", 37, 2.3876e-10),
+            (F(2, 7), "bernoulli", 34, 6.589e-12),
+            (F(2, 11), "euler", 37, 3.554e-11),
+        ],
+    )
+    def test_close_pair_off_the_axis_stays_complex(self, q, name, n, imag):
+        # zeros 1 +/- imag*i (mpmath.polyroots at 80 digits); a relative
+        # tolerance of 1e-8 used to put both on the axis as two zeros at 1
+        p = pair_family(FamilySpec.builtin(name), B, QContext(q), n).poly(n)
+        rs = find_roots(p)
+        assert not [r for r in rs.real_roots if abs(r - 1) < 1e-6]
+        near = [u for u, _ in rs.complex_pairs if abs(u - 1) < 1e-6]
+        assert len(near) == 1
+        assert near[0].imag == pytest.approx(imag, rel=1e-3)
+        assert abs(near[0].real - 1) < 1e-15
+
+    def test_disc_across_the_axis_pairs_with_its_mirror(self):
+        # the first disc meets the axis, but its mirror image meets the
+        # second disc, which misses the axis: one certified pair
+        z = [complex(1, 1e-10), complex(1, -1e-10)]
+        rs = _build(2, z, [1.0, -2.0, 1.0], 0.0, radii=[2e-10, 5e-11])
+        assert rs.real_roots == ()
+        assert rs.complex_pairs == ((complex(1, 1e-10), complex(1, -1e-10)),)
+
+    def test_real_zero_needs_a_lone_mirror(self):
+        z = [complex(-1, 1e-17), complex(2, -1e-17)]
+        rs = _build(2, z, [-2.0, -1.0, 1.0], 0.0, radii=[1e-15, 1e-15])
+        assert rs.real_roots == (-1.0, 2.0)
+        # two discs that both meet the axis and each other's mirror image
+        # certify neither two reals nor a pair
+        z = [complex(1, 1e-10), complex(1 + 2.7e-10, -1e-10)]
+        with pytest.raises(ClassificationError, match="neither certified real"):
+            _build(2, z, [1.0, -2.0, 1.0], 0.0, radii=[1.4e-10, 1.4e-10])
 
 
 # q x {plain, x bernoulli}, a different base family per q; combo k takes
