@@ -1,52 +1,38 @@
 """Exact q-Appell polynomial engine: series + determinant constructions,
-number tables, zero finding, and reproducible audits of published values."""
+number tables, zero finding, and reproducible audits of published values.
 
-from .qcore import QContext, QPoly, Rat, parse_q, parse_rat, q_derive
-from .series import ESeq, convolve, q_exp, reciprocal, shift_up, unit
-from .families import (
-    AppellFamily,
-    FamilySpec,
-    apply_operator,
-    identity_residuals,
-    iterate2,
-    pair_family,
-    product_family,
-    resolve,
-    umbral_compose,
-)
-from .determinant import det_appell_poly, det_pair_poly, det_poly
-from .roots import RootSet, find_roots, sample, vieta_residuals
+Importing the package loads no submodule: each export is imported from its
+submodule on first access (PEP 562).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QContext",
-    "QPoly",
-    "Rat",
-    "parse_q",
-    "parse_rat",
-    "q_derive",
-    "ESeq",
-    "convolve",
-    "reciprocal",
-    "shift_up",
-    "unit",
-    "q_exp",
-    "AppellFamily",
-    "FamilySpec",
-    "resolve",
-    "product_family",
-    "pair_family",
-    "iterate2",
-    "umbral_compose",
-    "apply_operator",
-    "identity_residuals",
-    "det_poly",
-    "det_appell_poly",
-    "det_pair_poly",
-    "RootSet",
-    "find_roots",
-    "sample",
-    "vieta_residuals",
-    "__version__",
-]
+# export name -> the submodule that defines it, in __all__ order
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("qcore", "QContext QPoly Rat parse_q parse_rat q_derive"),
+        ("series", "ESeq convolve reciprocal shift_up unit q_exp"),
+        ("families", "AppellFamily FamilySpec resolve product_family pair_family iterate2"),
+        ("families", "umbral_compose apply_operator identity_residuals"),
+        ("determinant", "det_poly det_appell_poly det_pair_poly"),
+        ("roots", "RootSet find_roots sample vieta_residuals"),
+    )
+    for name in names.split()
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from .audit import run_verify
 from .determinant import det_appell_poly, det_pair_poly
 from .families import (
     AppellFamily,
@@ -24,7 +23,6 @@ from .families import (
 )
 from .fmt import decimal_str, frac_str, pair_str, poly_text, real_str
 from .qcore import QContext, QPoly, parse_q, parse_rat
-from .roots import RootFindingError, find_roots, sample, vieta_residuals
 
 __all__ = ["main"]
 
@@ -293,6 +291,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
+    from . import roots  # imported here: start-up is most of a small call
+
     ctx = _context(args)
     specs = _specs(args)
     if args.n < 1:
@@ -307,11 +307,11 @@ def cmd_roots(args: argparse.Namespace) -> int:
         return 2
     p = computed[methods[0]]
     try:
-        rs = find_roots(p)
-    except RootFindingError as exc:
+        rs = roots.find_roots(p)
+    except roots.RootFindingError as exc:
         sys.stderr.write(f"root finding failed: {exc}\n")
         return 3
-    vsum, vprod = vieta_residuals(p, rs.roots)
+    vsum, vprod = roots.vieta_residuals(p, rs.roots)
 
     def fmt_real(v: float) -> str:
         return repr(v) if args.full_precision else real_str(v)
@@ -360,6 +360,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import roots
+
     ctx = _context(args)
     specs = _specs(args)
     if args.degrees:
@@ -387,7 +389,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if not xmin < xmax:
         raise CliError("--xmin must be < --xmax")
     fam, _ = _resolve(specs, ctx, max(degrees))
-    columns = {d: sample(fam.poly(d), xmin, xmax, args.steps) for d in degrees}
+    columns = {d: roots.sample(fam.poly(d), xmin, xmax, args.steps) for d in degrees}
     xs = [x for x, _ in columns[degrees[0]]]
     if args.format == "json":
         payload = {
@@ -417,13 +419,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import audit  # imported here: only verify needs it
+
     ctx = _context(args)
     if args.upto < 4:
         raise CliError("verify needs --upto >= 4 to cover the reference tables")
     _check_cap("--upto", args.upto, MAX_VERIFY_ORDER)
     if args.format == "csv":
         raise CliError("verify supports text or json output")
-    report = run_verify(ctx.q, order=args.upto)
+    report = audit.run_verify(ctx.q, order=args.upto)
     if args.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:

@@ -29,9 +29,8 @@ silently resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .qcore import QContext, QPoly, lincomb, q_derive
 from .series import ESeq, NonInvertibleError, convolve, reciprocal
@@ -64,8 +63,7 @@ class FamilyError(ValueError):
     """A family spec cannot be resolved (unknown name, bad order, ...)."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One of: a built-in name, a custom number sequence, a custom beta."""
 
     kind: str  # "builtin" | "numbers" | "beta"

@@ -9,12 +9,22 @@ from .qcore import QPoly
 __all__ = ["frac_str", "decimal_str", "poly_text", "real_str", "pair_str"]
 
 
+def _int_str(n: int) -> str:
+    """str(n), also past Python's int-to-str digit limit (4300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # converts exactly, with no digit limit
+
+        return str(Decimal(n))
+
+
 def frac_str(x: Fraction) -> str:
     """'p/r' (or plain 'p' for integers); the JSON wire form for rationals."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 def decimal_str(x: Fraction, places: int = 12) -> str:
@@ -23,7 +33,7 @@ def decimal_str(x: Fraction, places: int = 12) -> str:
     scaled = x * 10**places
     i = round(scaled)  # Fraction.__round__ is exact and half-even
     sign = "-" if i < 0 else ""
-    digits = str(abs(i)).rjust(places + 1, "0")
+    digits = _int_str(abs(i)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
 
 

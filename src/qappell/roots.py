@@ -49,8 +49,8 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qcore import QPoly, homogeneous_image
 
@@ -92,8 +92,7 @@ class ClassificationError(RuntimeError):
     """The inclusion discs certify neither a real zero nor a conjugate pair."""
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """Zeros of one polynomial: reals ascending, then conjugate pairs.
 
     ``roots`` lists every zero (length = degree), reals first with the

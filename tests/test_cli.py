@@ -101,6 +101,17 @@ class TestNumbers:
         assert code == 0
         assert "1/45" in out
 
+    def test_csv_past_int_str_digit_limit(self, capsys):
+        # the smallest order at which a number passes the 4300-digit str(int) limit
+        code, out, err = run_cli(
+            capsys, "numbers", "--iterate", "bernoulli,euler", "--q", "999/1000",
+            "--upto", "51", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 53
+        assert max(len(r) for r in rows) > 4300
+
     def test_method_determinant_matches_series(self, capsys):
         _, out_det, _ = run_cli(
             capsys, "numbers", "--family", "euler", "--q", "1/2", "--upto", "3",
@@ -263,13 +274,13 @@ class TestRoots:
         assert "0.6220, 1.3780" in out
 
     def test_non_convergence_exits_3(self, capsys, monkeypatch):
-        from qappell import cli
+        from qappell import roots
         from qappell.roots import RootFindingError
 
         def exploding(p, **kwargs):
             raise RootFindingError("forced for the exit-code contract", [], [])
 
-        monkeypatch.setattr(cli, "find_roots", exploding)
+        monkeypatch.setattr(roots, "find_roots", exploding)
         code, _, err = run_cli(
             capsys, "roots", "--family", "euler", "--q", "1/2", "-n", "2"
         )
@@ -523,13 +534,13 @@ class TestCaps:
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        from qappell import cli
+        from qappell import audit, cli
 
         def started(*args, **kwargs):
             raise _WorkStarted
 
         monkeypatch.setattr(cli, "resolve", started)
-        monkeypatch.setattr(cli, "run_verify", started)
+        monkeypatch.setattr(audit, "run_verify", started)
 
     @pytest.mark.parametrize("template, flag, cap", CAPPED, ids=[c[0] for c in CAPPED])
     def test_just_above_cap_exits_2(self, capsys, template, flag, cap):

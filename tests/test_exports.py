@@ -20,3 +20,4 @@ def test_module_exports_exist(name):
 
 def test_package_exports_exist():
     assert [n for n in qappell.__all__ if not hasattr(qappell, n)] == []
+    assert [n for n in qappell.__all__ if n not in dir(qappell)] == []
