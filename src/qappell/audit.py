@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .determinant import det_appell_poly, det_pair_poly
+from .determinant import det_pair_poly, weight_table
 from .families import (
     BUILTIN_NAMES,
     AppellFamily,
@@ -45,7 +45,7 @@ from .families import (
     umbral_compose,
 )
 from .fmt import decimal_str, frac_str, pair_str, poly_text, real_str
-from .qcore import QContext, QPoly, q_derive
+from .qcore import QContext, QPoly, lincomb, q_derive
 from .roots import RootSet, find_roots, vieta_residuals
 from .series import convolve, shift_up, unit
 
@@ -318,13 +318,16 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
             cap = min(singles[a].order, singles[b].order)
             pairs[(a, b)] = (singles[a].truncated(cap), singles[b].truncated(cap))
     pair_fams = {key: product_family(fa, fb) for key, (fa, fb) in pairs.items()}
-    # each determinant polynomial is built once, for both checks that use it
-    det_singles = {
-        name: [det_appell_poly(fam, n) for n in range(fam.order + 1)]
-        for name, fam in singles.items()
-    }
+    # one weight table per beta; beta is prefix-stable, so pair (a, b) reads
+    # the first rows of a's table
+    tables = {name: weight_table(fam.beta, fam.order) for name, fam in singles.items()}
+    det_singles = {name: [QPoly(w) for w in tables[name]] for name in singles}
     det_pairs = {
-        key: [det_pair_poly(fa, fb, n) for n in range(fa.order + 1)]
+        (a, b): [lincomb(tables[a][n], fb.polys(n)) for n in range(fb.order + 1)]
+        for (a, b), (_, fb) in pairs.items()
+    }
+    iterated = {
+        key: [iterate2(fa, fb, n) for n in range(fa.order + 1)]
         for key, (fa, fb) in pairs.items()
     }
 
@@ -364,7 +367,7 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
                 for n in range(fam.order + 1)
             )
             and all(
-                iterate2(fa, fb, n)
+                iterated[key][n]
                 == det_pairs[key][n]
                 == apply_operator(fa.numbers, fb.poly(n))
                 == umbral_compose(fa.polys(n), fb.polys(n), n)
@@ -378,19 +381,15 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
             "monomial and 2-iterated inversion identities have zero residuals",
             all(
                 r.is_zero
-                for fam in singles.values()
+                for name, fam in singles.items()
                 for n in range(1, min(6, fam.order) + 1)
-                for r in identity_residuals(fam, n)
+                for r in identity_residuals(fam, pair_fams[(name, name)], n)
             ),
         ),
         (
             "commutativity",
             "the two factor orders give identical polynomials for every pair",
-            all(
-                iterate2(fa, fb, n) == iterate2(fb, fa, n)
-                for fa, fb in pairs.values()
-                for n in range(fa.order + 1)
-            ),
+            all(iterated[(a, b)] == iterated[(b, a)] for a, b in pairs),
         ),
     )
     return [PropertyRecord(prop_id, ok, detail) for prop_id, detail, ok in properties]

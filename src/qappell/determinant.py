@@ -14,6 +14,9 @@ with another family's polynomials in row 0 it produces the 2-iterated or
 mixed member.  Only row 0 is polynomial-valued, so the determinant is
 expanded by cofactors along row 0.
 
+No entry of the scalar rows depends on row 0 or on n, so the scalar block
+of degree n is the leading n x (n+1) block of that of any degree N >= n.
+
 The scalar rows have beta_0 at (i, i-1) and zeros below it.  Deleting
 column j therefore leaves a block-triangular minor,
 
@@ -28,7 +31,10 @@ determinant),
     D_n = 1,
     D_j = sum_{k=0}^{n-j-1} (-beta_0)^k * S[j+1][j+1+k] * D_{j+k+1},
 
-so all n+1 cofactors cost O(n^2) exact operations.
+so all n+1 cofactors cost O(n^2) exact operations.  The member is
+sum_j w_j b_j(x), with w_j = (-1)^(n+j) minor_j / beta_0^(n+1) =
+-D_j / (-beta_0)^(n+1-j): the weights depend on beta and n only, and with
+the monomial basis they are the member's coefficients.
 """
 
 from __future__ import annotations
@@ -37,86 +43,87 @@ from fractions import Fraction
 from typing import Sequence
 
 from .families import AppellFamily
-from .qcore import QPoly, dot, lincomb, monomial_basis
+from .qcore import QPoly, dot, lincomb
 from .series import ESeq
 
 __all__ = [
-    "build_matrix",
-    "det_eval",
-    "det_poly",
-    "det_appell_poly",
-    "det_pair_poly",
+    "build_matrix", "det_eval", "det_weights", "weight_table",
+    "det_poly", "det_appell_poly", "det_pair_poly",
 ]
 
 
-def build_matrix(beta: ESeq, basis: Sequence[QPoly], n: int) -> tuple[tuple, ...]:
-    """Lay out the (n+1)x(n+1) determinant matrix for degree n >= 1.
-
-    Row 0 holds the basis polynomials, rows 1..n the scalar entries.
-    """
-    if n < 1:
-        raise ValueError("build_matrix needs n >= 1; degree 0 is 1/beta_0 directly")
+def _scalar_rows(beta: ESeq, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Scalar rows 1..n of the degree-n matrix, each n+1 entries wide."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if beta.order < n:
         raise ValueError(f"beta has order {beta.order}, need at least {n}")
     if beta[0] == 0:
         raise ValueError("beta_0 must be nonzero")
+    ctx = beta.ctx
+    return tuple(
+        tuple(
+            ctx.q_binomial(j, i - 1) * beta[j - i + 1] if j >= i - 1 else Fraction(0)
+            for j in range(n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+
+
+def build_matrix(beta: ESeq, basis: Sequence[QPoly], n: int) -> tuple[tuple, ...]:
+    """The (n+1)x(n+1) matrix of degree n >= 1: row 0 holds the basis
+    polynomials, rows 1..n the scalar entries."""
+    if n < 1:
+        raise ValueError("build_matrix needs n >= 1; degree 0 is 1/beta_0 directly")
+    scalars = _scalar_rows(beta, n)
     if len(basis) < n + 1:
         raise ValueError(f"basis holds {len(basis)} entries, need {n + 1}")
     if basis[0] != QPoly.one():
         raise ValueError("basis[0] must be the constant polynomial 1")
-    ctx = beta.ctx
-    rows = [tuple(basis[j] for j in range(n + 1))]
-    for i in range(1, n + 1):
-        row = []
-        for j in range(n + 1):
-            if j < i - 1:
-                row.append(Fraction(0))
-            else:
-                row.append(ctx.q_binomial(j, i - 1) * beta[j - i + 1])
-        rows.append(tuple(row))
-    return tuple(rows)
+    return (tuple(basis[: n + 1]),) + scalars
+
+
+def _weights(beta0: Fraction, scalars: Sequence[Sequence], n: int) -> list[Fraction]:
+    """Row-0 weights w_0..w_n of degree n, from the leading n x (n+1) block
+    of scalars by the Hessenberg recurrence in the module docstring."""
+    powers = [(-beta0) ** k for k in range(n + 2)]
+    d = [Fraction(0)] * n + [Fraction(1)]
+    for j in range(n - 1, -1, -1):
+        d[j] = dot(powers, [scalars[j][c] * d[c] for c in range(j + 1, n + 1)])
+    return [-d[j] / powers[n + 1 - j] for j in range(n + 1)]
 
 
 def det_eval(matrix: Sequence[Sequence]) -> QPoly:
-    """(-1)^n / beta_0^(n+1) times det(matrix), via cofactors along row 0.
+    """(-1)^n / beta_0^(n+1) det(matrix), by cofactors along row 0."""
+    scalars = matrix[1:]
+    return lincomb(_weights(scalars[0][0], scalars, len(scalars)), matrix[0])
 
-    matrix is laid out as by build_matrix; the cofactors come from the
-    Hessenberg recurrence in the module docstring.
-    """
-    top, scalars = matrix[0], matrix[1:]
-    n = len(scalars)
-    beta0 = scalars[0][0]
-    powers = [Fraction(1)]  # (-beta_0)^k
-    for _ in range(n + 1):
-        powers.append(powers[-1] * -beta0)
-    d = [Fraction(0)] * n + [Fraction(1)]
-    for j in range(n - 1, -1, -1):
-        row = scalars[j]
-        d[j] = dot(powers, [row[c] * d[c] for c in range(j + 1, n + 1)])
-    # (-1)^n / beta_0^(n+1) * (-1)^j * minor_j, with minor_j = beta_0^j * D_j,
-    # is -D_j / (-beta_0)^(n+1-j)
-    return lincomb([-d[j] / powers[n + 1 - j] for j in range(n + 1)], top)
+
+def det_weights(beta: ESeq, n: int) -> list[Fraction]:
+    """The row-0 weights w_0..w_n of the degree-n determinant, for any basis."""
+    return _weights(beta[0], _scalar_rows(beta, n), n)
+
+
+def weight_table(beta: ESeq, upto: int) -> list[list[Fraction]]:
+    """det_weights(beta, n) for n = 0..upto, all from one scalar block."""
+    scalars = _scalar_rows(beta, upto)
+    return [_weights(beta[0], scalars, n) for n in range(upto + 1)]
 
 
 def det_poly(beta: ESeq, basis: Sequence[QPoly], n: int) -> QPoly:
     """Degree-n member from a beta sequence and a row-0 basis."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if beta[0] == 0:
-        raise ValueError("beta_0 must be nonzero")
-    if n == 0:
-        # stated separately in the source construction, not as a matrix
-        return QPoly((1 / beta[0],))
+    if n < 1:  # degree 0 is stated separately in the source construction
+        return QPoly(det_weights(beta, n))
     return det_eval(build_matrix(beta, basis, n))
 
 
 def det_appell_poly(fam: AppellFamily, n: int) -> QPoly:
     """Plain family member via the determinant with the monomial basis."""
-    return det_poly(fam.beta, monomial_basis(max(n, 0)), n)
+    return QPoly(det_weights(fam.beta, n))
 
 
 def det_pair_poly(beta_fam: AppellFamily, basis_fam: AppellFamily, n: int) -> QPoly:
     """2-iterated/mixed member: beta from one family, row 0 from the other."""
     if beta_fam.ctx.q != basis_fam.ctx.q:
         raise ValueError("families disagree on q")
-    return det_poly(beta_fam.beta, basis_fam.polys(max(n, 0)), n)
+    return lincomb(det_weights(beta_fam.beta, n), basis_fam.polys(n))

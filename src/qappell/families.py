@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .qcore import QContext, QPoly, lincomb, q_derive
+from .qcore import QContext, QPoly, dot, lincomb
 from .series import ESeq, NonInvertibleError, convolve, reciprocal
 
 __all__ = [
@@ -283,38 +283,37 @@ def umbral_compose(
 
 
 def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:
-    """Apply sum_k (c_k/[k]_q!) D_q^k to p; the sum stops at deg p."""
-    ctx = coeffs.ctx
+    """Apply sum_k (c_k/[k]_q!) D_q^k to p; the sum stops at deg p.
+
+    As D_q^k x^i = ([i]_q!/[i-k]_q!) x^(i-k), coefficient m is one ``dot``:
+    (1/[m]_q!) sum_k gamma_k pi_(m+k), gamma_k = c_k/[k]_q!, pi_i = [i]_q! p_i.
+    """
     if not p.is_zero and coeffs.order < p.degree:
         raise ValueError(
             f"operator coefficients stop at order {coeffs.order}, "
             f"polynomial has degree {p.degree}"
         )
-    weights, derivs = [], []
-    d = p
-    while not d.is_zero:
-        k = len(derivs)
-        weights.append(coeffs[k] / ctx.q_factorial(k))
-        derivs.append(d)
-        d = q_derive(d, ctx)
-    return lincomb(weights, derivs)
+    facts = [coeffs.ctx.q_factorial(i) for i in range(len(p.coeffs))]
+    gammas = [c / f for c, f in zip(coeffs, facts)]
+    pis = [f * c for f, c in zip(facts, p.coeffs)]
+    return QPoly(dot(gammas, pis[m:]) / facts[m] for m in range(len(pis)))
 
 
-def identity_residuals(fam: AppellFamily, n: int) -> tuple[QPoly, QPoly]:
+def identity_residuals(
+    fam: AppellFamily, squared: AppellFamily, n: int
+) -> tuple[QPoly, QPoly]:
     """Left-minus-right residuals of the two inversion identities:
 
         x^n    - sum_k C(n,k)_q beta_{n-k} P_k(x)
         P_n(x) - sum_k C(n,k)_q beta_{n-k} P2_k(x)
 
-    with P2 the 2-iterated (self-product) family.  Both must vanish; n=0
-    is a zero residual by convention.
+    with P2 the members of squared = product_family(fam, fam), the 2-iterated
+    family.  Both must vanish; n=0 is a zero residual by convention.
     """
     if n == 0:
         return QPoly.zero(), QPoly.zero()
     fam._check_degree(n)
-    ctx = fam.ctx
-    squared = product_family(fam, fam)
-    weights = [1] + [-ctx.q_binomial(n, k) * fam.beta[n - k] for k in range(n + 1)]
+    weights = [1] + [-fam.ctx.q_binomial(n, k) * fam.beta[n - k] for k in range(n + 1)]
     first = lincomb(weights, [QPoly.monomial(n)] + fam.polys(n))
     second = lincomb(weights, [fam.poly(n)] + squared.polys(n))
     return first, second

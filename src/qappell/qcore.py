@@ -250,8 +250,3 @@ def q_derive(p: QPoly, ctx: QContext) -> QPoly:
     if p.degree < 1:
         return QPoly.zero()
     return QPoly(ctx.q_number(i) * p.coeffs[i] for i in range(1, len(p.coeffs)))
-
-
-def monomial_basis(n: int) -> list[QPoly]:
-    """The basis 1, x, ..., x**n."""
-    return [QPoly.monomial(k) for k in range(n + 1)]

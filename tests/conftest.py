@@ -33,6 +33,13 @@ def lincomb_oracle(weights, polys):
     return QPoly(acc)
 
 
+def monomial_basis(n):
+    """The basis 1, x, ..., x**n."""
+    from qappell import QPoly
+
+    return [QPoly.monomial(k) for k in range(n + 1)]
+
+
 def q_values():
     """Strategy for the base: rationals strictly inside (0, 1)."""
     return st.fractions(

@@ -227,7 +227,7 @@ def test_criterion_07_identities():
     for name in ("bernoulli", "euler"):
         fam = resolve(FamilySpec.builtin(name), ctx, 6)
         for n in range(1, 7):
-            r1, r2 = identity_residuals(fam, n)
+            r1, r2 = identity_residuals(fam, product_family(fam, fam), n)
             assert r1.is_zero and r2.is_zero
 
 

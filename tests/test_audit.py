@@ -85,14 +85,31 @@ class TestPrintedForms:
                     assert printed == fam.poly(n)
 
 
-def _add_one_where(real, wrong):
-    """real, but with 1 added to its result when wrong(*args) holds."""
+def _add_one_where(wrong):
+    """A skew: real, but with 1 added to its result when wrong(*args) holds."""
 
-    def skewed(*args):
-        got = real(*args)
-        return lincomb([1, 1], [got, QPoly.one()]) if wrong(*args) else got
+    def skew(real):
+        def skewed(*args):
+            got = real(*args)
+            return lincomb([1, 1], [got, QPoly.one()]) if wrong(*args) else got
 
-    return skewed
+        return skewed
+
+    return skew
+
+
+def _bump_weight_row(n):
+    """A skew of weight_table: 1 added to weight 0 of row n, which adds the
+    constant 1 to every determinant member of degree n."""
+
+    def skew(real):
+        def skewed(beta, upto):
+            rows = real(beta, upto)
+            return [[w[0] + 1, *w[1:]] if m == n else w for m, w in enumerate(rows)]
+
+        return skewed
+
+    return skew
 
 
 class TestProperties:
@@ -102,50 +119,54 @@ class TestProperties:
                 assert rec.ok, rec.prop_id
 
     @pytest.mark.parametrize(
-        "name, wrong, failing",
+        "name, skew, failing",
         [
             pytest.param(
-                "det_pair_poly",
-                lambda fa, fb, n: n == 2,
+                "weight_table",
+                _bump_weight_row(2),
                 {"ladder-determinant", "cross-method"},
                 id="determinant",
             ),
             pytest.param(
                 "iterate2",
-                lambda fa, fb, n: (fa.label, fb.label, n) == ("bernoulli", "euler", 2),
+                _add_one_where(
+                    lambda fa, fb, n: (fa.label, fb.label, n) == ("bernoulli", "euler", 2)
+                ),
                 {"cross-method", "commutativity"},
                 id="iterate2-one-factor-order",
             ),
             pytest.param(
                 "apply_operator",
-                lambda coeffs, p: p == QPoly.monomial(2),
+                _add_one_where(lambda coeffs, p: p == QPoly.monomial(2)),
                 {"cross-method"},
                 id="operator-plain",
             ),
             pytest.param(
                 "apply_operator",
-                lambda coeffs, p: p.degree == 2 and p != QPoly.monomial(2),
+                _add_one_where(
+                    lambda coeffs, p: p.degree == 2 and p != QPoly.monomial(2)
+                ),
                 {"cross-method"},
                 id="operator-pair",
             ),
             pytest.param(
                 "umbral_compose",
-                lambda pa, pb, n: n == 2,
+                _add_one_where(lambda pa, pb, n: n == 2),
                 {"cross-method"},
                 id="umbral",
             ),
         ],
     )
-    def test_a_wrong_route_fails_its_checks(self, monkeypatch, name, wrong, failing):
-        monkeypatch.setattr(audit, name, _add_one_where(getattr(audit, name), wrong))
+    def test_a_wrong_route_fails_its_checks(self, monkeypatch, name, skew, failing):
+        monkeypatch.setattr(audit, name, skew(getattr(audit, name)))
         records = run_properties(QContext("1/2"), order=5)
         assert {rec.prop_id for rec in records if not rec.ok} == failing
 
     def test_a_wrong_pair_family_poly_fails_its_checks(self, monkeypatch):
         # pair families (label "a*b") feed the series ladder, the last link of
         # cross-method and, as self-products, the 2-iterated identity
-        skewed = _add_one_where(
-            families.AppellFamily.poly, lambda fam, n: n == 2 and "*" in fam.label
+        skewed = _add_one_where(lambda fam, n: n == 2 and "*" in fam.label)(
+            families.AppellFamily.poly
         )
         monkeypatch.setattr(families.AppellFamily, "poly", skewed)
         records = run_properties(QContext("1/2"), order=5)
@@ -176,8 +197,8 @@ class TestProperties:
     def test_a_wrong_identity_residual_fails_its_check(self, monkeypatch, which):
         real = audit.identity_residuals
 
-        def skewed(fam, n):
-            got = list(real(fam, n))
+        def skewed(fam, squared, n):
+            got = list(real(fam, squared, n))
             if n == 2:
                 got[which] = lincomb([1, 1], [got[which], QPoly.one()])
             return tuple(got)
@@ -187,24 +208,42 @@ class TestProperties:
         assert {rec.prop_id for rec in records if not rec.ok} == {"inversion-identities"}
 
     def test_each_determinant_poly_is_built_once(self, monkeypatch):
-        built = []
+        built = {"tables": [], "iterates": [], "products": []}
 
-        def counting(real, key):
+        def counting(real, kind, key):
             def wrapper(*args):
-                built.append(key(*args))
+                built[kind].append(key(*args))
                 return real(*args)
 
             return wrapper
 
-        monkeypatch.setattr(audit, "det_appell_poly", counting(
-            audit.det_appell_poly, lambda fam, n: (fam.label, n)))
-        monkeypatch.setattr(audit, "det_pair_poly", counting(
-            audit.det_pair_poly, lambda fa, fb, n: (fa.label, fb.label, n)))
-        run_properties(QContext(F(1, 2)), 12)
-        twice = [key for key, count in Counter(built).items() if count > 1]
-        assert not twice
-        # 4 built-ins (genocchi-table capped at 4) and 16 ordered pairs
-        assert len(built) == 3 * 13 + 5 + 9 * 13 + 7 * 5
+        monkeypatch.setattr(audit, "weight_table", counting(
+            audit.weight_table, "tables", lambda beta, upto: (beta, upto)))
+        monkeypatch.setattr(audit, "iterate2", counting(
+            audit.iterate2, "iterates", lambda fa, fb, n: (fa.label, fb.label, n)))
+        # identity_residuals would reach product_family through families
+        for module in (audit, families):
+            monkeypatch.setattr(module, "product_family", counting(
+                families.product_family, "products", lambda fa, fb: (fa.label, fb.label)))
+        ctx = QContext(F(1, 2))
+        run_properties(ctx, 12)
+        # one weight table per built-in, at its own order
+        assert built["tables"] == [
+            (fam.beta, fam.order)
+            for fam in (
+                resolve(FamilySpec.builtin(name), ctx, 4 if name == "genocchi-table" else 12)
+                for name in families.BUILTIN_NAMES
+            )
+        ]
+        # one iterate per ordered pair and degree: 9 pairs at order 12 and
+        # the 7 with genocchi-table (capped at 4) at order 4
+        iterates = Counter(built["iterates"])
+        assert set(iterates.values()) == {1}
+        assert len(iterates) == 9 * 13 + 7 * 5
+        # one product per ordered pair, so one self-product per family
+        assert sorted(built["products"]) == sorted(
+            (a, b) for a in families.BUILTIN_NAMES for b in families.BUILTIN_NAMES
+        )
 
     def test_verify_resolves_each_family_once(self, monkeypatch):
         calls = []

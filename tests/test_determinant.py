@@ -12,12 +12,14 @@ from qappell.determinant import (
     det_eval,
     det_pair_poly,
     det_poly,
+    det_weights,
+    weight_table,
 )
 from qappell.families import FamilySpec
-from qappell.qcore import lincomb, monomial_basis
+from qappell.qcore import lincomb
 from qappell.series import ESeq
 
-from conftest import lincomb_oracle, q_values, small_fractions
+from conftest import lincomb_oracle, monomial_basis, q_values, small_fractions
 
 B = FamilySpec.builtin("bernoulli")
 E = FamilySpec.builtin("euler")
@@ -255,6 +257,57 @@ class TestBlockTriangular:
             unit_top = tuple(QPoly.one() if k == j else QPoly.zero() for k in range(n + 1))
             sign = F(-1) ** (n + j)
             assert det_eval((unit_top,) + m[1:]) == QPoly([sign * minor / beta[0] ** (n + 1)])
+
+
+class TestWeightTable:
+    """The degree-n matrix is the leading block of the degree-N one, so one
+    table built at the top order gives every degree's row-0 weights."""
+
+    @pytest.mark.parametrize("spec", [B, E, GD], ids=lambda s: s.name)
+    def test_rows_match_each_degree_matrix_and_the_oracles(self, ctx_half, spec):
+        top = 12
+        beta = resolve(spec, ctx_half, top).beta
+        table = weight_table(beta, top)
+        assert len(table) == top + 1
+        assert table[0] == [1 / beta[0]]
+        for n in range(1, top + 1):
+            m = build_matrix(beta, monomial_basis(n), n)
+            assert table[n] == list(det_eval(m).coeffs) == det_weights(beta, n)
+            scale = F(-1) ** n / beta[0] ** (n + 1)
+            if n <= 5:
+                assert QPoly(table[n]) == laplace(m) * scale
+            # weight j is cofactor j of the scalar rows, eliminated by Bareiss
+            scalars = m[1:]
+            assert table[n] == [
+                scale * F(-1) ** j * bareiss([r[:j] + r[j + 1 :] for r in scalars])
+                for j in range(n + 1)
+            ]
+
+    @given(
+        q=q_values(),
+        beta=custom_beta(),
+        tops=st.lists(st.lists(small_fractions(), max_size=4), min_size=5, max_size=5),
+    )
+    def test_rows_match_each_degree_matrix_for_drawn_beta(self, q, beta, tops):
+        ctx = QContext(q)
+        seq = ESeq(ctx, beta)
+        top = len(beta) - 1
+        table = weight_table(seq, top)
+        assert table[0] == [1 / beta[0]]
+        basis = [QPoly.one()] + [QPoly(cs) for cs in tops]
+        for n in range(1, top + 1):
+            assert table[n] == list(det_eval(build_matrix(seq, monomial_basis(n), n)).coeffs)
+            # the same weights serve any row-0 basis
+            assert lincomb(table[n], basis[: n + 1]) == det_eval(build_matrix(seq, basis, n))
+
+    def test_preconditions(self, ctx_half):
+        beta = ESeq(ctx_half, [0, 1, 1])
+        with pytest.raises(ValueError, match="beta_0"):
+            weight_table(beta, 2)
+        with pytest.raises(ValueError, match="order"):
+            weight_table(ESeq(ctx_half, [1, 1]), 2)
+        with pytest.raises(ValueError, match=">= 0"):
+            det_weights(ESeq(ctx_half, [1, 1]), -1)
 
 
 class TestDeep:

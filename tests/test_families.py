@@ -19,10 +19,9 @@ from qappell import (
     unit,
 )
 from qappell.families import FamilyError, FamilySpec, GENOCCHI_TABLE_MAX_ORDER
-from qappell.qcore import monomial_basis
 from qappell.series import ESeq
 
-from conftest import q_values, small_fractions
+from conftest import lincomb_oracle, monomial_basis, q_values, small_fractions
 
 B = FamilySpec.builtin("bernoulli")
 E = FamilySpec.builtin("euler")
@@ -232,18 +231,61 @@ class TestOperator:
         with pytest.raises(ValueError, match="stop at order"):
             apply_operator(unit(ctx_half, 1), QPoly.monomial(3))
 
+    @pytest.mark.parametrize("degree", [1, 3, 5])
+    def test_order_one_below_the_degree_is_rejected(self, ctx_half, degree):
+        p = QPoly([1] * (degree + 1))
+        with pytest.raises(ValueError, match="stop at order"):
+            apply_operator(unit(ctx_half, degree - 1), p)
+        assert apply_operator(unit(ctx_half, degree), p) == p
+
+    @pytest.mark.parametrize(
+        "p",
+        [QPoly.zero(), QPoly([F(-3, 7)]), QPoly([0, F(1, 2)]), QPoly([1, 2, 0, F(5, 3)])],
+        ids=["zero", "degree-0", "degree-1", "degree-3"],
+    )
+    def test_edge_polys_match_the_derivative_chain(self, ctx_half, p):
+        coeffs = ESeq(ctx_half, [F(2), F(-1, 3), F(5), F(1, 7), F(-2), F(3, 5)])
+        assert apply_operator(coeffs, p) == _operator_oracle(coeffs, p)
+
+    @given(
+        q=q_values(),
+        coeffs=st.lists(small_fractions(), min_size=1, max_size=9),
+        p=st.lists(small_fractions(), max_size=9),
+    )
+    def test_matches_the_derivative_chain(self, q, coeffs, p):
+        ctx = QContext(q)
+        # the degree stays at or below the order; a shorter p covers degree
+        # below the order, an empty or all-zero one the zero polynomial
+        seq, poly = ESeq(ctx, coeffs), QPoly(p[: len(coeffs)])
+        assert apply_operator(seq, poly) == _operator_oracle(seq, poly)
+
+
+def _operator_oracle(coeffs, p):
+    """sum_k (c_k/[k]_q!) D_q^k p, summing the q-derivative chain of p
+    itself: the reference for apply_operator."""
+    ctx = coeffs.ctx
+    weights, derivs = [], []
+    d = p
+    while not d.is_zero:
+        k = len(derivs)
+        weights.append(coeffs[k] / ctx.q_factorial(k))
+        derivs.append(d)
+        d = q_derive(d, ctx)
+    return lincomb_oracle(weights, derivs)
+
 
 class TestIdentities:
     @pytest.mark.parametrize("spec", [B, E], ids=["bernoulli", "euler"])
     def test_residuals_vanish(self, ctx_half, spec):
         fam = resolve(spec, ctx_half, 6)
         for n in range(1, 7):
-            r1, r2 = identity_residuals(fam, n)
+            r1, r2 = identity_residuals(fam, product_family(fam, fam), n)
             assert r1.is_zero and r2.is_zero
 
     def test_degree_zero_convention(self, ctx_half):
         fam = resolve(B, ctx_half, 2)
-        assert identity_residuals(fam, 0) == (QPoly.zero(), QPoly.zero())
+        zero = (QPoly.zero(), QPoly.zero())
+        assert identity_residuals(fam, product_family(fam, fam), 0) == zero
 
 
 class TestLadder:
