@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("qcore", "QContext QPoly Rat parse_q parse_rat q_derive"),
-        ("series", "ESeq convolve reciprocal shift_up unit q_exp"),
+        ("qcore", "QContext QPoly parse_q parse_rat q_derive"),
+        ("series", "ESeq convolve reciprocal shift_up unit"),
         ("families", "AppellFamily FamilySpec resolve product_family pair_family iterate2"),
         ("families", "umbral_compose apply_operator identity_residuals"),
-        ("determinant", "det_poly det_appell_poly det_pair_poly"),
+        ("determinant", "det_appell_poly det_pair_poly"),
         ("roots", "RootSet find_roots sample vieta_residuals"),
     )
     for name in names.split()

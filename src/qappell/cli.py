@@ -53,6 +53,14 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--mixed", metavar="A,B", help="mixed pair, e.g. euler,genocchi-table")
 
 
+def _add_method(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--method",
+        choices=("series", "determinant", "operator", "all"),
+        default="series",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qappell",
@@ -64,33 +72,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_numbers)
     _add_family_flags(p_numbers)
     p_numbers.add_argument("-n", "--n", "--upto", dest="upto", type=int, required=True)
-    p_numbers.add_argument(
-        "--method",
-        choices=("series", "determinant", "operator", "all"),
-        default="series",
-    )
+    _add_method(p_numbers)
     p_numbers.set_defaults(func=cmd_numbers)
 
     p_poly = subs.add_parser("poly", help="one polynomial of the family")
     _add_common(p_poly)
     _add_family_flags(p_poly)
     p_poly.add_argument("-n", "--n", "--upto", dest="n", type=int, required=True)
-    p_poly.add_argument(
-        "--method",
-        choices=("series", "determinant", "operator", "all"),
-        default="series",
-    )
+    _add_method(p_poly)
     p_poly.set_defaults(func=cmd_poly)
 
     p_roots = subs.add_parser("roots", help="zeros of one polynomial")
     _add_common(p_roots)
     _add_family_flags(p_roots)
     p_roots.add_argument("-n", "--n", "--upto", dest="n", type=int, required=True)
-    p_roots.add_argument(
-        "--method",
-        choices=("series", "determinant", "operator", "all"),
-        default="series",
-    )
+    _add_method(p_roots)
     p_roots.add_argument(
         "--full-precision",
         action="store_true",

@@ -46,10 +46,7 @@ from .families import AppellFamily
 from .qcore import QPoly, dot, lincomb
 from .series import ESeq
 
-__all__ = [
-    "build_matrix", "det_eval", "det_weights", "weight_table",
-    "det_poly", "det_appell_poly", "det_pair_poly",
-]
+__all__ = ["det_weights", "weight_table", "det_appell_poly", "det_pair_poly"]
 
 
 def _scalar_rows(beta: ESeq, n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -70,19 +67,6 @@ def _scalar_rows(beta: ESeq, n: int) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-def build_matrix(beta: ESeq, basis: Sequence[QPoly], n: int) -> tuple[tuple, ...]:
-    """The (n+1)x(n+1) matrix of degree n >= 1: row 0 holds the basis
-    polynomials, rows 1..n the scalar entries."""
-    if n < 1:
-        raise ValueError("build_matrix needs n >= 1; degree 0 is 1/beta_0 directly")
-    scalars = _scalar_rows(beta, n)
-    if len(basis) < n + 1:
-        raise ValueError(f"basis holds {len(basis)} entries, need {n + 1}")
-    if basis[0] != QPoly.one():
-        raise ValueError("basis[0] must be the constant polynomial 1")
-    return (tuple(basis[: n + 1]),) + scalars
-
-
 def _weights(beta0: Fraction, scalars: Sequence[Sequence], n: int) -> list[Fraction]:
     """Row-0 weights w_0..w_n of degree n, from the leading n x (n+1) block
     of scalars by the Hessenberg recurrence in the module docstring."""
@@ -91,12 +75,6 @@ def _weights(beta0: Fraction, scalars: Sequence[Sequence], n: int) -> list[Fract
     for j in range(n - 1, -1, -1):
         d[j] = dot(powers, [scalars[j][c] * d[c] for c in range(j + 1, n + 1)])
     return [-d[j] / powers[n + 1 - j] for j in range(n + 1)]
-
-
-def det_eval(matrix: Sequence[Sequence]) -> QPoly:
-    """(-1)^n / beta_0^(n+1) det(matrix), by cofactors along row 0."""
-    scalars = matrix[1:]
-    return lincomb(_weights(scalars[0][0], scalars, len(scalars)), matrix[0])
 
 
 def det_weights(beta: ESeq, n: int) -> list[Fraction]:
@@ -108,13 +86,6 @@ def weight_table(beta: ESeq, upto: int) -> list[list[Fraction]]:
     """det_weights(beta, n) for n = 0..upto, all from one scalar block."""
     scalars = _scalar_rows(beta, upto)
     return [_weights(beta[0], scalars, n) for n in range(upto + 1)]
-
-
-def det_poly(beta: ESeq, basis: Sequence[QPoly], n: int) -> QPoly:
-    """Degree-n member from a beta sequence and a row-0 basis."""
-    if n < 1:  # degree 0 is stated separately in the source construction
-        return QPoly(det_weights(beta, n))
-    return det_eval(build_matrix(beta, basis, n))
 
 
 def det_appell_poly(fam: AppellFamily, n: int) -> QPoly:

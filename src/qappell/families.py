@@ -164,6 +164,14 @@ def _beta_genocchi_det(ctx: QContext, order: int) -> ESeq:
     )
 
 
+# the built-ins defined by their beta sequence
+_BETA_BUILDERS = {
+    "bernoulli": _beta_bernoulli,
+    "euler": _beta_euler,
+    "genocchi-det": _beta_genocchi_det,
+}
+
+
 def genocchi_table_numbers(ctx: QContext, order: int = GENOCCHI_TABLE_MAX_ORDER) -> ESeq:
     """The published closed-form Genocchi numbers, evaluated exactly at q.
 
@@ -195,14 +203,8 @@ def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> Appe
     if order < 0:
         raise FamilyError(f"order must be >= 0, got {order}")
     if spec.kind == "builtin":
-        if spec.name == "bernoulli":
-            beta = _beta_bernoulli(ctx, order)
-            return AppellFamily(ctx, reciprocal(beta), beta, spec.name)
-        if spec.name == "euler":
-            beta = _beta_euler(ctx, order)
-            return AppellFamily(ctx, reciprocal(beta), beta, spec.name)
-        if spec.name == "genocchi-det":
-            beta = _beta_genocchi_det(ctx, order)
+        if spec.name in _BETA_BUILDERS:
+            beta = _BETA_BUILDERS[spec.name](ctx, order)
             return AppellFamily(ctx, reciprocal(beta), beta, spec.name)
         if spec.name == "genocchi-table":
             numbers = genocchi_table_numbers(ctx, order)

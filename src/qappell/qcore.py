@@ -24,11 +24,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int]
 
 __all__ = [
-    "Rat",
     "QContext",
     "QPoly",
     "parse_rat",
@@ -144,10 +142,6 @@ class QPoly:
     @staticmethod
     def zero() -> "QPoly":
         return QPoly(())
-
-    @staticmethod
-    def one() -> "QPoly":
-        return QPoly((1,))
 
     @staticmethod
     def monomial(power: int, coefficient: RatLike = 1) -> "QPoly":

@@ -38,9 +38,7 @@ axis and the mirrored disc meets no other disc; it is one of a conjugate
 pair when its disc misses the axis and the mirrored disc meets exactly one
 other disc, its partner's.  Reals are put on the axis and sorted
 ascending; pairs are stored exactly conjugate.  Any other configuration
-raises.  A caller may pass ``real_tol`` > 0 to report, in addition, each
-pair whose imaginary part is below real_tol max(1, |re|) as two real
-zeros.  Residual and Vieta checks are provided separately so callers can
+raises.  Residual and Vieta checks are provided separately so callers can
 assert them.
 """
 
@@ -97,8 +95,6 @@ class RootSet(NamedTuple):
 
     ``roots`` lists every zero (length = degree), reals first with the
     imaginary part forced to zero, then the pairs, upper half first.
-    ``real_tol`` is the caller's tolerance for reporting a close pair as
-    two reals (0.0: none).
     ``monic_coeffs`` is the float image the roots were computed from, and
     ``sweeps`` the number of Aberth sweeps it took.
     """
@@ -108,7 +104,6 @@ class RootSet(NamedTuple):
     residuals: tuple[float, ...]
     real_roots: tuple[float, ...]
     complex_pairs: tuple[tuple[complex, complex], ...]
-    real_tol: float
     monic_coeffs: tuple[float, ...]
     sweeps: int
 
@@ -195,7 +190,6 @@ def find_roots(
     *,
     tol: float = _DEFAULT_TOL,
     max_sweeps: int = _DEFAULT_SWEEPS,
-    real_tol: float = 0.0,
 ) -> RootSet:
     """All zeros of p (degree >= 1), classified; deterministic."""
     if p.degree < 1:
@@ -271,7 +265,7 @@ def find_roots(
             f"residuals exceed {residual_tol:.3e}: worst {max(residuals):.3e}"
         )
     try:
-        return _build(n, z, coeffs, real_tol, sweeps, radii)
+        return _build(n, z, coeffs, sweeps, radii)
     except ClassificationError as exc:
         raise failure(f"classification failed: {exc}") from exc
 
@@ -393,23 +387,18 @@ def _build(
     degree: int,
     z: list[complex],
     coeffs: list[float],
-    real_tol: float,
-    sweeps: int = 0,
-    radii: list[float] | None = None,
+    sweeps: int,
+    radii: list[float],
 ) -> RootSet:
     """Classify the iterates by their disjoint inclusion discs.
 
-    The disc D_i about z_i (radius ``radii[i]``; 0 when not given) holds
-    exactly one zero w_i.  p is real, so conj(w_i) is a zero and lies in
-    the mirrored disc conj(D_i).  If D_i meets the real axis and conj(D_i)
-    meets no other disc, conj(w_i) = w_i is real.  If D_i misses the axis,
-    w_i is not real, and when conj(D_i) meets exactly one other disc D_j,
-    w_j = conj(w_i).  Whatever is left raises ``ClassificationError``.  A
-    pair whose imaginary part is below real_tol max(1, |re|) is reported as
-    two reals.
+    The disc D_i about z_i (radius ``radii[i]``) holds exactly one zero
+    w_i.  p is real, so conj(w_i) is a zero and lies in the mirrored disc
+    conj(D_i).  If D_i meets the real axis and conj(D_i) meets no other
+    disc, conj(w_i) = w_i is real.  If D_i misses the axis, w_i is not
+    real, and when conj(D_i) meets exactly one other disc D_j,
+    w_j = conj(w_i).  Whatever is left raises ``ClassificationError``.
     """
-    if radii is None:
-        radii = [0.0] * len(z)
     # a disc meets the mirror of disc i only if its centre's real part is
     # within radii[i] + max(radii) of z_i's, so scan that window of the
     # iterates sorted by real part
@@ -445,10 +434,7 @@ def _build(
             up, low = (z[i], z[j]) if z[i].imag > 0 else (z[j], z[i])
             # p is real, so store the pair exactly conjugate
             m = (up + low.conjugate()) / 2
-            if abs(m.imag) < real_tol * max(1.0, abs(m.real)):
-                real_parts += [m.real, m.real]
-            else:
-                pairs.append((m, m.conjugate()))
+            pairs.append((m, m.conjugate()))
     real_parts.sort()
     pairs.sort(key=lambda pair: (pair[0].real, pair[0].imag))
     flat: list[complex] = [complex(r, 0.0) for r in real_parts]
@@ -468,7 +454,6 @@ def _build(
         residuals=residuals,
         real_roots=tuple(real_parts),
         complex_pairs=tuple(pairs),
-        real_tol=real_tol,
         monic_coeffs=tuple(coeffs),
         sweeps=sweeps,
     )

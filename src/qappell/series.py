@@ -41,7 +41,6 @@ __all__ = [
     "reciprocal",
     "shift_up",
     "unit",
-    "q_exp",
 ]
 
 
@@ -108,11 +107,6 @@ def _check_compatible(a: ESeq, b: ESeq) -> None:
 def unit(ctx: QContext, order: int) -> ESeq:
     """The constant function 1: coefficients (1, 0, ..., 0)."""
     return ESeq(ctx, (1,) + (0,) * order)
-
-
-def q_exp(ctx: QContext, order: int) -> ESeq:
-    """e_q(t) truncated at the given order; every coefficient is 1 here."""
-    return ESeq(ctx, (1,) * (order + 1))
 
 
 def _ordinary(a: ESeq) -> list[Fraction]:

@@ -91,7 +91,7 @@ def _add_one_where(wrong):
     def skew(real):
         def skewed(*args):
             got = real(*args)
-            return lincomb([1, 1], [got, QPoly.one()]) if wrong(*args) else got
+            return lincomb([1, 1], [got, QPoly([1])]) if wrong(*args) else got
 
         return skewed
 
@@ -200,7 +200,7 @@ class TestProperties:
         def skewed(fam, squared, n):
             got = list(real(fam, squared, n))
             if n == 2:
-                got[which] = lincomb([1, 1], [got[which], QPoly.one()])
+                got[which] = lincomb([1, 1], [got[which], QPoly([1])])
             return tuple(got)
 
         monkeypatch.setattr(audit, "identity_residuals", skewed)

@@ -6,15 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qappell import QContext, QPoly, iterate2, pair_family, resolve
-from qappell.determinant import (
-    build_matrix,
-    det_appell_poly,
-    det_eval,
-    det_pair_poly,
-    det_poly,
-    det_weights,
-    weight_table,
-)
+from qappell.determinant import det_appell_poly, det_pair_poly, det_weights, weight_table
 from qappell.families import FamilySpec
 from qappell.qcore import lincomb
 from qappell.series import ESeq
@@ -27,11 +19,32 @@ GD = FamilySpec.builtin("genocchi-det")
 GT = FamilySpec.builtin("genocchi-table")
 
 
+def build_matrix(beta, basis, n):
+    """The paper's (n+1)x(n+1) matrix of degree n: row 0 holds the basis
+    polynomials b_0..b_n, and row i >= 1 holds C(j, i-1)_q beta_(j-i+1) in
+    column j >= i-1, zero before.  The member is (-1)^n / beta_0^(n+1) times
+    its determinant."""
+    ctx = beta.ctx
+    scalars = tuple(
+        tuple(
+            ctx.q_binomial(j, i - 1) * beta[j - i + 1] if j >= i - 1 else F(0)
+            for j in range(n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+    return (tuple(basis[: n + 1]),) + scalars
+
+
+def unit_row(n, j):
+    """Row 0 holding the unit vector e_j, which isolates cofactor j."""
+    return tuple(QPoly([1]) if k == j else QPoly.zero() for k in range(n + 1))
+
+
 def laplace(rows):
     """Determinant by first-row cofactor expansion.
 
-    An independent oracle for det_eval: exponential cost, so it is only used
-    at sizes up to 6x6.  Row 0 may hold QPoly entries, the rest Fractions.
+    An independent oracle for the row-0 weights: exponential cost, so it is
+    only used at sizes up to 6x6.  Row 0 may hold QPoly entries, the rest Fractions.
     """
     if len(rows) == 1:
         return rows[0][0]
@@ -47,7 +60,7 @@ def laplace(rows):
 def bareiss(rows):
     """Determinant of a square Fraction matrix by fraction-free elimination.
 
-    A second oracle for det_eval, cubic in cost, for sizes the Laplace
+    A second oracle for the row-0 weights, cubic in cost, for sizes the Laplace
     expansion cannot reach.  A zero pivot is swapped with a lower row.
     """
     m = [list(r) for r in rows]
@@ -79,31 +92,21 @@ class TestBuildMatrix:
     def test_hand_expanded_bernoulli_n1(self, ctx_half):
         fam = resolve(B, ctx_half, 1)
         m = build_matrix(fam.beta, monomial_basis(1), 1)
-        assert m == ((QPoly.one(), QPoly.monomial(1)), (F(1), F(2, 3)))
+        assert m == ((QPoly([1]), QPoly.monomial(1)), (F(1), F(2, 3)))
         # the displayed orientation: (-1)^1 * det([[1, x], [1, 2/3]]) = x - 2/3
-        assert det_eval(m) == QPoly([F(-2, 3), 1])
+        assert laplace(m) * (-1 / fam.beta[0] ** 2) == QPoly([F(-2, 3), 1])
+        assert lincomb(det_weights(fam.beta, 1), m[0]) == QPoly([F(-2, 3), 1])
 
     def test_euler_row_two(self, ctx_half):
         fam = resolve(E, ctx_half, 2)
         m = build_matrix(fam.beta, monomial_basis(2), 2)
         assert m[2] == (F(0), F(1), F(1, 2) * ctx_half.q_number(2))
 
-    def test_preconditions(self, ctx_half):
-        beta = ESeq(ctx_half, [1, F(1, 2), F(1, 2)])
-        with pytest.raises(ValueError, match="n >= 1"):
-            build_matrix(beta, monomial_basis(2), 0)
-        with pytest.raises(ValueError, match="beta_0"):
-            build_matrix(ESeq(ctx_half, [0, 1, 1]), monomial_basis(2), 2)
-        with pytest.raises(ValueError, match="constant polynomial 1"):
-            build_matrix(beta, [QPoly([2]), QPoly.monomial(1), QPoly.monomial(2)], 2)
-        with pytest.raises(ValueError, match="order"):
-            build_matrix(ESeq(ctx_half, [1]), monomial_basis(2), 2)
-
 
 class TestDetPoly:
     def test_degree_zero_prefactor_only(self, ctx_half):
         beta = ESeq(ctx_half, [F(4), F(1, 2)])
-        assert det_poly(beta, monomial_basis(1), 0) == QPoly([F(1, 4)])
+        assert det_weights(beta, 0) == [F(1, 4)]
 
     def test_bernoulli_n1(self, ctx_half):
         fam = resolve(B, ctx_half, 1)
@@ -117,6 +120,14 @@ class TestDetPoly:
         # deliberately +1/8, not the misprinted -1/16
         fam = resolve(E, ctx_half, 2)
         assert det_pair_poly(fam, fam, 2) == QPoly([F(1, 8), F(-3, 2), 1])
+
+    def test_pair_rejects_mismatched_q(self, ctx_half):
+        half = resolve(E, ctx_half, 2)
+        third = resolve(B, QContext(F(1, 3)), 2)
+        with pytest.raises(ValueError, match="families disagree on q"):
+            det_pair_poly(half, third, 2)
+        with pytest.raises(ValueError, match="families disagree on q"):
+            det_pair_poly(third, half, 2)
 
     def test_matches_series_route(self, ctx_half):
         for spec in (B, E, GD):
@@ -165,16 +176,13 @@ class TestRowZeroLinearity:
     def test_split_basis(self, ctx_half):
         fam = resolve(B, ctx_half, 3)
         basis_a = monomial_basis(3)
-        basis_b = [QPoly.one()] + [QPoly([F(1), F(2), F(1, 3)][: k + 1]) for k in range(1, 4)]
+        basis_b = [QPoly([1])] + [QPoly([F(1), F(2), F(1, 3)][: k + 1]) for k in range(1, 4)]
         m_a = build_matrix(fam.beta, basis_a, 3)
-        m_b = build_matrix(fam.beta, basis_b, 3)
-        # row 0 of the sum carries the doubled constant, which build_matrix
-        # would reject, so the matrix is assembled by hand
-        summed = (QPoly([2]),) + tuple(
-            lincomb([1, 1], [basis_a[k], basis_b[k]]) for k in range(1, 4)
-        )
-        lhs = det_eval((summed,) + m_a[1:])
-        assert lhs == lincomb([1, 1], [det_eval(m_a), det_eval(m_b)])
+        summed = tuple(lincomb([1, 1], [a, b]) for a, b in zip(basis_a, basis_b))
+        weights = det_weights(fam.beta, 3)
+        lhs = lincomb(weights, summed)
+        assert lhs == lincomb([1, 1], [lincomb(weights, basis_a), lincomb(weights, basis_b)])
+        assert lhs == laplace((summed,) + m_a[1:]) * (-1 / fam.beta[0] ** 4)
 
 
 class TestDegenerateRow:
@@ -185,12 +193,13 @@ class TestDegenerateRow:
         n = 4
         m = build_matrix(fam.beta, monomial_basis(n), n)
         beta_top = tuple(QPoly([fam.beta[j]]) for j in range(n + 1))
-        assert det_eval((beta_top,) + m[1:]).is_zero
+        assert lincomb(det_weights(fam.beta, n), beta_top).is_zero
         assert laplace([m[1]] + list(m[1:])) == 0
 
 
 class TestBareiss:
-    """Hand cases pin both test oracles; then Bareiss checks det_eval at order 12."""
+    """Hand cases pin both test oracles; then Bareiss checks the row-0
+    weights at order 12."""
 
     def test_identity(self):
         m = [[F(1), F(0)], [F(0), F(1)]]
@@ -211,17 +220,17 @@ class TestBareiss:
 
     @pytest.mark.parametrize("spec", [B, E, GD], ids=lambda s: s.name)
     def test_det_eval_cofactors_at_order_12(self, ctx_half, spec):
-        # det_eval with the unit row e_j in row 0 isolates cofactor j, which
-        # must match the eliminated minor of the scalar rows
+        # the unit row e_j in row 0 isolates cofactor j, which must match the
+        # eliminated minor of the scalar rows
         n = 12
         fam = resolve(spec, ctx_half, n)
-        m = build_matrix(fam.beta, monomial_basis(n), n)
-        scalars = m[1:]
+        scalars = build_matrix(fam.beta, monomial_basis(n), n)[1:]
+        weights = det_weights(fam.beta, n)
         scale = fam.beta[0] ** (n + 1)
         for j in range(n + 1):
             minor = bareiss([r[:j] + r[j + 1 :] for r in scalars])
-            unit_top = tuple(QPoly.one() if k == j else QPoly.zero() for k in range(n + 1))
-            assert det_eval((unit_top,) + scalars) == QPoly([F(-1) ** (n + j) * minor / scale])
+            got = lincomb(weights, unit_row(n, j))
+            assert got == QPoly([F(-1) ** (n + j) * minor / scale])
 
 
 class TestLaplaceOracle:
@@ -233,10 +242,11 @@ class TestLaplaceOracle:
     def test_det_eval_matches_laplace(self, q, beta, tops):
         ctx = QContext(q)
         n = len(beta) - 1
-        basis = [QPoly.one()] + [QPoly(cs) for cs in tops[:n]]
-        m = build_matrix(ESeq(ctx, beta), basis, n)
+        basis = [QPoly([1])] + [QPoly(cs) for cs in tops[:n]]
+        seq = ESeq(ctx, beta)
+        m = build_matrix(seq, basis, n)
         expected = laplace(m) * (F(-1) ** n / beta[0] ** (n + 1))
-        assert det_eval(m) == expected
+        assert lincomb(det_weights(seq, n), m[0]) == expected
 
 
 class TestBlockTriangular:
@@ -246,17 +256,16 @@ class TestBlockTriangular:
         # and the trailing Hessenberg block T_j (rows and columns j+1..n)
         ctx = QContext(q)
         n = len(beta) - 1
-        m = build_matrix(ESeq(ctx, beta), monomial_basis(n), n)
-        scalars = [list(r) for r in m[1:]]
+        seq = ESeq(ctx, beta)
+        weights = det_weights(seq, n)
+        scalars = [list(r) for r in build_matrix(seq, monomial_basis(n), n)[1:]]
         for j in range(n + 1):
             minor = laplace([r[:j] + r[j + 1 :] for r in scalars])
             trailing = [r[j + 1 :] for r in scalars[j:]]
             det_t = laplace(trailing) if trailing else F(1)
             assert minor == beta[0] ** j * det_t
-            # det_eval with the unit row e_j in row 0 isolates cofactor j
-            unit_top = tuple(QPoly.one() if k == j else QPoly.zero() for k in range(n + 1))
             sign = F(-1) ** (n + j)
-            assert det_eval((unit_top,) + m[1:]) == QPoly([sign * minor / beta[0] ** (n + 1)])
+            assert lincomb(weights, unit_row(n, j)) == QPoly([sign * minor / beta[0] ** (n + 1)])
 
 
 class TestWeightTable:
@@ -272,7 +281,7 @@ class TestWeightTable:
         assert table[0] == [1 / beta[0]]
         for n in range(1, top + 1):
             m = build_matrix(beta, monomial_basis(n), n)
-            assert table[n] == list(det_eval(m).coeffs) == det_weights(beta, n)
+            assert table[n] == det_weights(beta, n)
             scale = F(-1) ** n / beta[0] ** (n + 1)
             if n <= 5:
                 assert QPoly(table[n]) == laplace(m) * scale
@@ -294,11 +303,13 @@ class TestWeightTable:
         top = len(beta) - 1
         table = weight_table(seq, top)
         assert table[0] == [1 / beta[0]]
-        basis = [QPoly.one()] + [QPoly(cs) for cs in tops]
+        basis = [QPoly([1])] + [QPoly(cs) for cs in tops]
         for n in range(1, top + 1):
-            assert table[n] == list(det_eval(build_matrix(seq, monomial_basis(n), n)).coeffs)
+            assert table[n] == det_weights(seq, n)
+            scale = F(-1) ** n / beta[0] ** (n + 1)
+            assert QPoly(table[n]) == laplace(build_matrix(seq, monomial_basis(n), n)) * scale
             # the same weights serve any row-0 basis
-            assert lincomb(table[n], basis[: n + 1]) == det_eval(build_matrix(seq, basis, n))
+            assert lincomb(table[n], basis[: n + 1]) == laplace(build_matrix(seq, basis, n)) * scale
 
     def test_preconditions(self, ctx_half):
         beta = ESeq(ctx_half, [0, 1, 1])

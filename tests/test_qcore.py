@@ -194,7 +194,7 @@ class TestLincomb:
 
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
-            lincomb([1, 2], [QPoly.one()])
+            lincomb([1, 2], [QPoly([1])])
 
 
 class TestIntegerHorner:

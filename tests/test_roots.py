@@ -344,19 +344,19 @@ class TestDiscClassification:
         # the first disc meets the axis, but its mirror image meets the
         # second disc, which misses the axis: one certified pair
         z = [complex(1, 1e-10), complex(1, -1e-10)]
-        rs = _build(2, z, [1.0, -2.0, 1.0], 0.0, radii=[2e-10, 5e-11])
+        rs = _build(2, z, [1.0, -2.0, 1.0], sweeps=0, radii=[2e-10, 5e-11])
         assert rs.real_roots == ()
         assert rs.complex_pairs == ((complex(1, 1e-10), complex(1, -1e-10)),)
 
     def test_real_zero_needs_a_lone_mirror(self):
         z = [complex(-1, 1e-17), complex(2, -1e-17)]
-        rs = _build(2, z, [-2.0, -1.0, 1.0], 0.0, radii=[1e-15, 1e-15])
+        rs = _build(2, z, [-2.0, -1.0, 1.0], sweeps=0, radii=[1e-15, 1e-15])
         assert rs.real_roots == (-1.0, 2.0)
         # two discs that both meet the axis and each other's mirror image
         # certify neither two reals nor a pair
         z = [complex(1, 1e-10), complex(1 + 2.7e-10, -1e-10)]
         with pytest.raises(ClassificationError, match="neither certified real"):
-            _build(2, z, [1.0, -2.0, 1.0], 0.0, radii=[1.4e-10, 1.4e-10])
+            _build(2, z, [1.0, -2.0, 1.0], sweeps=0, radii=[1.4e-10, 1.4e-10])
 
 
 # q x {plain, x bernoulli}, a different base family per q; combo k takes
@@ -406,20 +406,17 @@ class TestClassify:
         u, low = rs.complex_pairs[0]
         assert abs(u - 1j) < 1e-12 and abs(low + 1j) < 1e-12
 
-    def test_reclassify_with_loose_tolerance(self):
-        # x^2 - 2x + (1 + 1e-14): roots 1 +/- 1e-7 i, complex at the default
-        # tolerance but real once the tolerance is loosened past 1e-7
+    def test_close_pair_is_complex(self):
+        # x^2 - 2x + (1 + 1e-14): roots 1 +/- 1e-7 i, one certified pair
         p = QPoly([F(1) + F(1, 10**14), -2, 1])
         rs = find_roots(p)
         assert len(rs.complex_pairs) == 1
-        loose = find_roots(p, real_tol=1e-5)
-        assert len(loose.real_roots) == 2
 
     def test_unpaired_root_raises(self, b2):
         rs = find_roots(b2.poly(4))
         upper, _ = rs.complex_pairs[0]
         with pytest.raises(ClassificationError):
-            _build(3, list(rs.roots[:-1]), list(rs.monic_coeffs), rs.real_tol)
+            _build(3, list(rs.roots[:-1]), list(rs.monic_coeffs), sweeps=0, radii=[0.0] * 3)
 
 
 class TestSample:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qappell import QContext, convolve, q_exp, reciprocal, shift_up, unit
+from qappell import QContext, convolve, reciprocal, shift_up, unit
 from qappell.series import ESeq, NonInvertibleError
 
 from conftest import q_values, small_fractions
@@ -34,6 +34,11 @@ def reciprocal_oracle(a: ESeq) -> ESeq:
             s += ctx.q_binomial(n, k) * a.coeffs[k] * out[n - k]
         out.append(-inv0 * s)
     return ESeq(ctx, out)
+
+
+def q_exp(ctx: QContext, order: int) -> ESeq:
+    """e_q(t) = sum t^n/[n]_q! truncated at the given order: all ones."""
+    return ESeq(ctx, (1,) * (order + 1))
 
 
 def seqs(order_max=10, invertible=False, coefficients=small_fractions()):
@@ -66,8 +71,9 @@ def same_order(a: ESeq, b: ESeq) -> ESeq:
 class TestBasics:
     def test_unit_and_q_exp(self, ctx_half):
         assert unit(ctx_half, 3).coeffs == (1, 0, 0, 0)
-        assert q_exp(ctx_half, 0).coeffs == (1,)
-        assert q_exp(ctx_half, 3).coeffs == (1, 1, 1, 1)
+        # e_q(t) E_q(-t) = 1, with E_q(t) = sum q^(n(n-1)/2) t^n/[n]_q!
+        assert reciprocal(q_exp(ctx_half, 0)) == unit(ctx_half, 0)
+        assert reciprocal(q_exp(ctx_half, 3)).coeffs == (1, -1, F(1, 2), F(-1, 8))
 
     def test_truncated(self, ctx_half):
         a = ESeq(ctx_half, [1, 2, 3])
