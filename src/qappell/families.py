@@ -30,9 +30,10 @@ silently resolved.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .qcore import QContext, QPoly, dot, lincomb
+from .qcore import QContext, QPoly, lincomb, lincomb_ints
 from .series import ESeq, NonInvertibleError, convolve, reciprocal
 
 __all__ = [
@@ -285,20 +286,29 @@ def umbral_compose(
 
 
 def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:
-    """Apply sum_k (c_k/[k]_q!) D_q^k to p; the sum stops at deg p.
+    """Apply sum_k (c_k/[k]_q!) D_q^k to p; the sum stops at n = deg p.
 
-    As D_q^k x^i = ([i]_q!/[i-k]_q!) x^(i-k), coefficient m is one ``dot``:
-    (1/[m]_q!) sum_k gamma_k pi_(m+k), gamma_k = c_k/[k]_q!, pi_i = [i]_q! p_i.
+    As D_q^k x^i = ([i]_q!/[i-k]_q!) x^(i-k), coefficient m is (1/[m]_q!) sum_k
+    gamma_k pi_(m+k), gamma_k = c_k/[k]_q!, pi_i = [i]_q! p_i.  With [i]_q! =
+    Phi_i/Psi_i, pi_i = V_i/E for V_i = Phi_i (Psi_n/Psi_i) N_i and E = Psi_n D
+    less their common factor, so the sums are one ``lincomb_ints`` of V_k..V_n.
     """
-    if not p.is_zero and coeffs.order < p.degree:
+    n = max(p.degree, 0)  # the zero polynomial maps to itself
+    if coeffs.order < n:
         raise ValueError(
             f"operator coefficients stop at order {coeffs.order}, "
-            f"polynomial has degree {p.degree}"
+            f"polynomial has degree {n}"
         )
-    facts = [coeffs.ctx.q_factorial(i) for i in range(len(p.coeffs))]
-    gammas = [c / f for c, f in zip(coeffs, facts)]
-    pis = [f * c for f, c in zip(facts, p.coeffs)]
-    return QPoly(dot(gammas, pis[m:]) / facts[m] for m in range(len(pis)))
+    phi, psi = coeffs.ctx.factorial_ints(n)
+    v = [f * (psi[n] // s) * c for f, s, c in zip(phi, psi, p.nums)]
+    h = gcd(psi[n] * p.den, *v)
+    v = [c // h for c in v]
+    gammas = (Fraction(c.numerator * s, c.denominator * f) for c, f, s in zip(coeffs, phi, psi))
+    sums, den = lincomb_ints((g.numerator, g.denominator, v[k:]) for k, g in enumerate(gammas) if g)
+    return QPoly.from_ints(
+        [psi[m] * (phi[n] // phi[m]) * t for m, t in enumerate(sums)],
+        phi[n] * (psi[n] * p.den // h) * den,
+    )
 
 
 def identity_residuals(

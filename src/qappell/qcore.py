@@ -8,20 +8,22 @@ together with memo tables for the scalar quantities derived from it:
     C(n,k)_q = [n]_q! / ([k]_q! [n-k]_q!)         (Gauss q-binomial)
 
 All scalars are ``fractions.Fraction`` instances, so every operation in
-this module is exact.  ``QPoly`` is a dense polynomial in x over the
-rationals; the q-derivative acts on it by the monomial rule
-x^n -> [n]_q x^(n-1), which agrees with the difference quotient
-(p(qx) - p(x)) / (qx - x) for every polynomial.
+this module is exact; ``dot`` sums them with one normalisation.
 
-Sums go through one kernel, ``dot``: integer numerator products over a
-running common denominator, then one ``Fraction``, so each sum is normalised
-once.  ``lincomb`` sums polynomials with one ``dot`` per coefficient.
+``QPoly`` stores p(x) = sum_i (N_i / D) x^i as FLINT's ``fmpq_poly`` does:
+integers N_0..N_n over one denominator D > 0, with gcd(D, N_0, ..., N_n) = 1
+and N_n != 0, and zero as ((), 1).  Equal polynomials have equal integers,
+each kernel is integer multiply-adds plus one content gcd, and ``coeffs`` is
+a ``Fraction`` view built on demand.  D_q acts by x^n -> [n]_q x^(n-1),
+which agrees with the difference quotient (p(qx) - p(x)) / (qx - x).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int]
@@ -120,24 +122,45 @@ class QContext:
             self._qbin[(n, k)] = got
         return got
 
+    def factorial_ints(self, n: int) -> tuple[list[int], list[int]]:
+        """Integers with [i]_q! = Phi_i / Psi_i, i <= n: for q = a/b,
+        Phi_i = prod_(j<=i) (b^j - a^j) and Psi_i = b^(i(i-1)/2) (b - a)^i."""
+        a, b = self.q.numerator, self.q.denominator
+        phi = accumulate((b**j - a**j for j in range(1, n + 1)), mul, initial=1)
+        return list(phi), [b ** (i * (i - 1) // 2) * (b - a) ** i for i in range(n + 1)]
+
 
 class QPoly:
-    """Dense polynomial in x over Fraction; ``coeffs[i]`` multiplies x**i.
+    """Dense polynomial in x: ``nums[i] / den`` multiplies x**i, in the
+    canonical form of the module docstring.  Immutable; zero has degree -1."""
 
-    Immutable.  The zero polynomial stores no coefficients and has
-    degree -1; otherwise the top stored coefficient is nonzero.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # content is 1 over the lcm of reduced denominators; % skips most gcds
+        den = 1
+        for c in cs:
+            if den % c.denominator:
+                den = lcm(den, c.denominator)
+        object.__setattr__(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QPoly is immutable")
+
+    @staticmethod
+    def from_ints(nums: list[int], den: int) -> "QPoly":
+        """sum_i (nums[i] / den) x^i, den > 0, made canonical; consumes nums."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        p = object.__new__(QPoly)
+        object.__setattr__(p, "nums", tuple([n // g for n in nums] if g > 1 else nums))
+        object.__setattr__(p, "den", den // g)
+        return p
 
     @staticmethod
     def zero() -> "QPoly":
@@ -151,25 +174,24 @@ class QPoly:
         return QPoly((0,) * power + (coefficient,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(n, self.den) for n in self.nums])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the stored degree)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     def __call__(self, x: RatLike) -> Fraction:
-        """p(x), by homogeneous integer Horner over a common denominator.
-
-        With x = a/b, p(x) = (sum_i C_i a^i b^(n-i)) / (D b^n), where
-        c_i = C_i / D: integer multiply-adds only, and one ``Fraction``.
-        """
+        """p(x) by homogeneous integer Horner: with x = a/b, p(x) =
+        (sum_i N_i a^i b^(n-i)) / (D b^n), so one ``Fraction`` in all."""
         x = Fraction(x)
         hom, den = homogeneous_image(self, x.denominator)
         acc = 0
@@ -180,33 +202,26 @@ class QPoly:
     def __mul__(self, scalar: RatLike) -> "QPoly":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return QPoly(c * scalar for c in self.coeffs)
+        s, t = scalar.numerator, scalar.denominator
+        return QPoly.from_ints([s * n for n in self.nums], self.den * t)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return isinstance(other, QPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(("QPoly", self.coeffs))
+        return hash(("QPoly", self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"QPoly({[str(c) for c in self.coeffs]})"
 
 
 def homogeneous_image(p: QPoly, b: int) -> tuple[list[int], int]:
-    """Integers H_0..H_n and E with p(a/b) = (sum_j H_j a^(n-j)) / E for all a.
-
-    D is the least common denominator of p's coefficients, c_i = C_i / D;
-    then H_j = C_(n-j) b^j (highest power of a first) and E = D b^n.  The
-    zero polynomial gives ([], 1).
-    """
-    den = lcm(*(c.denominator for c in p.coeffs))
-    hom, bpow = [], 1
-    for c in reversed(p.coeffs):
-        hom.append(c.numerator * (den // c.denominator) * bpow)
-        bpow *= b
-    return hom, den * b ** max(p.degree, 0)
+    """Integers H_0..H_n and E with p(a/b) = (sum_j H_j a^(n-j)) / E for all a:
+    H_j = N_(n-j) b^j, E = D b^n, and ([], 1) for the zero polynomial."""
+    hom = [c * b**j for j, c in enumerate(reversed(p.nums))]
+    return hom, p.den * b ** max(p.degree, 0)
 
 
 def dot(xs: Iterable[RatLike], ys: Iterable[RatLike]) -> Fraction:
@@ -217,30 +232,45 @@ def dot(xs: Iterable[RatLike], ys: Iterable[RatLike]) -> Fraction:
         if not n:
             continue
         d = x.denominator * y.denominator
-        g = gcd(den, d)
-        if g == d:
+        if not den % d:
             num += n * (den // d)
         else:
+            g = gcd(den, d)
             d //= g
             num = num * d + n * (den // g)
             den *= d
     return Fraction(num, den)
 
 
+def lincomb_ints(terms: Iterable[tuple[int, int, Sequence[int]]]) -> tuple[list[int], int]:
+    """sum_k (s_k / d_k) R_k for integer rows R_k, as integers over one
+    common denominator.  It grows term by term to lcm(den, d_k), rescaling
+    the sum so far, so a weight is raised only to the denominator reached."""
+    acc, den = [], 1
+    for s, d, row in terms:
+        if den % d:
+            up = d // gcd(den, d)
+            acc = [a * up for a in acc]
+            den *= up
+        f = s * (den // d)
+        acc += [0] * (len(row) - len(acc))
+        acc[: len(row)] = map(add, acc, map(f.__mul__, row))
+    return acc, den
+
+
 def lincomb(weights: Sequence[RatLike], polys: Sequence[QPoly]) -> QPoly:
-    """sum_k w_k p_k, with one ``dot`` and one ``Fraction`` per coefficient."""
+    """sum_k w_k p_k, as the rows N_k of p_k = N_k/D_k with weights w_k/D_k."""
     if len(weights) != len(polys):
         raise ValueError(f"{len(weights)} weights for {len(polys)} polynomials")
-    rows = [p.coeffs for p in polys]
-    width = max(map(len, rows), default=0)
-    return QPoly(
-        dot(weights, [cs[i] if i < len(cs) else 0 for cs in rows])
-        for i in range(width)
-    )
+    rows = ((w.numerator, w.denominator * p.den, p.nums) for w, p in zip(weights, polys) if w)
+    return QPoly.from_ints(*lincomb_ints(rows))
 
 
 def q_derive(p: QPoly, ctx: QContext) -> QPoly:
-    """q-derivative D_q p: sends x^n to [n]_q x^(n-1), extended linearly."""
-    if p.degree < 1:
-        return QPoly.zero()
-    return QPoly(ctx.q_number(i) * p.coeffs[i] for i in range(1, len(p.coeffs)))
+    """D_q p, by x^n -> [n]_q x^(n-1): as [i]_q = (b^i - a^i) / (b^(i-1) (b - a))
+    for q = a/b, its numerators (b^i - a^i) b^(n-i) N_i are over b^(n-1) (b - a) D."""
+    n, a, b = p.degree, ctx.q.numerator, ctx.q.denominator
+    return QPoly.from_ints(
+        [(b**i - a**i) * b ** (n - i) * p.nums[i] for i in range(1, n + 1)],
+        b ** max(n - 1, 0) * (b - a) * p.den,
+    )

@@ -44,7 +44,6 @@ assert them.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from fractions import Fraction
@@ -115,8 +114,9 @@ def to_float(p: QPoly) -> list[float]:
     """Monic nearest-double image of p, ascending coefficients."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no float image")
-    lead = p.coeffs[-1]
-    return [float(c / lead) for c in p.coeffs]
+    lead = p.nums[-1]
+    # int true division rounds as float(Fraction) does; 0.0 keeps a zero's sign
+    return [c / lead if c else 0.0 for c in p.nums]
 
 
 def _horner(coeffs, z: complex) -> complex:
@@ -283,12 +283,9 @@ def _exact_value(p: QPoly, z: complex) -> complex:
     re = im = 0
     for c in hom:
         re, im = re * ar - im * ai + c, re * ai + im * ar
-    lead = p.coeffs[-1]
+    scale = den // p.den * p.nums[-1]  # b^n N_n, as E = D b^n
     try:
-        return complex(
-            re * lead.denominator / (den * lead.numerator),
-            im * lead.denominator / (den * lead.numerator),
-        )
+        return complex(re / scale, im / scale)
     except OverflowError:
         return complex(math.inf)
 
@@ -399,21 +396,10 @@ def _build(
     real, and when conj(D_i) meets exactly one other disc D_j,
     w_j = conj(w_i).  Whatever is left raises ``ClassificationError``.
     """
-    # a disc meets the mirror of disc i only if its centre's real part is
-    # within radii[i] + max(radii) of z_i's, so scan that window of the
-    # iterates sorted by real part
-    order = sorted(range(len(z)), key=lambda j: z[j].real)
-    keys = [z[j].real for j in order]
-    reach = max(radii, default=0.0)
-    mirrored = []
-    for i, w in enumerate(z):
-        lo = bisect.bisect_left(keys, w.real - radii[i] - reach)
-        hi = bisect.bisect_right(keys, w.real + radii[i] + reach)
-        mirrored.append([
-            j
-            for j in order[lo:hi]
-            if j != i and abs(w.conjugate() - z[j]) <= radii[i] + radii[j]
-        ])
+    mirrored = [
+        [j for j, v in enumerate(z) if j != i and abs(w.conjugate() - v) <= radii[i] + radii[j]]
+        for i, w in enumerate(z)
+    ]
     real = [abs(w.imag) <= r and not m for w, r, m in zip(z, radii, mirrored)]
     partner: dict[int, int] = {}
     for i, w in enumerate(z):
@@ -461,10 +447,9 @@ def _build(
 
 def vieta_residuals(p: QPoly, roots: tuple[complex, ...]) -> tuple[float, float]:
     """|sum - (-a_{n-1}/a_n)| and |prod - (-1)^n a_0/a_n| for the root list."""
-    n = p.degree
-    lead = p.coeffs[-1]
-    target_sum = float(-p.coeff(n - 1) / lead)
-    target_prod = float((-1) ** n * p.coeff(0) / lead)
+    n, nums = p.degree, p.nums
+    target_sum = -nums[n - 1] / nums[n] if n > 0 else 0.0
+    target_prod = (-1) ** n * nums[0] / nums[n]
     got_sum: complex = 0.0
     got_prod: complex = 1.0
     for w in roots:

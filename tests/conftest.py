@@ -21,6 +21,18 @@ def ctx_half():
     return QContext(Fraction(1, 2))
 
 
+def assert_canonical(p):
+    """p is in QPoly's canonical form: integers over a positive denominator,
+    content 1, no trailing zero, and the zero polynomial as ((), 1)."""
+    from math import gcd
+
+    assert type(p.nums) is tuple and all(type(n) is int for n in p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.nums or p.den == 1
+
+
 def lincomb_oracle(weights, polys):
     """sum w_k p_k by summing coefficient lists directly: the reference for
     ``qcore.lincomb``, independent of the library's polynomial arithmetic."""

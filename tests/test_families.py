@@ -18,10 +18,18 @@ from qappell import (
     umbral_compose,
     unit,
 )
+from qappell.determinant import weight_table
 from qappell.families import FamilyError, FamilySpec, GENOCCHI_TABLE_MAX_ORDER
+from qappell.qcore import lincomb
 from qappell.series import ESeq
 
-from conftest import lincomb_oracle, monomial_basis, q_values, small_fractions
+from conftest import (
+    assert_canonical,
+    lincomb_oracle,
+    monomial_basis,
+    q_values,
+    small_fractions,
+)
 
 B = FamilySpec.builtin("bernoulli")
 E = FamilySpec.builtin("euler")
@@ -257,7 +265,42 @@ class TestOperator:
         # the degree stays at or below the order; a shorter p covers degree
         # below the order, an empty or all-zero one the zero polynomial
         seq, poly = ESeq(ctx, coeffs), QPoly(p[: len(coeffs)])
-        assert apply_operator(seq, poly) == _operator_oracle(seq, poly)
+        got = apply_operator(seq, poly)
+        assert_canonical(got)
+        assert got == _operator_oracle(seq, poly)
+        assert got == _operator_fraction_oracle(seq, poly)
+
+    @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10"])
+    def test_routes_agree_and_hash_alike(self, qs):
+        # the operator, the double sum and the determinant weights give one
+        # canonical polynomial, from different denominators
+        ctx = QContext(qs)
+        fa, fb = resolve(B, ctx, 10), resolve(GD, ctx, 10)
+        table = weight_table(fa.beta, 10)
+        for n in range(11):
+            routes = [
+                apply_operator(fa.numbers, fb.poly(n)),
+                _operator_fraction_oracle(fa.numbers, fb.poly(n)),
+                iterate2(fa, fb, n),
+                lincomb(table[n], fb.polys(n)),
+                umbral_compose(fa.polys(n), fb.polys(n), n),
+            ]
+            for r in routes:
+                assert_canonical(r)
+                assert r == routes[0] and hash(r) == hash(routes[0])
+
+
+def _operator_fraction_oracle(coeffs, p):
+    """apply_operator's sum as it was formed over ``Fraction`` before its
+    integer kernel: coefficient m is (1/[m]_q!) sum_k gamma_k pi_(m+k) with
+    gamma_k = c_k/[k]_q! and pi_i = [i]_q! p_i."""
+    facts = [coeffs.ctx.q_factorial(i) for i in range(len(p.coeffs))]
+    gammas = [c / f for c, f in zip(coeffs, facts)]
+    pis = [f * c for f, c in zip(facts, p.coeffs)]
+    return QPoly(
+        sum((g * pi for g, pi in zip(gammas, pis[m:])), F(0)) / facts[m]
+        for m in range(len(pis))
+    )
 
 
 def _operator_oracle(coeffs, p):

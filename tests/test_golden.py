@@ -1,12 +1,13 @@
 """Byte-identical gate on `qappell verify` output, CLI stdout and deep series.
 
 The digests pin the text rendering and the sorted-key JSON rendering of
-`run_verify`, and the stdout and exit code of a few CLI commands that take
-the pair, determinant and cross-method paths.  Any change to either
-rendering, intended or not, shows up here and has to be stated in
-CHANGES.md.  A last pair of digests pins the exact numbers, beta and sampled
-values of one pair family at order 48, the coefficient size (thousands of
-bits) where the series kernels and ``sample`` spend their time.
+`run_verify` (up to order 24 at q = 5/11), and the stdout and exit code of
+a few CLI commands that take the pair, determinant and cross-method paths.
+Any change to either rendering, intended or not, shows up here and has to
+be stated in CHANGES.md.  A last pair of digests pins the exact numbers,
+beta and sampled values of one pair family at order 48, the coefficient size
+(thousands of bits) where the series kernels and ``sample`` spend their
+time.
 """
 
 import hashlib
@@ -32,6 +33,12 @@ GOLDEN = {
     (F(1, 3), 8): (
         "7bce3119c3b5de91be21d238b7c57b04f5d3c643e0cde9d991aaecc598dc1477",
         "c8e9538ffa0aa9279c0c44dba0918832f8071e8a36d5516db6070aa15cbb4884",
+    ),
+    # denominators of about a thousand bits, where the exact kernels differ
+    # most from a plain Fraction loop
+    (F(5, 11), 24): (
+        "917ed9557a21dda17b07b972f5bf302a7bed664359a9ff62abbb5764b7fdfc7f",
+        "bb0ca2c976f53e8c2dc2dc28a621c6350af642dafcd5cf54f87f3bde6df7afbf",
     ),
 }
 

@@ -1,14 +1,15 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qappell import QContext, QPoly, parse_q, parse_rat, q_derive
-from qappell.qcore import lincomb
+from qappell.qcore import homogeneous_image, lincomb
 from qappell.roots import sample
 
-from conftest import lincomb_oracle, q_values, small_fractions
+from conftest import assert_canonical, lincomb_oracle, q_values, small_fractions
 
 
 def horner_oracle(p: QPoly, x) -> F:
@@ -19,6 +20,28 @@ def horner_oracle(p: QPoly, x) -> F:
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def q_derive_oracle(p: QPoly, ctx: QContext) -> QPoly:
+    """D_q p one ``Fraction`` coefficient at a time, [i]_q p_i, as
+    ``q_derive`` did before its integer kernel."""
+    return QPoly(ctx.q_number(i) * p.coeffs[i] for i in range(1, len(p.coeffs)))
+
+
+def scalar_mul_oracle(p: QPoly, s) -> QPoly:
+    """p * s one ``Fraction`` coefficient at a time, as ``QPoly.__mul__`` did."""
+    return QPoly(c * s for c in p.coeffs)
+
+
+def homogeneous_image_oracle(p: QPoly, b: int) -> tuple[list[int], int]:
+    """``homogeneous_image`` as it was over ``Fraction`` coefficients: the
+    lcm D of their denominators, then C_(n-j) b^j with c_i = C_i / D."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    hom, bpow = [], 1
+    for c in reversed(p.coeffs):
+        hom.append(c.numerator * (den // c.denominator) * bpow)
+        bpow *= b
+    return hom, den * b ** max(p.degree, 0)
 
 
 def sample_oracle(p: QPoly, xmin, xmax, steps: int) -> list[tuple[F, F]]:
@@ -178,6 +201,7 @@ class TestLincomb:
         ps = [p for _, p in terms]
         got = lincomb(ws, ps)
         assert all(type(c) is F for c in got.coeffs)
+        assert_canonical(got)
         assert got == lincomb_oracle(ws, ps)
 
     def test_empty_and_zero_weights(self):
@@ -195,6 +219,78 @@ class TestLincomb:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
             lincomb([1, 2], [QPoly([1])])
+
+
+class TestCanonicalForm:
+    """``QPoly`` as integers over one denominator: every route gives the
+    canonical form, and equal polynomials are ``==`` and hash alike."""
+
+    @given(coeffs=st.lists(coefficients, max_size=14))
+    def test_constructor(self, coeffs):
+        p = QPoly(coeffs)
+        assert_canonical(p)
+        stripped = [F(c) for c in coeffs]
+        while stripped and stripped[-1] == 0:
+            stripped.pop()
+        assert p.coeffs == tuple(stripped)
+        assert all(type(c) is F for c in p.coeffs)
+        assert QPoly(p.coeffs) == p
+
+    @given(
+        nums=st.lists(st.integers(-10**30, 10**30) | st.just(0), max_size=10),
+        den=st.integers(1, 10**20),
+        factor=st.integers(1, 10**6),
+    )
+    def test_from_ints(self, nums, den, factor):
+        p = QPoly.from_ints(list(nums), den)
+        assert_canonical(p)
+        assert p == QPoly(F(n, den) for n in nums)
+        scaled = QPoly.from_ints([n * factor for n in nums], den * factor)
+        assert scaled == p and hash(scaled) == hash(p)
+
+    def test_zero_is_one_form(self, ctx_half):
+        p = QPoly([F(1, 3), 2])
+        zeros = [
+            QPoly(),
+            QPoly([0, F(0)]),
+            QPoly.from_ints([0, 0], 7),
+            lincomb([1, -1], [p, p]),
+            q_derive(QPoly([F(5, 7)]), ctx_half),
+            p * 0,
+            0 * p,
+        ]
+        for z in zeros:
+            assert (z.nums, z.den) == ((), 1)
+            assert z == QPoly.zero() and hash(z) == hash(QPoly.zero())
+
+    def test_known_form(self):
+        p = QPoly([F(1, 6), F(-2, 3), 0, F(5, 4), 0])
+        assert (p.nums, p.den) == ((2, -8, 0, 15), 12)
+        assert p.coeff(1) == F(-2, 3) and p.coeff(4) == 0 and p.coeff(-1) == 0
+
+    @given(p=polys, s=weights)
+    def test_routes_agree_and_hash_alike(self, p, s):
+        routes = [
+            p * s,
+            s * p,
+            lincomb([s], [p]),
+            lincomb([s, 1, -1], [p, p, p]),
+            scalar_mul_oracle(p, s),
+            QPoly.from_ints([F(s).numerator * n for n in p.nums], p.den * F(s).denominator),
+        ]
+        for r in routes:
+            assert_canonical(r)
+            assert r == routes[0] and hash(r) == hash(routes[0])
+
+    @given(p=polys, s=weights)
+    def test_scalar_mul_matches_oracle(self, p, s):
+        got = p * s
+        assert_canonical(got)
+        assert got == scalar_mul_oracle(p, s)
+
+    @given(p=polys, b=st.integers(1, 10**6))
+    def test_homogeneous_image_matches_oracle(self, p, b):
+        assert homogeneous_image(p, b) == homogeneous_image_oracle(p, b)
 
 
 class TestIntegerHorner:
@@ -248,6 +344,15 @@ class TestIntegerHorner:
 class TestQDerive:
     def test_constant(self, ctx_half):
         assert q_derive(QPoly([5]), ctx_half).is_zero
+        assert q_derive(QPoly.zero(), ctx_half).is_zero
+
+    @given(q=q_values(), p=polys)
+    def test_matches_oracle(self, q, p):
+        ctx = QContext(q)
+        got = q_derive(p, ctx)
+        assert_canonical(got)
+        assert got == q_derive_oracle(p, ctx)
+        assert hash(got) == hash(q_derive_oracle(p, ctx))
 
     def test_square(self, ctx_half):
         assert q_derive(QPoly.monomial(2), ctx_half) == QPoly([0, F(3, 2)])

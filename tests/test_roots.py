@@ -3,6 +3,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qappell import (
     QContext,
@@ -65,6 +67,50 @@ def b2(ctx_half):
     return pair_family(B, B, ctx_half, 4)
 
 
+wide_fractions = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.just(0),
+    st.fractions(min_value=-(10**20), max_value=10**20, max_denominator=10**40),
+)
+
+
+def float_bits(xs) -> list[str]:
+    """Exact images of floats, so that 0.0 and -0.0 differ."""
+    return [x.hex() for x in xs]
+
+
+def to_float_oracle(p: QPoly) -> list[float]:
+    """The monic image through ``Fraction`` coefficients, as ``to_float``
+    formed it before reading the integers."""
+    lead = p.coeffs[-1]
+    return [float(c / lead) for c in p.coeffs]
+
+
+def exact_value_oracle(p: QPoly, z: complex) -> complex:
+    """p(z)/lead(p) by Horner over Q(i), rounded once."""
+    x, y = F(z.real), F(z.imag)
+    re = im = F(0)
+    for c in reversed(p.coeffs):
+        re, im = re * x - im * y + c, re * y + im * x
+    lead = p.coeffs[-1]
+    try:
+        return complex(float(re / lead), float(im / lead))
+    except OverflowError:
+        return complex(math.inf)
+
+
+def vieta_oracle(p: QPoly, found) -> tuple[float, float]:
+    """``vieta_residuals`` through ``Fraction`` coefficients."""
+    n, lead = p.degree, p.coeffs[-1]
+    target_sum = float(-p.coeff(n - 1) / lead)
+    target_prod = float((-1) ** n * p.coeff(0) / lead)
+    got_sum, got_prod = 0.0, 1.0
+    for w in found:
+        got_sum += w
+        got_prod *= w
+    return abs(got_sum - target_sum), abs(got_prod - target_prod)
+
+
 class TestToFloat:
     def test_linear(self):
         assert to_float(QPoly([F(-4, 3), 1])) == [-4 / 3, 1.0]
@@ -78,6 +124,52 @@ class TestToFloat:
 
     def test_normalizes_leading(self):
         assert to_float(QPoly([1, 2])) == [0.5, 1.0]
+
+    @given(coeffs=st.lists(wide_fractions, min_size=1, max_size=12))
+    def test_bit_identical_to_the_fraction_route(self, coeffs):
+        p = QPoly(coeffs)
+        if not p.is_zero:
+            assert float_bits(to_float(p)) == float_bits(to_float_oracle(p))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [F(1, 10**400), 1],  # underflows to 0.0
+            [F(1, 2**1074), 1],  # the smallest subnormal
+            [F(3, 2**1076), -1],  # a subnormal rounded, under a negative lead
+            [0, 5, 0, -7],  # zeros under a negative lead stay +0.0
+            [2**53 + 1, 1],  # half-way between two doubles: rounds to even
+            [10**308, F(1, 10)],  # overflows
+            [2**1024 - 2**970, 1],  # rounds up to 2^1024, so overflows
+            [10**400, 1],
+        ],
+    )
+    def test_extreme_ratios_match_the_fraction_route(self, coeffs):
+        p = QPoly(coeffs)
+        try:
+            want = float_bits(to_float_oracle(p))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                to_float(p)
+            with pytest.raises(RootFindingError, match="outside double range"):
+                find_roots(p)
+        else:
+            assert float_bits(to_float(p)) == want
+
+    @given(
+        coeffs=st.lists(wide_fractions, min_size=2, max_size=10),
+        x=st.floats(-4, 4),
+        y=st.floats(-4, 4),
+    )
+    def test_exact_value_and_vieta_match_the_fraction_route(self, coeffs, x, y):
+        p = QPoly(coeffs)
+        if p.degree < 1:
+            return
+        z = complex(x, y)
+        assert _exact_value(p, z) == exact_value_oracle(p, z)
+        roots_ = (z, z.conjugate(), complex(x))[: p.degree]
+        got = vieta_residuals(p, roots_)
+        assert float_bits(got) == float_bits(vieta_oracle(p, roots_))
 
 
 class TestFindRoots:
