@@ -8,7 +8,10 @@ normalization A_0 = 1 for the built-ins); the degree-n member is
 so P_n(0) = A_n and D_q P_n = [n]_q P_{n-1} holds for any number
 sequence.  The companion beta sequence is the reciprocal of the numbers
 under the q-binomial convolution; it drives the determinant construction
-and the inversion identities.
+and the inversion identities.  A family is held by its beta, and its
+numbers are one reciprocal of it, computed on first read.  The 2-iterated
+and mixed families come from A_I(t) A_II(t), so their beta is the small
+convolution beta^I * beta^II and their numbers are its reciprocal.
 
 Built-ins
 ---------
@@ -34,7 +37,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .qcore import QContext, QPoly, lincomb, lincomb_ints
-from .series import ESeq, NonInvertibleError, convolve, reciprocal
+from .series import ESeq, convolve, reciprocal
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -96,21 +99,31 @@ class FamilySpec(NamedTuple):
 
 
 class AppellFamily:
-    """A resolved family: context, order, numbers, beta and a label."""
+    """A resolved family: context, order, beta, a label and its numbers.
 
-    __slots__ = ("ctx", "order", "numbers", "beta", "label", "_polys")
+    The numbers are reciprocal(beta), computed on first read and kept,
+    unless the family was built from given numbers.
+    """
 
-    def __init__(self, ctx: QContext, numbers: ESeq, beta: ESeq, label: str):
-        if numbers.ctx.q != ctx.q or beta.ctx.q != ctx.q:
+    __slots__ = ("ctx", "order", "beta", "label", "_numbers", "_polys")
+
+    def __init__(self, ctx: QContext, beta: ESeq, label: str, numbers: Optional[ESeq] = None):
+        if beta.ctx.q != ctx.q or (numbers is not None and numbers.ctx.q != ctx.q):
             raise FamilyError("numbers/beta context does not match the family context")
-        if numbers.order != beta.order:
+        if numbers is not None and numbers.order != beta.order:
             raise FamilyError("numbers and beta must share one truncation order")
         self.ctx = ctx
-        self.order = numbers.order
-        self.numbers = numbers
+        self.order = beta.order
         self.beta = beta
         self.label = label
+        self._numbers = numbers
         self._polys: dict[int, QPoly] = {}
+
+    @property
+    def numbers(self) -> ESeq:
+        if self._numbers is None:
+            self._numbers = reciprocal(self.beta)
+        return self._numbers
 
     def __repr__(self) -> str:
         return f"AppellFamily({self.label}, q={self.ctx.q}, order={self.order})"
@@ -131,9 +144,10 @@ class AppellFamily:
         self._check_degree(n)
         got = self._polys.get(n)
         if got is None:
+            numbers = self.numbers
             coeffs = [Fraction(0)] * (n + 1)
             for k in range(n + 1):
-                coeffs[n - k] = self.ctx.q_binomial(n, k) * self.numbers[k]
+                coeffs[n - k] = self.ctx.q_binomial(n, k) * numbers[k]
             got = QPoly(coeffs)
             self._polys[n] = got
         return got
@@ -142,12 +156,12 @@ class AppellFamily:
         return [self.poly(n) for n in range(upto + 1)]
 
     def truncated(self, order: int) -> "AppellFamily":
-        """The same family at a lower order; numbers and beta are prefix-stable."""
+        """The same family at a lower order; numbers and beta are prefix-stable,
+        so numbers already read are cut rather than recomputed."""
         if order == self.order:
             return self
-        return AppellFamily(
-            self.ctx, self.numbers.truncated(order), self.beta.truncated(order), self.label
-        )
+        known = None if self._numbers is None else self._numbers.truncated(order)
+        return AppellFamily(self.ctx, self.beta.truncated(order), self.label, known)
 
 
 def _beta_bernoulli(ctx: QContext, order: int) -> ESeq:
@@ -205,11 +219,10 @@ def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> Appe
         raise FamilyError(f"order must be >= 0, got {order}")
     if spec.kind == "builtin":
         if spec.name in _BETA_BUILDERS:
-            beta = _BETA_BUILDERS[spec.name](ctx, order)
-            return AppellFamily(ctx, reciprocal(beta), beta, spec.name)
+            return AppellFamily(ctx, _BETA_BUILDERS[spec.name](ctx, order), spec.name)
         if spec.name == "genocchi-table":
             numbers = genocchi_table_numbers(ctx, order)
-            return AppellFamily(ctx, numbers, reciprocal(numbers), spec.name)
+            return AppellFamily(ctx, reciprocal(numbers), spec.name, numbers)
         raise FamilyError(f"unknown builtin {spec.name!r}")
 
     seq = spec.seq
@@ -222,31 +235,24 @@ def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> Appe
             f"custom sequence has order {seq.order}, cannot resolve order {order}"
         )
     seq = seq.truncated(order)
+    if spec.kind not in ("numbers", "beta"):
+        raise FamilyError(f"unknown spec kind {spec.kind!r}")
+    # checked here, as a beta's numbers are computed only when first read
+    if seq[0] == 0:
+        raise FamilyError(f"the {spec.kind} sequence is not invertible: its first term is zero")
     if spec.kind == "numbers":
-        try:
-            return AppellFamily(ctx, seq, reciprocal(seq), spec.label)
-        except NonInvertibleError as exc:
-            raise FamilyError(f"number sequence is not invertible: {exc}") from exc
-    if spec.kind == "beta":
-        try:
-            return AppellFamily(ctx, reciprocal(seq), seq, spec.label)
-        except NonInvertibleError as exc:
-            raise FamilyError(f"beta sequence is not invertible: {exc}") from exc
-    raise FamilyError(f"unknown spec kind {spec.kind!r}")
+        return AppellFamily(ctx, reciprocal(seq), spec.label, seq)
+    return AppellFamily(ctx, seq, spec.label)
 
 
 def product_family(a: AppellFamily, b: AppellFamily) -> AppellFamily:
     """The family generated by the product of two determining functions.
 
-    Its numbers are the convolution of the factors' numbers, and its beta
-    is the convolution of the factors' betas (reciprocals multiply).
+    Reciprocals multiply, so its beta is the convolution of the factors'
+    betas, and its numbers are one reciprocal of that, read on demand; the
+    factors' numbers are never read.
     """
-    return AppellFamily(
-        a.ctx,
-        convolve(a.numbers, b.numbers),
-        convolve(a.beta, b.beta),
-        f"{a.label}*{b.label}",
-    )
+    return AppellFamily(a.ctx, convolve(a.beta, b.beta), f"{a.label}*{b.label}")
 
 
 def pair_family(
@@ -265,9 +271,9 @@ def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
     """
     fam_i._check_degree(n)
     fam_ii._check_degree(n)
-    ctx = fam_i.ctx
+    ctx, numbers = fam_i.ctx, fam_i.numbers
     return lincomb(
-        [ctx.q_binomial(n, k) * fam_i.numbers[k] for k in range(n + 1)],
+        [ctx.q_binomial(n, k) * numbers[k] for k in range(n + 1)],
         [fam_ii.poly(n - k) for k in range(n + 1)],
     )
 

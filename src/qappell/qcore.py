@@ -225,15 +225,17 @@ def homogeneous_image(p: QPoly, b: int) -> tuple[list[int], int]:
 
 
 def dot(xs: Iterable[RatLike], ys: Iterable[RatLike]) -> Fraction:
-    """sum x_k y_k, normalised once: numerator products over a running lcm."""
+    """sum x_k y_k, normalised once: numerator products over a running lcm.
+    One divmod per term gives both the divisibility test and the cofactor."""
     num, den = 0, 1
     for x, y in zip(xs, ys):
         n = x.numerator * y.numerator
         if not n:
             continue
         d = x.denominator * y.denominator
-        if not den % d:
-            num += n * (den // d)
+        m, r = divmod(den, d)
+        if not r:
+            num += n * m
         else:
             g = gcd(den, d)
             d //= g

@@ -18,6 +18,7 @@ from qappell import (
     umbral_compose,
     unit,
 )
+from qappell import families
 from qappell.determinant import weight_table
 from qappell.families import FamilyError, FamilySpec, GENOCCHI_TABLE_MAX_ORDER
 from qappell.qcore import lincomb
@@ -30,6 +31,7 @@ from conftest import (
     q_values,
     small_fractions,
 )
+from test_series import mixed, same_order, seqs
 
 B = FamilySpec.builtin("bernoulli")
 E = FamilySpec.builtin("euler")
@@ -83,6 +85,11 @@ class TestResolve:
         seq = ESeq(ctx_half, [F(0), F(1)])
         with pytest.raises(FamilyError, match="not invertible"):
             resolve(FamilySpec.from_beta(seq), ctx_half, 1)
+
+    def test_custom_numbers_require_invertible(self, ctx_half):
+        seq = ESeq(ctx_half, [F(0), F(1), F(3)])
+        with pytest.raises(FamilyError, match="not invertible"):
+            resolve(FamilySpec.from_numbers(seq), ctx_half, 2)
 
     def test_default_order(self, ctx_half):
         assert resolve(B, ctx_half).order == 12
@@ -143,6 +150,113 @@ class TestAppellPoly:
         assert low.numbers == resolve(B, ctx_half, 3).numbers
         assert low.beta == resolve(B, ctx_half, 3).beta
         assert low.polys(3) == fam.polys(3)
+
+    @pytest.mark.parametrize("spec", [B, E, GD, GT])
+    def test_truncated_before_and_after_reading_numbers(self, ctx_half, spec):
+        makers = (lambda: resolve(spec, ctx_half, 4), lambda: pair_family(spec, B, ctx_half, 4))
+        for make in makers:
+            early = make().truncated(2)  # cut before any numbers are read
+            fam = make()
+            numbers = fam.numbers
+            late = fam.truncated(2)  # cut after
+            assert early.numbers == late.numbers == numbers.truncated(2)
+            assert early.beta == late.beta == fam.beta.truncated(2)
+
+
+def _counting_reciprocal(monkeypatch):
+    """Count the calls the families module makes to ``reciprocal``."""
+    calls = []
+    inner = families.reciprocal
+
+    def counted(a):
+        calls.append(a.order)
+        return inner(a)
+
+    monkeypatch.setattr(families, "reciprocal", counted)
+    return calls
+
+
+class TestNumbersOnDemand:
+    """A family is held by its beta; its numbers are one reciprocal, run on
+    the first read of ``numbers`` and kept."""
+
+    @pytest.mark.parametrize("spec", [B, E, GD])
+    def test_builtin_by_beta_inverts_on_first_read(self, monkeypatch, ctx_half, spec):
+        calls = _counting_reciprocal(monkeypatch)
+        fam = resolve(spec, ctx_half, 6)
+        assert calls == []
+        first = fam.numbers
+        assert fam.numbers is first and fam.number(6) == first[6]
+        assert calls == [6]
+
+    def test_pair_of_builtins_inverts_once(self, monkeypatch, ctx_half):
+        calls = _counting_reciprocal(monkeypatch)
+        pair = pair_family(B, E, ctx_half, 8)
+        assert calls == []
+        assert pair.number(8) == pair.poly(8)(0)
+        assert calls == [8]
+
+    def test_truncated_cuts_numbers_already_read(self, monkeypatch, ctx_half):
+        calls = _counting_reciprocal(monkeypatch)
+        fam = resolve(B, ctx_half, 6)
+        early = fam.truncated(3)
+        assert calls == []
+        assert early.numbers.order == 3 and fam.numbers.order == 6
+        assert calls == [3, 6]
+        assert fam.truncated(2).numbers == early.numbers.truncated(2)
+        assert calls == [3, 6]
+
+    def test_given_numbers_are_kept(self, monkeypatch, ctx_half):
+        seq = ESeq(ctx_half, [F(2), F(1, 3), F(-1, 5)])
+        fam = resolve(FamilySpec.from_numbers(seq), ctx_half, 2)
+        table = resolve(GT, ctx_half, 4)
+        calls = _counting_reciprocal(monkeypatch)
+        assert fam.numbers is fam.numbers and fam.numbers == seq
+        assert table.numbers == families.genocchi_table_numbers(ctx_half, 4)
+        assert calls == []
+
+    def test_custom_beta_inverts_on_first_read(self, monkeypatch, ctx_half):
+        calls = _counting_reciprocal(monkeypatch)
+        fam = resolve(FamilySpec.from_beta(ESeq(ctx_half, [F(3), F(1, 2)])), ctx_half, 1)
+        assert calls == []
+        assert fam.numbers.coeffs == (F(1, 3), F(-1, 18))
+        assert calls == [1]
+
+
+def _product_numbers_oracle(a, b):
+    """The product family's numbers as they were formed before the beta
+    route: the convolution of the factors' numbers."""
+    return convolve(a.numbers, b.numbers)
+
+
+class TestProductFamily:
+    @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10"])
+    @pytest.mark.parametrize("sa", [B, E, GD, GT])
+    @pytest.mark.parametrize("sb", [B, E, GD, GT])
+    def test_numbers_match_the_convolution_oracle(self, qs, sa, sb):
+        ctx = QContext(qs)
+        order = 4 if GT in (sa, sb) else 16
+        fa, fb = resolve(sa, ctx, order), resolve(sb, ctx, order)
+        pair = product_family(fa, fb)
+        assert pair.order == order and pair.label == f"{fa.label}*{fb.label}"
+        assert pair.beta == convolve(fa.beta, fb.beta)
+        assert pair.numbers == _product_numbers_oracle(fa, fb)
+        assert pair_family(sa, sb, ctx, order).numbers == pair.numbers
+
+    @given(
+        a=seqs(invertible=True, coefficients=mixed),
+        b=seqs(invertible=True, coefficients=mixed),
+        kinds=st.tuples(*[st.sampled_from(["numbers", "beta"])] * 2),
+    )
+    def test_custom_specs_match_the_convolution_oracle(self, a, b, kinds):
+        b = same_order(a, b)
+        fa, fb = (
+            resolve(FamilySpec(kind, seq=seq), a.ctx, a.order)
+            for kind, seq in zip(kinds, (a, b))
+        )
+        pair = product_family(fa, fb)
+        assert pair.numbers == _product_numbers_oracle(fa, fb)
+        assert convolve(pair.numbers, pair.beta) == unit(a.ctx, a.order)
 
 
 class TestIterate2:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qappell import QContext, QPoly, parse_q, parse_rat, q_derive
-from qappell.qcore import homogeneous_image, lincomb
+from qappell.qcore import dot, homogeneous_image, lincomb
 from qappell.roots import sample
 
 from conftest import assert_canonical, lincomb_oracle, q_values, small_fractions
@@ -190,6 +190,46 @@ class TestQPoly:
         p = QPoly([1])
         with pytest.raises(AttributeError):
             p.coeffs = ()
+
+
+def dot_oracle(xs, ys) -> F:
+    """A plain ``Fraction`` sum of the products."""
+    return sum((F(x) * F(y) for x, y in zip(xs, ys)), F(0))
+
+
+class TestDot:
+    """``dot`` against a plain sum, on both branches of its running
+    denominator: a term whose denominator divides it, and a gcd step."""
+
+    @given(pairs=st.lists(st.tuples(
+        st.one_of(small_fractions(), st.integers(-9, 9), st.just(F(0))),
+        st.fractions(min_value=-3, max_value=3, max_denominator=10**6),
+    ), max_size=12))
+    def test_matches_oracle(self, pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        got = dot(xs, ys)
+        assert type(got) is F and got == dot_oracle(xs, ys)
+
+    def test_empty_is_zero(self):
+        assert dot([], []) == 0 and type(dot([], [])) is F
+
+    def test_divisible_denominators(self):
+        # 12 is reached first; 4, 6 and 3 then divide it
+        xs = [F(5, 12), F(-1, 4), F(7, 6), F(-2, 3), 2]
+        ys = [1, F(3, 1), -1, F(1, 1), F(-1, 1)]
+        assert dot(xs, ys) == dot_oracle(xs, ys) == F(5, 12) - F(3, 4) - F(7, 6) - F(2, 3) - 2
+
+    def test_gcd_branch_denominators_not_nested(self):
+        xs = [F(1, 4), F(-1, 6), F(3, 10), F(-5, 21)]
+        ys = [F(1, 3), F(5, 7), -1, F(2, 11)]
+        assert dot(xs, ys) == dot_oracle(xs, ys)
+
+    def test_zero_terms_are_skipped(self):
+        # a zero product leaves the running denominator alone
+        xs = [F(0), F(1, 6), 0, F(-1, 4)]
+        ys = [F(1, 10**30 + 7), F(-1, 5), F(1, 9), 0]
+        assert dot(xs, ys) == F(-1, 30)
+        assert dot([F(0), 0], [F(1, 7), F(-3, 5)]) == 0
 
 
 class TestLincomb:
