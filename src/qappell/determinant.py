@@ -14,9 +14,6 @@ with another family's polynomials in row 0 it produces the 2-iterated or
 mixed member.  Only row 0 is polynomial-valued, so the determinant is
 expanded by cofactors along row 0.
 
-No entry of the scalar rows depends on row 0 or on n, so the scalar block
-of degree n is the leading n x (n+1) block of that of any degree N >= n.
-
 The scalar rows have beta_0 at (i, i-1) and zeros below it.  Deleting
 column j therefore leaves a block-triangular minor,
 
@@ -31,7 +28,11 @@ determinant),
     D_n = 1,
     D_j = sum_{k=0}^{n-j-1} (-beta_0)^k * S[j+1][j+1+k] * D_{j+k+1},
 
-so all n+1 cofactors cost O(n^2) exact operations.  The member is
+so all n+1 cofactors cost O(n^2) exact operations.  No scalar entry
+depends on row 0 or on n (the scalar block of degree n is the leading block
+of that of any degree N >= n), so each row is scaled once per beta, to
+R_j[k] = (-beta_0)^k * S[j+1][j+1+k], and each D_j is one ``dot`` of a row
+with D.  The member is
 sum_j w_j b_j(x), with w_j = (-1)^(n+j) minor_j / beta_0^(n+1) =
 -D_j / (-beta_0)^(n+1-j): the weights depend on beta and n only, and with
 the monomial basis they are the member's coefficients.
@@ -49,43 +50,40 @@ from .series import ESeq
 __all__ = ["det_weights", "weight_table", "det_appell_poly", "det_pair_poly"]
 
 
-def _scalar_rows(beta: ESeq, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Scalar rows 1..n of the degree-n matrix, each n+1 entries wide."""
+def _scaled_rows(beta: ESeq, n: int) -> list[list[Fraction]]:
+    """Rows R_0..R_(n-1) of the degree-n matrix, scaled as in the module
+    docstring: R_j[k] = (-beta_0)^k C(j+1+k, j)_q beta_(k+1) for k < n - j."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if beta.order < n:
         raise ValueError(f"beta has order {beta.order}, need at least {n}")
     if beta[0] == 0:
         raise ValueError("beta_0 must be nonzero")
-    ctx = beta.ctx
-    return tuple(
-        tuple(
-            ctx.q_binomial(j, i - 1) * beta[j - i + 1] if j >= i - 1 else Fraction(0)
-            for j in range(n + 1)
-        )
-        for i in range(1, n + 1)
-    )
+    powers = [(-beta[0]) ** k for k in range(n)]
+    return [
+        [powers[k] * beta.ctx.q_binomial(j + 1 + k, j) * beta[k + 1] for k in range(n - j)]
+        for j in range(n)
+    ]
 
 
-def _weights(beta0: Fraction, scalars: Sequence[Sequence], n: int) -> list[Fraction]:
-    """Row-0 weights w_0..w_n of degree n, from the leading n x (n+1) block
-    of scalars by the Hessenberg recurrence in the module docstring."""
-    powers = [(-beta0) ** k for k in range(n + 2)]
+def _weights(beta0: Fraction, rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction]:
+    """Row-0 weights w_0..w_n of degree n, from the leading parts of the
+    scaled rows by the Hessenberg recurrence in the module docstring."""
     d = [Fraction(0)] * n + [Fraction(1)]
     for j in range(n - 1, -1, -1):
-        d[j] = dot(powers, [scalars[j][c] * d[c] for c in range(j + 1, n + 1)])
-    return [-d[j] / powers[n + 1 - j] for j in range(n + 1)]
+        d[j] = dot(rows[j][: n - j], d[j + 1 :])
+    return [-c / (-beta0) ** (n + 1 - j) for j, c in enumerate(d)]
 
 
 def det_weights(beta: ESeq, n: int) -> list[Fraction]:
     """The row-0 weights w_0..w_n of the degree-n determinant, for any basis."""
-    return _weights(beta[0], _scalar_rows(beta, n), n)
+    return _weights(beta[0], _scaled_rows(beta, n), n)
 
 
 def weight_table(beta: ESeq, upto: int) -> list[list[Fraction]]:
-    """det_weights(beta, n) for n = 0..upto, all from one scalar block."""
-    scalars = _scalar_rows(beta, upto)
-    return [_weights(beta[0], scalars, n) for n in range(upto + 1)]
+    """det_weights(beta, n) for n = 0..upto, all from one set of scaled rows."""
+    rows = _scaled_rows(beta, upto)
+    return [_weights(beta[0], rows, n) for n in range(upto + 1)]
 
 
 def det_appell_poly(fam: AppellFamily, n: int) -> QPoly:

@@ -144,15 +144,13 @@ class AppellFamily:
         self._check_degree(n)
         got = self._polys.get(n)
         if got is None:
-            numbers = self.numbers
-            coeffs = [Fraction(0)] * (n + 1)
-            for k in range(n + 1):
-                coeffs[n - k] = self.ctx.q_binomial(n, k) * numbers[k]
-            got = QPoly(coeffs)
+            numbers, binomial = self.numbers, self.ctx.q_binomial
+            got = QPoly([binomial(n, n - i) * numbers[n - i] for i in range(n + 1)])
             self._polys[n] = got
         return got
 
     def polys(self, upto: int) -> list[QPoly]:
+        self._check_degree(upto)
         return [self.poly(n) for n in range(upto + 1)]
 
     def truncated(self, order: int) -> "AppellFamily":
@@ -263,19 +261,14 @@ def pair_family(
 
 
 def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
-    """Degree-n member of the 2-iterated family, by the direct double sum
+    """Degree-n member of the 2-iterated family, the double sum
 
-        sum_k C(n,k)_q A^I_k P^II_{n-k}(x),
+        sum_k C(n,k)_q A^I_k P^II_{n-k}(x).
 
-    where the first family contributes numbers and the second polynomials.
+    Its weights are the coefficients of P^I_n, so it is the umbral
+    composition of the first family's polynomials with the second's.
     """
-    fam_i._check_degree(n)
-    fam_ii._check_degree(n)
-    ctx, numbers = fam_i.ctx, fam_i.numbers
-    return lincomb(
-        [ctx.q_binomial(n, k) * numbers[k] for k in range(n + 1)],
-        [fam_ii.poly(n - k) for k in range(n + 1)],
-    )
+    return umbral_compose(fam_i.polys(n), fam_ii.polys(n), n)
 
 
 def umbral_compose(
@@ -285,19 +278,21 @@ def umbral_compose(
 
         (A o B)_n(x) = sum_k a_{n,k} B_k(x),
 
-    where a_{n,k} is the x^k coefficient of A_n(x).
+    where a_{n,k} = N_k/D is the x^k coefficient of A_n(x), so with
+    B_k = M_k/E_k the sum is one ``lincomb_ints`` of the rows M_k.
     """
-    a_n = polys_a[n].coeffs
-    return lincomb(a_n, polys_b[: len(a_n)])
+    a_n = polys_a[n]
+    rows = ((c, a_n.den * b.den, b.nums) for c, b in zip(a_n.nums, polys_b) if c)
+    return QPoly.from_ints(*lincomb_ints(rows))
 
 
 def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:
     """Apply sum_k (c_k/[k]_q!) D_q^k to p; the sum stops at n = deg p.
 
     As D_q^k x^i = ([i]_q!/[i-k]_q!) x^(i-k), coefficient m is (1/[m]_q!) sum_k
-    gamma_k pi_(m+k), gamma_k = c_k/[k]_q!, pi_i = [i]_q! p_i.  With [i]_q! =
-    Phi_i/Psi_i, pi_i = V_i/E for V_i = Phi_i (Psi_n/Psi_i) N_i and E = Psi_n D
-    less their common factor, so the sums are one ``lincomb_ints`` of V_k..V_n.
+    gamma_k pi_(m+k), gamma_k = c_k/[k]_q! = ``coeffs.ordinary[k]``, pi_i = [i]_q! p_i.
+    With [i]_q! = Phi_i/Psi_i, pi_i = V_i/E for V_i = Phi_i (Psi_n/Psi_i) N_i and
+    E = Psi_n D less their common factor, so the sums are one ``lincomb_ints`` of V_k..V_n.
     """
     n = max(p.degree, 0)  # the zero polynomial maps to itself
     if coeffs.order < n:
@@ -309,7 +304,7 @@ def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:
     v = [f * (psi[n] // s) * c for f, s, c in zip(phi, psi, p.nums)]
     h = gcd(psi[n] * p.den, *v)
     v = [c // h for c in v]
-    gammas = (Fraction(c.numerator * s, c.denominator * f) for c, f, s in zip(coeffs, phi, psi))
+    gammas = coeffs.ordinary[: n + 1]
     sums, den = lincomb_ints((g.numerator, g.denominator, v[k:]) for k, g in enumerate(gammas) if g)
     return QPoly.from_ints(
         [psi[m] * (phi[n] // phi[m]) * t for m, t in enumerate(sums)],

@@ -21,9 +21,8 @@ which agrees with the difference quotient (p(qx) - p(x)) / (qx - x).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int]
@@ -65,7 +64,7 @@ class QContext:
     disabled, and the only mutation anywhere in the module is filling them.
     """
 
-    __slots__ = ("q", "_qnum", "_qfact", "_qbin")
+    __slots__ = ("q", "_qnum", "_qfact", "_qbin", "_fints")
 
     def __init__(self, q: Union[Fraction, int, str]):
         if isinstance(q, str):
@@ -77,6 +76,7 @@ class QContext:
         self._qnum: dict[int, Fraction] = {}
         self._qfact: dict[int, Fraction] = {0: Fraction(1)}
         self._qbin: dict[tuple[int, int], Fraction] = {}
+        self._fints: tuple[list[int], list[int]] = ([1], [1])
 
     def __repr__(self) -> str:
         return f"QContext(q={self.q})"
@@ -124,10 +124,14 @@ class QContext:
 
     def factorial_ints(self, n: int) -> tuple[list[int], list[int]]:
         """Integers with [i]_q! = Phi_i / Psi_i, i <= n: for q = a/b,
-        Phi_i = prod_(j<=i) (b^j - a^j) and Psi_i = b^(i(i-1)/2) (b - a)^i."""
+        Phi_i = prod_(j<=i) (b^j - a^j) and Psi_i = b^(i(i-1)/2) (b - a)^i.
+        Both lists are kept and filled upward; a call returns copies."""
         a, b = self.q.numerator, self.q.denominator
-        phi = accumulate((b**j - a**j for j in range(1, n + 1)), mul, initial=1)
-        return list(phi), [b ** (i * (i - 1) // 2) * (b - a) ** i for i in range(n + 1)]
+        phi, psi = self._fints
+        for i in range(len(phi), n + 1):
+            phi.append(phi[-1] * (b**i - a**i))
+            psi.append(psi[-1] * b ** (i - 1) * (b - a))
+        return phi[: n + 1], psi[: n + 1]
 
 
 class QPoly:
@@ -224,9 +228,9 @@ def homogeneous_image(p: QPoly, b: int) -> tuple[list[int], int]:
     return hom, p.den * b ** max(p.degree, 0)
 
 
-def dot(xs: Iterable[RatLike], ys: Iterable[RatLike]) -> Fraction:
-    """sum x_k y_k, normalised once: numerator products over a running lcm.
-    One divmod per term gives both the divisibility test and the cofactor."""
+def dot(xs: Iterable[RatLike], ys: Iterable[RatLike], scale: RatLike = 1) -> Fraction:
+    """scale * sum x_k y_k, normalised once: numerator products over a running
+    lcm.  One divmod per term gives both the divisibility test and the cofactor."""
     num, den = 0, 1
     for x, y in zip(xs, ys):
         n = x.numerator * y.numerator
@@ -241,7 +245,7 @@ def dot(xs: Iterable[RatLike], ys: Iterable[RatLike]) -> Fraction:
             d //= g
             num = num * d + n * (den // g)
             den *= d
-    return Fraction(num, den)
+    return Fraction(scale.numerator * num, scale.denominator * den)
 
 
 def lincomb_ints(terms: Iterable[tuple[int, int, Sequence[int]]]) -> tuple[list[int], int]:

@@ -17,9 +17,9 @@ and beta_k = b_k/[k]_q! (the ordinary power-series coefficients of f),
     (ab)_n = [n]_q! sum_k alpha_k beta_{n-k},
     beta_n = -(1/alpha_0) sum_{k=1}^{n} alpha_k beta_{n-k},
 
-so each input is rescaled by the q-factorials once, and every output
-coefficient is one inner product, ``qcore.dot``, normalised once.  No
-q-binomial is formed in the quadratic loop.
+so each input is rescaled by the q-factorials once (``ESeq.ordinary``), and
+every output coefficient is one inner product, ``qcore.dot``, normalised once
+with its scalar factor.  No q-binomial is formed in the quadratic loop.
 
 ``shift_up`` multiplies by t, which in this convention rescales by
 q-numbers rather than merely shifting indices.
@@ -51,10 +51,11 @@ class NonInvertibleError(ValueError):
 class ESeq:
     """Coefficients c_0..c_N of f(t) = sum c_n t^n/[n]_q!, immutable."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "_ordinary")
 
     def __init__(self, ctx: QContext, coeffs: Iterable[RatLike]):
         object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "_ordinary", None)
         object.__setattr__(self, "coeffs", tuple(
             c if type(c) is Fraction else Fraction(c) for c in coeffs
         ))
@@ -67,6 +68,14 @@ class ESeq:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def ordinary(self) -> tuple[Fraction, ...]:
+        """alpha_k = c_k/[k]_q!, the coefficients of f(t) = sum alpha_k t^k;
+        formed on first read and kept, for readers that come back to it."""
+        if self._ordinary is None:
+            object.__setattr__(self, "_ordinary", _ordinary(self))
+        return self._ordinary
 
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
@@ -109,23 +118,25 @@ def unit(ctx: QContext, order: int) -> ESeq:
     return ESeq(ctx, (1,) + (0,) * order)
 
 
-def _ordinary(a: ESeq) -> list[Fraction]:
-    """alpha_k = a_k/[k]_q!, the coefficients of f(t) = sum alpha_k t^k."""
-    return [c / a.ctx.q_factorial(k) for k, c in enumerate(a.coeffs)]
+def _ordinary(a: ESeq) -> tuple[Fraction, ...]:
+    """``a.ordinary`` without keeping it, for a one-time reader."""
+    fact = a.ctx.q_factorial
+    return a._ordinary or tuple([c / fact(k) for k, c in enumerate(a.coeffs)])
 
 
 def convolve(a: ESeq, b: ESeq) -> ESeq:
     """q-binomial Cauchy product of two sequences of equal q and order."""
     _check_compatible(a, b)
-    alpha, beta = _ordinary(a), _ordinary(b)
+    alpha, beta = a.ordinary, b.ordinary
     return ESeq(a.ctx, [
-        a.ctx.q_factorial(n) * dot(alpha[: n + 1], beta[n::-1])
-        for n in range(a.order + 1)
+        dot(alpha[: n + 1], beta[n::-1], a.ctx.q_factorial(n)) for n in range(a.order + 1)
     ])
 
 
 def reciprocal(a: ESeq) -> ESeq:
-    """The unique b with convolve(a, b) = unit, by the triangular recursion."""
+    """The unique b with convolve(a, b) = unit, by the triangular recursion,
+    each beta_n one ``dot`` scaled by -1/alpha_0.  A family reads its beta
+    here once, so the ordinary form is not kept."""
     if a.coeffs[0] == 0:
         raise NonInvertibleError(
             "leading coefficient is zero; the sequence has no reciprocal"
@@ -134,14 +145,11 @@ def reciprocal(a: ESeq) -> ESeq:
     minus_inv0 = -1 / alpha[0]
     beta = [-minus_inv0]
     for n in range(1, a.order + 1):
-        beta.append(minus_inv0 * dot(alpha[1 : n + 1], beta[n - 1 :: -1]))
+        beta.append(dot(alpha[1 : n + 1], beta[n - 1 :: -1], minus_inv0))
     return ESeq(a.ctx, [a.ctx.q_factorial(n) * c for n, c in enumerate(beta)])
 
 
 def shift_up(a: ESeq) -> ESeq:
     """Multiply by t: r_0 = 0 and r_n = [n]_q a_{n-1}; the top term is lost."""
-    ctx = a.ctx
-    out = [Fraction(0)]
-    for n in range(1, a.order + 1):
-        out.append(ctx.q_number(n) * a.coeffs[n - 1])
-    return ESeq(ctx, out)
+    qn = a.ctx.q_number
+    return ESeq(a.ctx, [Fraction(0)] + [qn(n) * a.coeffs[n - 1] for n in range(1, a.order + 1)])

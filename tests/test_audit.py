@@ -119,15 +119,17 @@ class TestProperties:
                 assert rec.ok, rec.prop_id
 
     @pytest.mark.parametrize(
-        "name, skew, failing",
+        "module, name, skew, failing",
         [
             pytest.param(
+                audit,
                 "weight_table",
                 _bump_weight_row(2),
                 {"ladder-determinant", "cross-method"},
                 id="determinant",
             ),
             pytest.param(
+                audit,
                 "iterate2",
                 _add_one_where(
                     lambda fa, fb, n: (fa.label, fb.label, n) == ("bernoulli", "euler", 2)
@@ -136,12 +138,14 @@ class TestProperties:
                 id="iterate2-one-factor-order",
             ),
             pytest.param(
+                audit,
                 "apply_operator",
                 _add_one_where(lambda coeffs, p: p == QPoly.monomial(2)),
                 {"cross-method"},
                 id="operator-plain",
             ),
             pytest.param(
+                audit,
                 "apply_operator",
                 _add_one_where(
                     lambda coeffs, p: p.degree == 2 and p != QPoly.monomial(2)
@@ -149,7 +153,10 @@ class TestProperties:
                 {"cross-method"},
                 id="operator-pair",
             ),
+            # iterate2 is the umbral composition, so this skews every pair
+            # alike: commutativity still holds and only cross-method fails
             pytest.param(
+                families,
                 "umbral_compose",
                 _add_one_where(lambda pa, pb, n: n == 2),
                 {"cross-method"},
@@ -157,8 +164,8 @@ class TestProperties:
             ),
         ],
     )
-    def test_a_wrong_route_fails_its_checks(self, monkeypatch, name, skew, failing):
-        monkeypatch.setattr(audit, name, skew(getattr(audit, name)))
+    def test_a_wrong_route_fails_its_checks(self, monkeypatch, module, name, skew, failing):
+        monkeypatch.setattr(module, name, skew(getattr(module, name)))
         records = run_properties(QContext("1/2"), order=5)
         assert {rec.prop_id for rec in records if not rec.ok} == failing
 
@@ -244,6 +251,21 @@ class TestProperties:
         assert sorted(built["products"]) == sorted(
             (a, b) for a in families.BUILTIN_NAMES for b in families.BUILTIN_NAMES
         )
+
+    def test_properties_run_one_reciprocal_per_family(self, monkeypatch):
+        calls = []
+        real = families.reciprocal
+
+        def counting(seq):
+            calls.append(seq.order)
+            return real(seq)
+
+        monkeypatch.setattr(families, "reciprocal", counting)
+        run_properties(QContext("1/2"), 8)
+        # one per built-in (genocchi-table's is its beta) and one per ordered
+        # pair; the singles truncated for pairs with genocchi-table cut the
+        # numbers already read rather than run their own
+        assert sorted(calls) == [4] * 8 + [8] * 12
 
     def test_verify_resolves_each_family_once(self, monkeypatch):
         calls = []

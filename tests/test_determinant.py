@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qappell import QContext, QPoly, iterate2, pair_family, resolve
-from qappell.determinant import det_appell_poly, det_pair_poly, det_weights, weight_table
+from qappell.determinant import (
+    _scaled_rows,
+    det_appell_poly,
+    det_pair_poly,
+    det_weights,
+    weight_table,
+)
 from qappell.families import FamilySpec
 from qappell.qcore import lincomb
 from qappell.series import ESeq
@@ -310,6 +316,23 @@ class TestWeightTable:
             assert QPoly(table[n]) == laplace(build_matrix(seq, monomial_basis(n), n)) * scale
             # the same weights serve any row-0 basis
             assert lincomb(table[n], basis[: n + 1]) == laplace(build_matrix(seq, basis, n)) * scale
+
+    @given(q=q_values(), beta=custom_beta())
+    def test_scaled_rows_match_the_matrix(self, q, beta):
+        seq = ESeq(QContext(q), beta)
+        top = len(beta) - 1
+        rows = _scaled_rows(seq, top)
+        scalars = build_matrix(seq, monomial_basis(top), top)[1:]
+        # R_j[k] = (-beta_0)^k S[j+1][j+1+k], formed once for every degree
+        assert rows == [
+            [(-beta[0]) ** k * scalars[j][j + 1 + k] for k in range(top - j)]
+            for j in range(top)
+        ]
+        table = weight_table(seq, top)
+        for n in range(top + 1):
+            cut = seq.truncated(n)
+            assert _scaled_rows(cut, n) == [r[: n - j] for j, r in enumerate(rows[:n])]
+            assert weight_table(cut, n) == table[: n + 1]
 
     def test_preconditions(self, ctx_half):
         beta = ESeq(ctx_half, [0, 1, 1])

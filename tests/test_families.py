@@ -304,6 +304,19 @@ class TestIterate2:
                 for n in range(cap + 1):
                     assert iterate2(fa, fb, n) == iterate2(fb, fa, n)
 
+    @pytest.mark.parametrize("qs", ["1/2", "5/11"])
+    def test_matches_the_direct_double_sum(self, qs):
+        # sum_k C(n,k)_q A^I_k P^II_(n-k), summed one Fraction at a time
+        ctx = QContext(qs)
+        fams = [resolve(spec, ctx, 4 if spec == GT else 8) for spec in (B, E, GD, GT)]
+        for fa in fams:
+            for fb in fams:
+                for n in range(min(fa.order, fb.order) + 1):
+                    weights = [ctx.q_binomial(n, k) * fa.number(k) for k in range(n + 1)]
+                    want = lincomb_oracle(weights, [fb.poly(n - k) for k in range(n + 1)])
+                    assert iterate2(fa, fb, n) == want
+                    assert iterate2(fa.truncated(n), fb.truncated(n), n) == want
+
     def test_degree_beyond_either_order_rejected(self, ctx_half):
         fb, fg = resolve(B, ctx_half, 6), resolve(GT, ctx_half, 4)
         assert iterate2(fb, fg, 4) == iterate2(fg, fb, 4)
@@ -324,6 +337,18 @@ class TestUmbral:
         fb = resolve(B, ctx_half, 4)
         for n in range(5):
             assert umbral_compose(fa.polys(n), fb.polys(n), n) == iterate2(fa, fb, n)
+
+    @given(
+        polys_a=st.lists(st.lists(mixed, max_size=7).map(QPoly), min_size=1, max_size=4),
+        polys_b=st.lists(st.lists(mixed, max_size=7).map(QPoly), min_size=7, max_size=7),
+    )
+    def test_matches_the_fraction_sum(self, polys_a, polys_b):
+        # sum_k a_(n,k) B_k with a_(n,k) read from the Fraction view
+        n = len(polys_a) - 1
+        want = lincomb_oracle(polys_a[n].coeffs, polys_b)
+        got = umbral_compose(polys_a, polys_b, n)
+        assert_canonical(got)
+        assert got == want
 
     def test_composition_commutes(self, ctx_half):
         fa = resolve(B, ctx_half, 8)
@@ -383,6 +408,25 @@ class TestOperator:
         assert_canonical(got)
         assert got == _operator_oracle(seq, poly)
         assert got == _operator_fraction_oracle(seq, poly)
+
+    def test_gammas_are_formed_once_per_sequence(self, monkeypatch):
+        ctx = QContext("5/11")
+        seq = resolve(B, ctx, 12).numbers
+        polys = [QPoly([F(1, k + 2) for k in range(n + 1)]) for n in range(13)]
+        want = [_operator_oracle(seq, p) for p in polys]
+        reads = []
+        real = QContext.q_factorial
+
+        def counting(self, n):
+            reads.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(QContext, "q_factorial", counting)
+        got = [apply_operator(seq, p) for p in polys]
+        monkeypatch.undo()
+        # each gamma c_k/[k]_q!, k = 0..12, formed once for all 13 degrees
+        assert sorted(reads) == list(range(13))
+        assert got == want
 
     @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10"])
     def test_routes_agree_and_hash_alike(self, qs):

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given
@@ -127,6 +127,34 @@ class TestQFactorial:
     def test_recurrence(self, ctx_half):
         for n in range(1, 13):
             assert ctx_half.q_factorial(n) == ctx_half.q_number(n) * ctx_half.q_factorial(n - 1)
+
+    @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10"])
+    def test_factorial_ints_match_the_closed_forms(self, qs):
+        ctx = QContext(qs)
+        a, b = ctx.q.numerator, ctx.q.denominator
+        # filled upward, read below the top, then extended
+        for n in (7, 3, 12, 0):
+            phi, psi = ctx.factorial_ints(n)
+            assert len(phi) == len(psi) == n + 1
+            for i in range(n + 1):
+                assert phi[i] == prod(b**j - a**j for j in range(1, i + 1))
+                assert psi[i] == b ** (i * (i - 1) // 2) * (b - a) ** i
+                assert F(phi[i], psi[i]) == ctx.q_factorial(i)
+
+    def test_factorial_ints_are_formed_once_per_context(self):
+        ctx = QContext("5/11")
+        phi, psi = ctx.factorial_ints(12)
+        again = ctx.factorial_ints(12)
+        # the very integers of the first call, not equal ones formed again
+        assert all(x is y for x, y in zip(phi + psi, again[0] + again[1]))
+        assert all(x is y for x, y in zip(ctx.factorial_ints(5)[0], phi))
+        # a call returns copies, so a caller cannot change the kept lists
+        phi.append(0)
+        psi[3] = 0
+        assert ctx.factorial_ints(12) == again
+        # a second context of the same q keeps its own
+        other = QContext("5/11").factorial_ints(12)
+        assert other == again and other[0][12] is not again[0][12]
 
 
 class TestQBinomial:

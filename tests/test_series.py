@@ -81,6 +81,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             a.truncated(5)
 
+    @given(seqs())
+    def test_ordinary_form_is_kept(self, a):
+        formula = tuple(c / a.ctx.q_factorial(k) for k, c in enumerate(a.coeffs))
+        unread = a.truncated(a.order // 2)
+        assert a.ordinary == formula and a.ordinary is a.ordinary
+        # a truncated copy, cut before or after the first read, keeps its own
+        for order in range(a.order + 1):
+            cut = a.truncated(order)
+            assert cut.ordinary == formula[: order + 1] and cut.ordinary is cut.ordinary
+        assert unread.ordinary == formula[: unread.order + 1]
+
     def test_empty_rejected(self, ctx_half):
         with pytest.raises(ValueError):
             ESeq(ctx_half, [])
