@@ -12,11 +12,12 @@ Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
 * update: z_i -= r/(1 - r sum_(j != i) 1/(z_i - z_j)) with r = p(z_i)/p'(z_i),
   applied in place (Gauss-Seidel style); it converges cubically to simple
   zeros, so no Newton polish follows;
-* stop: when the largest update falls below ``tol``, or when in one sweep
-  every |p(z_i)| is within Horner's rounding error bound
+* stop: per iterate, as in MPSolve (Bini 1996; Bini & Robol 2014).  z_i
+  is frozen once its update falls below ``tol``, or once its update has
+  stopped shrinking while |p(z_i)| is within Horner's rounding error bound
   2n u sum |a_k||z_i|^k (u = 2^-53; Higham, *Accuracy and Stability of
-  Numerical Algorithms*, ch. 5) and the largest update has stopped
-  shrinking.  All iterates stop together, so a cluster stays symmetric;
+  Numerical Algorithms*, ch. 5).  Each sweep updates only the iterates
+  still moving, but their Aberth sums run over all n, the frozen included;
 * isolation: each zero gets the Weierstrass inclusion disc of radius
   n |p(z_i) / prod_(j != i) (z_i - z_j)| (Braess & Hadeler 1973; Neumaier
   2003).  Float discs, from |fl p(z_i)| plus Horner's bound for complex
@@ -217,12 +218,11 @@ def find_roots(
         )
     tail = coeffs[-2::-1]
     abs_coeffs = [abs(c) for c in coeffs]
-    values: list[complex] = [0j] * n
-    moduli = [0.0] * n
-    last_update = max_update = math.inf
+    live = list(range(n))
+    updates = [math.inf] * n
     for sweeps in range(1, max_sweeps + 1):
-        max_update = 0.0
-        for i in range(n):
+        moving = []
+        for i in live:
             zi = z[i]
             value, deriv = _monic_horner(tail, zi)
             try:
@@ -232,26 +232,25 @@ def find_roots(
                     f"zero divisor in the Aberth update at sweep {sweeps - 1}"
                 ) from None
             z[i] = zi - delta
-            if not cmath.isfinite(z[i]):  # a NaN delta never exceeds max_update
+            if not cmath.isfinite(z[i]):  # a NaN update would compare as settled
                 raise failure(
                     f"iterates overflowed in double precision at sweep {sweeps - 1}"
                 )
-            values[i] = value
-            moduli[i] = abs(zi)
-            max_update = max(max_update, abs(delta))
-        if max_update < tol:
+            update = abs(delta)
+            # Horner's rounding error bound 2n u sum |a_k||z|^k (Higham, ch. 5)
+            if update >= tol and not (
+                update >= updates[i]
+                and abs(value) <= 2 * n * _UNIT_ROUNDOFF * _horner(abs_coeffs, abs(zi))
+            ):
+                moving.append(i)
+            updates[i] = update
+        live = moving
+        if not live:
             break
-        # Horner's rounding error bound 2n u sum |a_k||z|^k (Higham, ch. 5)
-        if max_update >= last_update and all(
-            abs(v) <= 2 * n * _UNIT_ROUNDOFF * _horner(abs_coeffs, m)
-            for v, m in zip(values, moduli)
-        ):
-            break
-        last_update = max_update
     else:
         raise failure(
-            f"no convergence after {max_sweeps} sweeps "
-            f"(last max update {max_update:.3e})"
+            f"no convergence after {max_sweeps} sweeps ({len(live)} of {n} iterates "
+            f"still moving, last max update {max(updates[i] for i in live):.3e})"
         )
 
     cluster, radii = _settle_clusters(p, z, coeffs)

@@ -23,12 +23,12 @@ from qappell.roots import sample
 
 GOLDEN = {
     (F(1, 2), 8): (
-        "289836f88aa8a3e49c6c6c86c5173d9ed797bebd03915b3a5fbc54e492316373",
-        "83b0d64a4bcee571affadb2d5ba0a879d9ad135bf6aba6e67a7030de82f0ea3b",
+        "e881d206f0db93110cb613788fc5623f41eb664ba4f3e8c6b1542fedb3917197",
+        "2312d24d7453da4cde0b8243db2e3c47df5370aaf8e57cf1e903e36c902c107d",
     ),
     (F(1, 2), 12): (
-        "496901a83a76afc3279dba76c3dc1141cc4905b783496e807dc81cc512cf6dd9",
-        "9ecf5b5e8c56382a503755683666495ada25e33197ebb1a8c0556754b60bbb72",
+        "a16e3428bfaf8e75c23ccce90f7c2eea2adcac36b82fb65d4692ac86ec3e9c0d",
+        "3b75781f65ff1aeb9db38c8bc18bb9c1fd9dfdbc0a85954c5656d2cc2dc46285",
     ),
     (F(1, 3), 8): (
         "7bce3119c3b5de91be21d238b7c57b04f5d3c643e0cde9d991aaecc598dc1477",
@@ -50,7 +50,7 @@ CLI_GOLDEN = {
     "poly --family genocchi-det --q 2/5 -n 9 --method all --format json":
         "68b9ac5961a14a2b0376cbf1d00a1f57350d006ec1ad0572b12082e57769b299",
     "roots --iterate bernoulli,bernoulli --q 1/2 -n 6 --method all":
-        "79d773edb1ae0c66775fe489b631da1653ec4a16b8cee4ef9ae7f41725e685f2",
+        "0b3510192d5f384abe0f3e9ff4bdf334bae3c8b69933400bbd0513059834928c",
     "sample --iterate bernoulli,euler --q 1/2 --degrees 1,3,5 --xmin -2 --xmax 2 --steps 9":
         "3cd7921fd86fb47af5a8ea0e29490e5171a713a675b7153e1c407e35f81d2005",
 }

@@ -217,7 +217,10 @@ class TestFindRoots:
         assert a.residuals == b.residuals
 
     def test_non_convergence_reports_best(self, b2):
-        with pytest.raises(RootFindingError) as info:
+        with pytest.raises(RootFindingError, match=(
+            r"^no convergence after 2 sweeps \(4 of 4 iterates still moving, "
+            r"last max update \d\.\d{3}e[+-]\d\d\)$"
+        )) as info:
             find_roots(b2.poly(4), max_sweeps=2)
         assert len(info.value.best) == 4
         assert len(info.value.residuals) == 4
@@ -260,6 +263,24 @@ class TestFindRoots:
         p = pair_family(B, B, QContext(q), n).poly(n)
         rs = find_roots(p)
         assert sum(rs.counts()) == len(rs.roots) == n
+        assert all(v < 1e-9 for v in relative_vieta(p, rs.roots))
+
+    def test_settled_iterates_leave_the_sweep(self, monkeypatch):
+        # bernoulli x bernoulli at q = 1/2, n = 40: a loop that updates all n
+        # iterates until the last settles makes rs.sweeps * n Horner passes,
+        # plus one per exact cluster step
+        calls = []
+        horner = roots._monic_horner
+
+        def counted(tail, z):
+            calls.append(z)
+            return horner(tail, z)
+
+        monkeypatch.setattr(roots, "_monic_horner", counted)
+        p = pair_family(B, B, QContext(F(1, 2)), 40).poly(40)
+        rs = find_roots(p)
+        assert len(calls) < rs.sweeps * 40
+        assert sum(rs.counts()) == 40
         assert all(v < 1e-9 for v in relative_vieta(p, rs.roots))
 
     def test_multiple_zero_refuses(self):
@@ -410,6 +431,24 @@ class TestExactClusterCheck:
             assert abs(got - nearest) < 1e-8 * max(1.0, abs(nearest)), (got, nearest)
         near_one = sorted(r for r in rs.real_roots if abs(r - 1) < 1e-6)
         assert near_one[1] - near_one[0] == pytest.approx(4.14e-8, rel=1e-2)
+
+
+    def test_close_real_pair_accepted(self):
+        # bernoulli x bernoulli at q = 4/11, n = 27 has two real zeros about
+        # 3.1e-9 apart at 1 (mpmath.polyroots at 80 digits: 3.1065e-9); an
+        # iterate frozen too early left their float discs overlapping
+        sympy = pytest.importorskip("sympy")
+        p = pair_family(B, B, QContext(F(4, 11)), 27).poly(27)
+        rs = find_roots(p)
+        # exact isolating intervals of the simple real zeros; count_roots
+        # gives the same 3, but its Sturm sequence takes about a minute here
+        isolated = sympy.Poly(p.nums[::-1], sympy.Symbol("x")).intervals()
+        assert [m for _, m in isolated] == [1, 1, 1]
+        assert len(rs.real_roots) == len(isolated) == 3
+        for r, ((lo, hi), _) in zip(rs.real_roots, isolated):
+            assert lo <= r <= hi
+        near_one = [r for r in rs.real_roots if abs(r - 1) < 1e-6]
+        assert near_one[1] - near_one[0] == pytest.approx(3.1065e-9, rel=1e-2)
 
 
 class TestDiscClassification:
