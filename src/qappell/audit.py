@@ -26,9 +26,9 @@ not, they are its point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from fractions import Fraction
-from importlib import resources
+from typing import NamedTuple
 
 from .determinant import det_pair_poly, weight_table
 from .families import (
@@ -67,12 +67,9 @@ _PLAIN_FAMILIES = {"bernoulli": "bernoulli", "euler": "euler", "genocchi": "geno
 
 def load_fixture() -> dict:
     """The bundled printed-table transcription."""
-    text = (
-        resources.files("qappell")
-        .joinpath("data/printed_tables.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "printed_tables.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +167,7 @@ def printed_family_poly(ctx: QContext, family: str, n: int) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     subject: str
     printed: str
@@ -192,8 +188,7 @@ class CheckRecord:
         return out
 
 
-@dataclass
-class PropertyRecord:
+class PropertyRecord(NamedTuple):
     prop_id: str
     ok: bool
     detail: str
@@ -202,14 +197,14 @@ class PropertyRecord:
         return {"id": self.prop_id, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass
 class VerifyReport:
-    q: Fraction
-    order: int
-    properties: list[PropertyRecord] = field(default_factory=list)
-    checks: list[CheckRecord] = field(default_factory=list)
-    exhibits: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+    def __init__(self, q: Fraction, order: int):
+        self.q = q
+        self.order = order
+        self.properties: list[PropertyRecord] = []
+        self.checks: list[CheckRecord] = []
+        self.exhibits: list[str] = []
+        self.skipped: list[str] = []
 
     def counts(self) -> dict:
         c = {"match": 0, "paper-typo-suspected": 0, "mismatch": 0}

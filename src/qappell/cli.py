@@ -9,7 +9,6 @@ zeros are involved.  Exit codes: 0 success, 1 failed verification,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .determinant import det_appell_poly, det_pair_poly
@@ -166,6 +165,12 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         raise CliError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
+def _json_text(payload: dict) -> str:
+    import json  # imported here: text and csv output never need it
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _methods(args: argparse.Namespace) -> tuple[str, ...]:
     if args.method == "all":
         return ("series", "determinant", "operator")
@@ -214,7 +219,7 @@ def cmd_numbers(args: argparse.Namespace) -> int:
                 {"n": n, "exact": frac_str(v), "decimal": decimal_str(v)} for n, v in rows
             ],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     elif args.format == "csv":
         lines = ["n,exact,decimal"]
         lines += [f"{n},{frac_str(v)},{decimal_str(v)}" for n, v in rows]
@@ -269,7 +274,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
         }
         if args.method == "all":
             payload["agree"] = True
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     elif args.format == "csv":
         p = computed[methods[0]]
         lines = ["power,coefficient"]
@@ -331,7 +336,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
             "residuals": list(rs.residuals),
             "vieta": {"sum": vsum, "product": vprod},
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     elif args.format == "csv":
         lines = ["type,re,im"]
         for w in rs.real_roots:
@@ -397,7 +402,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 str(d): [decimal_str(v) for _, v in columns[d]] for d in degrees
             },
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         # text and csv are the same table
         if len(degrees) == 1:
@@ -425,7 +430,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError("verify supports text or json output")
     report = audit.run_verify(ctx.q, order=args.upto)
     if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        text = _json_text(report.to_json_dict())
     else:
         text = report.to_text()
     _emit(args, text)

@@ -113,12 +113,14 @@ class QContext:
         return got
 
     def q_binomial(self, n: int, k: int) -> Fraction:
-        """Gauss q-binomial C(n,k)_q; rejects k outside 0..n."""
+        """Gauss q-binomial C(n,k)_q from the kept Phi (an exact quotient,
+        coprime to b); rejects k outside 0..n."""
         if k < 0 or k > n:
             raise ValueError(f"q-binomial needs 0 <= k <= n, got n={n}, k={k}")
         got = self._qbin.get((n, k))
         if got is None:
-            got = self.q_factorial(n) / (self.q_factorial(k) * self.q_factorial(n - k))
+            phi = self.factorial_ints(n)[0]  # Psi_k Psi_(n-k) / Psi_n = b^-(k(n-k))
+            got = Fraction(phi[n] // (phi[k] * phi[n - k]), self.q.denominator ** (k * (n - k)))
             self._qbin[(n, k)] = got
         return got
 

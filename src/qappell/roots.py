@@ -253,11 +253,10 @@ def find_roots(
             f"still moving, last max update {max(updates[i] for i in live):.3e})"
         )
 
-    cluster, radii = _settle_clusters(p, z, coeffs)
+    cluster, radii, residuals = _settle_clusters(p, z, coeffs, tail, abs_coeffs)
     if cluster:
         raise failure(cluster)
     residual_tol = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
-    residuals = [abs(_horner(coeffs, w)) for w in z]
     bad = [r for r in residuals if not (r < residual_tol) or math.isnan(r)]
     if bad:
         raise failure(
@@ -318,10 +317,10 @@ def _overlapping(z: list[complex], radii: list[float]) -> list[int]:
 
 
 def _settle_clusters(
-    p: QPoly, z: list[complex], coeffs: list[float]
-) -> tuple[str, list[float]]:
+    p: QPoly, z: list[complex], coeffs: list[float], tail: list[float], abs_coeffs: list[float]
+) -> tuple[str, list[float], list[float]]:
     """Name a cluster whose Weierstrass inclusion discs overlap, or "", and
-    give every member's disc radius.
+    give every member's disc radius and |fl p(z_i)| at its final z_i.
 
     The disc about z_i has radius n |p(z_i) / prod_(j != i) (z_i - z_j)|
     (Braess & Hadeler 1973): each connected union of m discs holds exactly m
@@ -336,15 +335,12 @@ def _settle_clusters(
     """
     n = len(z)
     bound = (4 * n + 1) * _UNIT_ROUNDOFF
-    abs_coeffs = [abs(c) for c in coeffs]
-    residuals = [
-        abs(_horner(coeffs, w)) + bound * _horner(abs_coeffs, abs(w)) for w in z
-    ]
+    fl = [abs(_horner(coeffs, w)) for w in z]
+    residuals = [r + bound * _horner(abs_coeffs, abs(w)) for r, w in zip(fl, z)]
     radii = _weierstrass_radii(z, residuals)
     flagged = _overlapping(z, radii)
     if not flagged:
-        return "", radii
-    tail = coeffs[-2::-1]
+        return "", radii, fl
     for _ in range(_EXACT_STEPS):
         moved = False
         for i in flagged:
@@ -363,10 +359,11 @@ def _settle_clusters(
             break
     for i in flagged:
         residuals[i] = abs(_exact_value(p, z[i]))
+        fl[i] = abs(_horner(coeffs, z[i]))
     radii = _weierstrass_radii(z, residuals)
     overlapping = _overlapping(z, radii)
     if not overlapping:
-        return "", radii
+        return "", radii, fl
     cluster = _meeting(z, radii, overlapping[0])
     centre = sum(z[j] for j in cluster) / len(cluster)
     where = f"{centre.real:.4g}"
@@ -376,7 +373,7 @@ def _settle_clusters(
     return (
         f"zeros near {where} not isolated in double precision "
         f"(inclusion radii {listed})"
-    ), radii
+    ), radii, fl
 
 
 def _build(

@@ -32,3 +32,31 @@ def test_import_footprint():
     assert "qappell.cli" in loaded["cli"]
     assert "qappell.roots" in loaded["roots"]
     assert "qappell.audit" not in loaded["roots"]
+
+
+def _added_by(statements: str) -> set[str]:
+    """The modules a fresh interpreter loads while running the statements."""
+    script = (
+        "import sys\nbefore = set(sys.modules)\n"
+        f"{statements}\nprint(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_audit_runs_no_code_generator():
+    # dataclasses pulls in inspect, ast and dis; the fixture is read by path
+    added = _added_by("import qappell.audit")
+    assert "qappell.audit" in added
+    assert {"dataclasses", "inspect", "ast", "dis", "importlib.resources"} & added == set()
+
+
+def test_text_output_loads_no_json():
+    added = _added_by(
+        "import qappell.cli\n"
+        "qappell.cli.main(['numbers', '--family', 'euler', '--q', '1/2', '-n', '3',"
+        " '--format', 'text'])"
+    )
+    assert "qappell.cli" in added
+    assert "json" not in added

@@ -174,6 +174,17 @@ class TestQBinomial:
         with pytest.raises(ValueError):
             ctx_half.q_binomial(3, 4)
 
+    @pytest.mark.parametrize("q", [F(1, 2), F(5, 11), F(9, 10), F(1, 1000), F(999, 1000)])
+    def test_equals_factorial_quotient(self, q):
+        # the integer route against the defining Fraction quotient
+        ctx, oracle = QContext(q), QContext(q)
+        for n in range(25):
+            for k in range(n + 1):
+                want = oracle.q_factorial(n) / (oracle.q_factorial(k) * oracle.q_factorial(n - k))
+                assert ctx.q_binomial(n, k) == want, (n, k)
+        with pytest.raises(ValueError):
+            ctx.q_binomial(24, 25)
+
     @pytest.mark.parametrize("q", [F(1, 2), F(1, 3), F(3, 4)])
     def test_symmetry(self, q):
         ctx = QContext(q)
