@@ -20,27 +20,22 @@ Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
   still moving, but their Aberth sums run over all n, the frozen included;
 * isolation: each zero gets the Weierstrass inclusion disc of radius
   n |p(z_i) / prod_(j != i) (z_i - z_j)| (Braess & Hadeler 1973; Neumaier
-  2003).  Float discs, from |fl p(z_i)| plus Horner's bound for complex
-  arithmetic, contain the exact ones and flag the members whose discs
-  overlap.  At a cluster the float residual is rounding noise, so each
-  flagged member gets up to ``_EXACT_STEPS`` more Aberth corrections with
-  p(z_i) evaluated exactly (Gaussian-integer Horner at the dyadic iterate),
-  and the discs from those exact residuals decide.  If they still overlap,
-  ``RootFindingError`` names the cluster.  The residual check and the
-  classification then run on the refined iterates.
+  2003), first from |fl p(z_i)| plus Horner's bound.  At a cluster that
+  residual is rounding noise, so each member whose disc meets another gets
+  up to ``_EXACT_STEPS`` Aberth corrections from exact residuals, which
+  then size its disc; if discs still overlap, ``RootFindingError`` names
+  the cluster.  The stage costs O(n^2) for the radii, one Horner pass per
+  iterate, disc tests by a sweep over real parts and one exact image per
+  correction step; the residual check and the classification follow.
 
-There is no randomness anywhere, so identical inputs give bit-identical
-results.  Every failure, also a coefficient ratio outside double range or
-a failed classification, is a ``RootFindingError``.
-
-Classification rests on the same discs, since p is real and the mirror
-image of a zero is a zero.  A zero is real when its disc meets the real
-axis and the mirrored disc meets no other disc; it is one of a conjugate
-pair when its disc misses the axis and the mirrored disc meets exactly one
-other disc, its partner's.  Reals are put on the axis and sorted
-ascending; pairs are stored exactly conjugate.  Any other configuration
-raises.  Residual and Vieta checks are provided separately so callers can
-assert them.
+Classification rests on the same discs (``_build``), since p is real and
+the mirror image of a zero is a zero.  There is no randomness anywhere, so
+identical inputs give bit-identical results.  Every failure is a
+``RootFindingError``, also a coefficient ratio outside double range, a
+failed classification, and a float image whose k >= 2 lowest coefficients
+are 0.0 while the exact ones are not all 0: "a_0..a_(k-1) underflow in the
+float image", not a multiple zero at 0.  Residual and Vieta checks are
+provided separately so callers can assert them.
 """
 
 from __future__ import annotations
@@ -187,10 +182,7 @@ def _newton_polygon_start(coeffs: list[float]) -> list[complex]:
 
 
 def find_roots(
-    p: QPoly,
-    *,
-    tol: float = _DEFAULT_TOL,
-    max_sweeps: int = _DEFAULT_SWEEPS,
+    p: QPoly, *, tol: float = _DEFAULT_TOL, max_sweeps: int = _DEFAULT_SWEEPS
 ) -> RootSet:
     """All zeros of p (degree >= 1), classified; deterministic."""
     if p.degree < 1:
@@ -211,6 +203,9 @@ def find_roots(
         )
 
     at_zero = next(k for k, c in enumerate(coeffs) if c)
+    low = next(k for k, c in enumerate(p.nums) if c)
+    if at_zero > 1 and low < at_zero:
+        raise failure(f"a_{low}..a_{at_zero - 1} underflow in the float image")
     if at_zero > 1:
         raise failure(
             "zeros near 0 not isolated in double precision "
@@ -253,7 +248,7 @@ def find_roots(
             f"still moving, last max update {max(updates[i] for i in live):.3e})"
         )
 
-    cluster, radii, residuals = _settle_clusters(p, z, coeffs, tail, abs_coeffs)
+    cluster, radii, residuals = _settle_clusters(p, z, coeffs, tail)
     if cluster:
         raise failure(cluster)
     residual_tol = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
@@ -268,86 +263,101 @@ def find_roots(
         raise failure(f"classification failed: {exc}") from exc
 
 
-def _exact_value(p: QPoly, z: complex) -> complex:
-    """p(z)/lead(p), rounded once from its exact value at the dyadic point z.
-
-    Gaussian-integer Horner on p's homogeneous image over the common
-    power-of-two denominator of z's parts; a value beyond double range is inf.
-    """
-    (xr, dr), (xi, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    b = max(dr, di)
-    ar, ai = xr * (b // dr), xi * (b // di)
+def _exact_values(p: QPoly, points: list[complex]) -> list[complex]:
+    """p(z)/lead(p) at each dyadic point z, rounded once from its exact value
+    (inf beyond double range), by Gaussian-integer Horner on one homogeneous
+    image of p over the points' largest power-of-two denominator b; int / int
+    rounds correctly, so the values do not depend on b."""
+    parts = [(w.real.as_integer_ratio(), w.imag.as_integer_ratio()) for w in points]
+    b = max(max(dr, di) for (_, dr), (_, di) in parts)
     hom, den = homogeneous_image(p, b)
-    re = im = 0
-    for c in hom:
-        re, im = re * ar - im * ai + c, re * ai + im * ar
     scale = den // p.den * p.nums[-1]  # b^n N_n, as E = D b^n
-    try:
-        return complex(re / scale, im / scale)
-    except OverflowError:
-        return complex(math.inf)
+    values = []
+    for (xr, dr), (xi, di) in parts:
+        ar, ai = xr * (b // dr), xi * (b // di)
+        re = im = 0
+        for c in hom:
+            re, im = re * ar - im * ai + c, re * ai + im * ar
+        try:
+            values.append(complex(re / scale, im / scale))
+        except OverflowError:
+            values.append(complex(math.inf))
+    return values
 
 
 def _weierstrass_radii(z: list[complex], residuals: list[float]) -> list[float]:
-    """n |p(z_i) / prod_(j != i) (z_i - z_j)| for each i, from |p(z_i)|.
-
-    The factor n is widened by 4n u for the rounding of the product; two
-    coincident iterates give inf.
-    """
+    """n |p(z_i) / prod_(j != i) (z_i - z_j)| for each i, from |p(z_i)|, the
+    factor n widened by 4n u for the rounding of the product; two coincident
+    iterates give inf."""
     n = len(z)
     widened = n * (1 + 4 * n * _UNIT_ROUNDOFF)
     radii = []
     for i, zi in enumerate(z):
         prod: complex = 1.0
-        for j, w in enumerate(z):
-            if j != i:
-                prod *= zi - w
+        for w in z[:i]:
+            prod *= zi - w
+        for w in z[i + 1 :]:
+            prod *= zi - w
         radii.append(widened * residuals[i] / abs(prod) if prod else math.inf)
     return radii
 
 
-def _meeting(z: list[complex], radii: list[float], i: int) -> list[int]:
-    """The members whose disc meets the disc about z_i, i among them."""
-    return [j for j, w in enumerate(z) if abs(z[i] - w) <= radii[i] + radii[j]]
-
-
-def _overlapping(z: list[complex], radii: list[float]) -> list[int]:
-    """The members whose disc meets another member's disc."""
-    return [i for i in range(len(z)) if len(_meeting(z, radii, i)) > 1]
+def _meeting(z: list[complex], radii: list[float], mirrored=False) -> list[list[int]]:
+    """For each i, the j != i with |c_i - z_j| <= r_i + r_j, where c_i is z_i
+    or, mirrored, conj(z_i).  The test is symmetric in i and j, and a sweep
+    over the real parts scans only within r_i + max(r), since |c_i - z_j| >=
+    |fl(Re z_i - Re z_j)|; an inf or NaN radius widens the window to all.
+    """
+    order = sorted(range(len(z)), key=lambda i: z[i].real)
+    widest = max(radii) if all(r < math.inf for r in radii) else math.inf
+    met: list[list[int]] = [[] for _ in z]
+    for k, i in enumerate(order):
+        centre, ri = z[i].conjugate() if mirrored else z[i], radii[i]
+        for j in order[k + 1 :]:
+            if z[j].real - centre.real > ri + widest:
+                break
+            if abs(centre - z[j]) <= ri + radii[j]:
+                met[i].append(j)
+                met[j].append(i)
+    return met
 
 
 def _settle_clusters(
-    p: QPoly, z: list[complex], coeffs: list[float], tail: list[float], abs_coeffs: list[float]
+    p: QPoly, z: list[complex], coeffs: list[float], tail: list[float]
 ) -> tuple[str, list[float], list[float]]:
     """Name a cluster whose Weierstrass inclusion discs overlap, or "", and
     give every member's disc radius and |fl p(z_i)| at its final z_i.
 
-    The disc about z_i has radius n |p(z_i) / prod_(j != i) (z_i - z_j)|
-    (Braess & Hadeler 1973): each connected union of m discs holds exactly m
-    zeros of p, so disjoint discs isolate one zero each.  A float disc uses
-    |fl p(z_i)| plus Horner's bound for complex z, (4n + 1) u sum
-    |a_k||z_i|^k: each complex multiply-add errs by at most (2 sqrt 2 + 1) u
-    < 4u (Higham, ch. 3.6), and the extra u covers the rounding of the
-    coefficients, so it contains the exact disc.  The members whose float
-    discs overlap get up to ``_EXACT_STEPS`` Aberth corrections from exact
-    residuals (``_exact_value``), updating z in place, and their discs are
-    then sized from the exact residuals.
+    Each connected union of m discs holds exactly m zeros (Braess & Hadeler
+    1973).  A float disc uses |fl p(z_i)| plus Horner's bound for complex z,
+    (4n + 1) u sum |a_k||z_i|^k: each complex multiply-add errs by at most
+    (2 sqrt 2 + 1) u < 4u (Higham, ch. 3.6) and the extra u covers the
+    rounded coefficients, so it contains the exact disc.  Members whose float
+    discs overlap are corrected in index order, in place, and sized anew.
     """
     n = len(z)
     bound = (4 * n + 1) * _UNIT_ROUNDOFF
-    fl = [abs(_horner(coeffs, w)) for w in z]
-    residuals = [r + bound * _horner(abs_coeffs, abs(w)) for r, w in zip(fl, z)]
+    fl, residuals = [], []
+    terms = [(c, abs(c)) for c in reversed(coeffs)]
+    for w in z:
+        # |fl p(w)| and sum |a_k||w|^k in one pass, in _horner's order
+        value, size, modulus = 0.0, 0.0, abs(w)
+        for c, a in terms:
+            value = value * w + c
+            size = size * modulus + a
+        fl.append(abs(value))
+        residuals.append(fl[-1] + bound * size)
     radii = _weierstrass_radii(z, residuals)
-    flagged = _overlapping(z, radii)
+    flagged = [i for i, m in enumerate(_meeting(z, radii)) if m]
     if not flagged:
         return "", radii, fl
+    values = _exact_values(p, [z[i] for i in flagged])
     for _ in range(_EXACT_STEPS):
         moved = False
-        for i in flagged:
-            zi = z[i]
-            value = _exact_value(p, zi)
+        for i, value in zip(flagged, values):  # only its own update moves z_i
             if not value:  # z_i is a zero of p
                 continue
+            zi = z[i]
             try:
                 delta = _aberth_delta(z, i, value, _monic_horner(tail, zi)[1])
             except ZeroDivisionError:
@@ -355,16 +365,16 @@ def _settle_clusters(
             if cmath.isfinite(delta):
                 z[i] = zi - delta
                 moved = moved or abs(delta) > _UNIT_ROUNDOFF * abs(zi)
+        values = _exact_values(p, [z[i] for i in flagged])
         if not moved:
             break
-    for i in flagged:
-        residuals[i] = abs(_exact_value(p, z[i]))
+    for i, value in zip(flagged, values):
+        residuals[i] = abs(value)
         fl[i] = abs(_horner(coeffs, z[i]))
     radii = _weierstrass_radii(z, residuals)
-    overlapping = _overlapping(z, radii)
-    if not overlapping:
+    cluster = next((sorted([i, *m]) for i, m in enumerate(_meeting(z, radii)) if m), [])
+    if not cluster:
         return "", radii, fl
-    cluster = _meeting(z, radii, overlapping[0])
     centre = sum(z[j] for j in cluster) / len(cluster)
     where = f"{centre.real:.4g}"
     if round(centre.imag, 4):
@@ -377,11 +387,7 @@ def _settle_clusters(
 
 
 def _build(
-    degree: int,
-    z: list[complex],
-    coeffs: list[float],
-    sweeps: int,
-    radii: list[float],
+    degree: int, z: list[complex], coeffs: list[float], sweeps: int, radii: list[float]
 ) -> RootSet:
     """Classify the iterates by their disjoint inclusion discs.
 
@@ -392,10 +398,7 @@ def _build(
     real, and when conj(D_i) meets exactly one other disc D_j,
     w_j = conj(w_i).  Whatever is left raises ``ClassificationError``.
     """
-    mirrored = [
-        [j for j, v in enumerate(z) if j != i and abs(w.conjugate() - v) <= radii[i] + radii[j]]
-        for i, w in enumerate(z)
-    ]
+    mirrored = _meeting(z, radii, mirrored=True)
     real = [abs(w.imag) <= r and not m for w, r, m in zip(z, radii, mirrored)]
     partner: dict[int, int] = {}
     for i, w in enumerate(z):
@@ -419,17 +422,14 @@ def _build(
             pairs.append((m, m.conjugate()))
     real_parts.sort()
     pairs.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-    flat: list[complex] = [complex(r, 0.0) for r in real_parts]
-    for u, low in pairs:
-        flat.extend((u, low))
+    flat = [complex(r, 0.0) for r in real_parts] + [w for pair in pairs for w in pair]
     if len(flat) != degree:
         raise ClassificationError(
             f"classified {len(flat)} roots for a degree-{degree} polynomial"
         )
     residuals = tuple(abs(_horner(coeffs, w)) for w in flat)
-    for r in residuals:
-        if math.isnan(r) or math.isinf(r):
-            raise ClassificationError("non-finite residual")
+    if not all(map(math.isfinite, residuals)):
+        raise ClassificationError("non-finite residual")
     return RootSet(
         degree=degree,
         roots=tuple(flat),

@@ -294,6 +294,15 @@ class TestRoots:
         assert (code, out) == (3, "")
         assert err.startswith("root finding failed: zeros near 1 not isolated")
 
+    def test_underflow_exits_3_by_name(self, capsys):
+        # all 45 exact coefficients are nonzero, but a_0..a_8 are below
+        # 10^-324 of the lead, so they underflow in the monic float image
+        code, out, err = run_cli(
+            capsys, "roots", "--family", "bernoulli", "--q", "1/1000000000", "-n", "44"
+        )
+        assert (code, out) == (3, "")
+        assert err == "root finding failed: a_0..a_8 underflow in the float image\n"
+
     def test_classification_failure_exits_3(self, capsys, monkeypatch):
         from qappell import roots
         from qappell.roots import ClassificationError

@@ -7,7 +7,8 @@ Any change to either rendering, intended or not, shows up here and has to
 be stated in CHANGES.md.  A last pair of digests pins the exact numbers,
 beta and sampled values of one pair family at order 48, the coefficient size
 (thousands of bits) where the series kernels and ``sample`` spend their
-time.
+time.  ``ZEROS_DIGEST`` pins every ``find_roots`` outcome, accepted or
+refused, on the fixed part of the ``zeros`` benchmark workload.
 """
 
 import hashlib
@@ -16,10 +17,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from qappell import QContext, cli
+from qappell import QContext, cli, find_roots, resolve
 from qappell.audit import run_verify
 from qappell.families import FamilySpec, pair_family
-from qappell.roots import sample
+from qappell.roots import RootFindingError, sample
 
 GOLDEN = {
     (F(1, 2), 8): (
@@ -60,6 +61,16 @@ CLI_GOLDEN = {
 DEEP_SERIES_DIGEST = "a4ed31b0a4db67934aa41ed88005c8b27567cab8b3766427a342a25a1e59774d"
 DEEP_SAMPLE_DIGEST = "fda110b7edd56ff793472841d5285c631c8c084e23b2a22fc757431c548dff0b"
 
+# find_roots on q in {1/10, 1/2, 9/10} x {bernoulli, euler, genocchi-det} x
+# {plain, x bernoulli}, combo k at every 4th degree from 2 + k % 4 to 40, then
+# bernoulli x bernoulli at the three former false failures; one line per
+# outcome, repr(RootSet) or a refusal's message, best, residuals and sweeps.
+# It holds six cluster refusals at q = 1/10 and accepted sets that take the
+# exact-residual stage (bernoulli x bernoulli at q = 1/2, n = 33 and 37)
+ZEROS_DIGEST = "d7102df73de4469b96464005d361b01a97309d6e6f095ea61d598abfe878a46b"
+ZERO_QS = (F(1, 10), F(1, 2), F(9, 10))
+FORMER_FALSE_FAILURES = ((F(1, 2), 16), (F(1, 10), 9), (F(9, 10), 14))
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -90,3 +101,30 @@ def test_deep_pair_digests():
     assert _sha256(seq_text) == DEEP_SERIES_DIGEST
     points = sample(fam.poly(48), F(-2), F(2), 33)
     assert _sha256("".join(f"{x} {v}\n" for x, v in points)) == DEEP_SAMPLE_DIGEST
+
+
+def test_zeros_digest():
+    def outcome(p) -> str:
+        try:
+            return repr(find_roots(p))
+        except RootFindingError as exc:
+            return repr((str(exc), exc.best, exc.residuals, exc.sweeps))
+
+    bernoulli = FamilySpec.builtin("bernoulli")
+    lines, pairs = [], {}
+    combos = [
+        (q, name, times)
+        for q in ZERO_QS
+        for name in ("bernoulli", "euler", "genocchi-det")
+        for times in (False, True)
+    ]
+    for k, (q, name, times) in enumerate(combos):
+        spec, ctx = FamilySpec.builtin(name), QContext(q)
+        fam = pair_family(spec, bernoulli, ctx, 40) if times else resolve(spec, ctx, 40)
+        if times and name == "bernoulli":
+            pairs[q] = fam
+        lines += [outcome(fam.poly(n)) for n in range(2 + k % 4, 41, 4)]
+    lines += [outcome(pairs[q].poly(n)) for q, n in FORMER_FALSE_FAILURES]
+    refused = sum(line.startswith("(") for line in lines)
+    assert (len(lines), refused) == (179, 6)
+    assert _sha256("".join(line + "\n" for line in lines)) == ZEROS_DIGEST

@@ -22,7 +22,8 @@ from qappell.roots import (
     ClassificationError,
     RootFindingError,
     _build,
-    _exact_value,
+    _exact_values,
+    _meeting,
     _newton_polygon_start,
     to_float,
 )
@@ -99,6 +100,15 @@ def exact_value_oracle(p: QPoly, z: complex) -> complex:
         return complex(math.inf)
 
 
+def meeting_oracle(z, radii, mirrored) -> list[list[int]]:
+    """``_meeting`` by all-pairs disc tests, without the sweep."""
+    centres = [w.conjugate() for w in z] if mirrored else z
+    return [
+        [j for j, w in enumerate(z) if j != i and abs(c - w) <= radii[i] + radii[j]]
+        for i, c in enumerate(centres)
+    ]
+
+
 def vieta_oracle(p: QPoly, found) -> tuple[float, float]:
     """``vieta_residuals`` through ``Fraction`` coefficients."""
     n, lead = p.degree, p.coeffs[-1]
@@ -166,7 +176,9 @@ class TestToFloat:
         if p.degree < 1:
             return
         z = complex(x, y)
-        assert _exact_value(p, z) == exact_value_oracle(p, z)
+        # one image over the largest denominator serves points of any size
+        points = [z, complex(x), complex(y * 2.0**-40, x)]
+        assert _exact_values(p, points) == [exact_value_oracle(p, w) for w in points]
         roots_ = (z, z.conjugate(), complex(x))[: p.degree]
         got = vieta_residuals(p, roots_)
         assert float_bits(got) == float_bits(vieta_oracle(p, roots_))
@@ -296,6 +308,19 @@ class TestFindRoots:
             find_roots(QPoly([0, 0, -1, 1]))
         assert info.value.sweeps == 0
 
+    @pytest.mark.parametrize(
+        "coeffs, low",
+        [([1, 1, 10**400], "a_0..a_1"), ([0, 1, 1, 10**400], "a_1..a_2")],
+        ids=["x^2 + (x + 1)/10^400", "x^3 + (x^2 + x)/10^400"],
+    )
+    def test_underflow_is_not_a_multiple_zero(self, coeffs, low):
+        # the low exact coefficients are not all 0, so the leading 0.0s of
+        # the float image are underflow, not a multiple zero at 0
+        with pytest.raises(RootFindingError) as info:
+            find_roots(QPoly(coeffs))
+        assert str(info.value) == f"{low} underflow in the float image"
+        assert info.value.sweeps == 0
+
     def test_unisolated_cluster_refuses_by_name(self):
         # two zeros 7e-12 apart at x = 1; no double image separates them
         p = pair_family(B, B, QContext(F(1, 10)), 23).poly(23)
@@ -331,6 +356,36 @@ class TestFindRoots:
                 rs = find_roots(pf.poly(n))
                 nreal, ncomplex = rs.counts()
                 assert nreal + ncomplex == n
+
+
+# few distinct parts, so that real parts tie and iterates coincide
+disc_parts = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-2, 2))
+
+
+class TestMeeting:
+    @pytest.mark.parametrize("special", [None, 0.0, math.inf, math.nan])
+    @given(
+        discs=st.lists(
+            st.tuples(disc_parts, disc_parts, st.floats(0, 1)), min_size=1, max_size=12
+        ),
+        at=st.integers(0, 11),
+    )
+    def test_sweep_matches_all_pairs(self, special, discs, at):
+        z = [complex(x, y) for x, y, _ in discs]
+        radii = [r for _, _, r in discs]
+        if special is not None:
+            radii[at % len(radii)] = special
+        for mirrored in (False, True):
+            got = [sorted(m) for m in _meeting(z, radii, mirrored)]
+            assert got == meeting_oracle(z, radii, mirrored)
+
+    def test_wide_disc_far_in_real_part(self):
+        # z_1 lies 1.5 to the right of z_0: only the wide radius of z_1
+        # reaches back, so a window of 2 r_0 would miss the pair
+        z = [complex(0, 0), complex(1.5, 0), complex(1.5, 3)]
+        radii = [0.1, 1.5, 0.1]
+        assert _meeting(z, radii) == [[1], [0], []]
+        assert _meeting(z, radii, mirrored=True) == [[1], [0], []]
 
 
 class TestNewtonPolygonStart:
@@ -378,7 +433,7 @@ class TestExactClusterCheck:
         for c in reversed(p.coeffs):  # Horner over Q(i)
             re, im = re * x - im * y + c, re * y + im * x
         lead = p.coeffs[-1]
-        got = _exact_value(p, complex(1.25, -0.375))
+        (got,) = _exact_values(p, [complex(1.25, -0.375)])
         assert got == complex(float(re / lead), float(im / lead))
 
     @pytest.mark.parametrize(
