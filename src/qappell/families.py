@@ -10,8 +10,10 @@ sequence.  The companion beta sequence is the reciprocal of the numbers
 under the q-binomial convolution; it drives the determinant construction
 and the inversion identities.  A family is held by its beta, and its
 numbers are one reciprocal of it, computed on first read.  The 2-iterated
-and mixed families come from A_I(t) A_II(t), so their beta is the small
-convolution beta^I * beta^II and their numbers are its reciprocal.
+and mixed families come from A_I(t) A_II(t), so their beta is beta^I * beta^II
+and their numbers are its reciprocal.  The first three built-ins have betas
+affine in e_q(t) and (e_q(t) - 1)/t, so for a pair of them beta^I * beta^II
+has a closed form in the Galois numbers; other pairs convolve the betas.
 
 Built-ins
 ---------
@@ -33,7 +35,7 @@ silently resolved.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .qcore import QContext, QPoly, lincomb, lincomb_ints
@@ -102,12 +104,14 @@ class AppellFamily:
     """A resolved family: context, order, beta, a label and its numbers.
 
     The numbers are reciprocal(beta), computed on first read and kept,
-    unless the family was built from given numbers.
+    unless the family was built from given numbers.  ``affine`` is the
+    (c, d, s) of a beta-defined built-in, None for every other family.
     """
 
-    __slots__ = ("ctx", "order", "beta", "label", "_numbers", "_polys")
+    __slots__ = ("ctx", "order", "beta", "label", "affine", "_numbers", "_polys")
 
-    def __init__(self, ctx: QContext, beta: ESeq, label: str, numbers: Optional[ESeq] = None):
+    def __init__(self, ctx: QContext, beta: ESeq, label: str,
+                 numbers: Optional[ESeq] = None, affine: Optional[tuple] = None):
         if beta.ctx.q != ctx.q or (numbers is not None and numbers.ctx.q != ctx.q):
             raise FamilyError("numbers/beta context does not match the family context")
         if numbers is not None and numbers.order != beta.order:
@@ -116,6 +120,7 @@ class AppellFamily:
         self.order = beta.order
         self.beta = beta
         self.label = label
+        self.affine = affine
         self._numbers = numbers
         self._polys: dict[int, QPoly] = {}
 
@@ -159,30 +164,41 @@ class AppellFamily:
         if order == self.order:
             return self
         known = None if self._numbers is None else self._numbers.truncated(order)
-        return AppellFamily(self.ctx, self.beta.truncated(order), self.label, known)
+        return AppellFamily(self.ctx, self.beta.truncated(order), self.label, known, self.affine)
 
 
-def _beta_bernoulli(ctx: QContext, order: int) -> ESeq:
-    return ESeq(ctx, [1 / ctx.q_number(m + 1) for m in range(order + 1)])
+# (c, d, s) of a beta-defined built-in: beta_m = c [m = 0] + d + s/[m+1]_q
+_HALF = Fraction(1, 2)
+_AFFINE = {"bernoulli": (0, 0, 1), "euler": (_HALF, _HALF, 0), "genocchi-det": (_HALF, 0, _HALF)}
 
 
-def _beta_euler(ctx: QContext, order: int) -> ESeq:
-    return ESeq(ctx, [Fraction(1)] + [Fraction(1, 2)] * order)
-
-
-def _beta_genocchi_det(ctx: QContext, order: int) -> ESeq:
-    return ESeq(
-        ctx,
-        [Fraction(1)] + [1 / (2 * ctx.q_number(m + 1)) for m in range(1, order + 1)],
-    )
-
-
-# the built-ins defined by their beta sequence
-_BETA_BUILDERS = {
-    "bernoulli": _beta_bernoulli,
-    "euler": _beta_euler,
-    "genocchi-det": _beta_genocchi_det,
-}
+def _pair_beta(ctx: QContext, order: int, one: tuple, two: tuple) -> ESeq:
+    """The beta of the product of two ``_AFFINE`` built-ins, with E = (e - 1)/t:
+    k0 + k1 e + k2 E + k3 e^2 + k4 (e^2 - 1)/t + k5 (e - 1)^2/t^2.  e^2 has the Galois
+    numbers G_n = sum_k C(n,k)_q as coefficients, and /t maps h_n to h_(n+1)/[n+1]_q,
+    so beta_n = k0 [n = 0] + k1 + k3 G_n + (k2 + k4 G_(n+1))/[n+1]_q + k5 (G_(n+2) - 2)
+    /([n+1]_q [n+2]_q).  For q = a/b, g_n = b^floor(n^2/4) G_n are integers, with
+    g_(n+1) = 2 b^floor((n+1)/2) g_n + (a^n - b^n) g_(n-1) (Goldman & Rota 1970), and
+    [n]_q = u_n/(b^(n-1) (b - a)) with u_n = b^n - a^n, so beta_n is one ``Fraction``.
+    """
+    (c, d, s), (c2, d2, s2) = one, two
+    k = (c * c2, c * d2 + d * c2, (c - d) * s2 + s * (c2 - d2), d * d2, d * s2 + s * d2, s * s2)
+    scale = lcm(*(x.denominator for x in k))
+    k0, k1, k2, k3, k4, k5 = (x.numerator * (scale // x.denominator) for x in k)
+    a, b = ctx.q.numerator, ctx.q.denominator
+    u = [b**j - a**j for j in range(order + 3)]
+    g = [1, 2]
+    for j in range(1, order + 2):
+        g.append(2 * b ** ((j + 1) // 2) * g[j] - u[j] * g[j - 1])
+    beta = []
+    for n in range(order + 1):  # all over b^floor((n+2)^2/4) u_(n+1) u_(n+2)
+        top = b ** ((n + 2) ** 2 // 4)
+        x = (k0 * (n == 0) + k1) * top + k3 * g[n] * b ** (n + 1)
+        y = k2 * top + k4 * g[n + 1] * b ** ((n + 2) // 2)
+        z = k5 * (g[n + 2] - 2 * top) * b ** (n + 1) * (b - a)
+        num = (x * u[n + 1] + y * b**n * (b - a)) * u[n + 2] + z * b**n * (b - a)
+        beta.append(Fraction(num, scale * top * u[n + 1] * u[n + 2]))
+    return ESeq(ctx, beta)
 
 
 def genocchi_table_numbers(ctx: QContext, order: int = GENOCCHI_TABLE_MAX_ORDER) -> ESeq:
@@ -216,8 +232,10 @@ def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> Appe
     if order < 0:
         raise FamilyError(f"order must be >= 0, got {order}")
     if spec.kind == "builtin":
-        if spec.name in _BETA_BUILDERS:
-            return AppellFamily(ctx, _BETA_BUILDERS[spec.name](ctx, order), spec.name)
+        if spec.name in _AFFINE:
+            c, d, s = affine = _AFFINE[spec.name]
+            beta = [d + s / ctx.q_number(m + 1) if s else d for m in range(1, order + 1)]
+            return AppellFamily(ctx, ESeq(ctx, [c + d + s, *beta]), spec.name, affine=affine)
         if spec.name == "genocchi-table":
             numbers = genocchi_table_numbers(ctx, order)
             return AppellFamily(ctx, reciprocal(numbers), spec.name, numbers)
@@ -247,10 +265,13 @@ def product_family(a: AppellFamily, b: AppellFamily) -> AppellFamily:
     """The family generated by the product of two determining functions.
 
     Reciprocals multiply, so its beta is the convolution of the factors'
-    betas, and its numbers are one reciprocal of that, read on demand; the
-    factors' numbers are never read.
+    betas, in closed form when both are ``_AFFINE`` built-ins, and its numbers
+    are one reciprocal of that, read on demand; the factors' numbers are
+    never read.
     """
-    return AppellFamily(a.ctx, convolve(a.beta, b.beta), f"{a.label}*{b.label}")
+    closed = a.affine and b.affine and (a.order, a.ctx.q) == (b.order, b.ctx.q)
+    beta = _pair_beta(a.ctx, a.order, a.affine, b.affine) if closed else convolve(a.beta, b.beta)
+    return AppellFamily(a.ctx, beta, f"{a.label}*{b.label}")
 
 
 def pair_family(

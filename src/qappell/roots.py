@@ -263,16 +263,17 @@ def find_roots(
         raise failure(f"classification failed: {exc}") from exc
 
 
-def _exact_values(p: QPoly, points: list[complex]) -> list[complex]:
+def _exact_values(p: QPoly, points: list[complex]) -> tuple[list[complex], list[bool]]:
     """p(z)/lead(p) at each dyadic point z, rounded once from its exact value
-    (inf beyond double range), by Gaussian-integer Horner on one homogeneous
-    image of p over the points' largest power-of-two denominator b; int / int
-    rounds correctly, so the values do not depend on b."""
+    (inf beyond double range), and whether that exact value is 0, by Gaussian-
+    integer Horner on one homogeneous image of p over the points' largest
+    power-of-two denominator b; int / int rounds correctly, so the values do
+    not depend on b."""
     parts = [(w.real.as_integer_ratio(), w.imag.as_integer_ratio()) for w in points]
     b = max(max(dr, di) for (_, dr), (_, di) in parts)
     hom, den = homogeneous_image(p, b)
     scale = den // p.den * p.nums[-1]  # b^n N_n, as E = D b^n
-    values = []
+    values, zero = [], []
     for (xr, dr), (xi, di) in parts:
         ar, ai = xr * (b // dr), xi * (b // di)
         re = im = 0
@@ -282,7 +283,8 @@ def _exact_values(p: QPoly, points: list[complex]) -> list[complex]:
             values.append(complex(re / scale, im / scale))
         except OverflowError:
             values.append(complex(math.inf))
-    return values
+        zero.append(not (re or im))
+    return values, zero
 
 
 def _weierstrass_radii(z: list[complex], residuals: list[float]) -> list[float]:
@@ -333,7 +335,8 @@ def _settle_clusters(
     (4n + 1) u sum |a_k||z_i|^k: each complex multiply-add errs by at most
     (2 sqrt 2 + 1) u < 4u (Higham, ch. 3.6) and the extra u covers the
     rounded coefficients, so it contains the exact disc.  Members whose float
-    discs overlap are corrected in index order, in place, and sized anew.
+    discs overlap, or have radius 0.0, which may be underflow, are corrected in
+    index order, in place, and sized anew; only an exact 0 gives radius 0.0.
     """
     n = len(z)
     bound = (4 * n + 1) * _UNIT_ROUNDOFF
@@ -348,14 +351,14 @@ def _settle_clusters(
         fl.append(abs(value))
         residuals.append(fl[-1] + bound * size)
     radii = _weierstrass_radii(z, residuals)
-    flagged = [i for i, m in enumerate(_meeting(z, radii)) if m]
+    flagged = [i for i, m in enumerate(_meeting(z, radii)) if m or not radii[i]]
     if not flagged:
         return "", radii, fl
-    values = _exact_values(p, [z[i] for i in flagged])
+    values, zero = _exact_values(p, [z[i] for i in flagged])
     for _ in range(_EXACT_STEPS):
         moved = False
-        for i, value in zip(flagged, values):  # only its own update moves z_i
-            if not value:  # z_i is a zero of p
+        for i, value, is_zero in zip(flagged, values, zero):  # only its own update moves z_i
+            if is_zero:  # z_i is a zero of p
                 continue
             zi = z[i]
             try:
@@ -365,20 +368,24 @@ def _settle_clusters(
             if cmath.isfinite(delta):
                 z[i] = zi - delta
                 moved = moved or abs(delta) > _UNIT_ROUNDOFF * abs(zi)
-        values = _exact_values(p, [z[i] for i in flagged])
+        values, zero = _exact_values(p, [z[i] for i in flagged])
         if not moved:
             break
     for i, value in zip(flagged, values):
         residuals[i] = abs(value)
         fl[i] = abs(_horner(coeffs, z[i]))
     radii = _weierstrass_radii(z, residuals)
-    cluster = next((sorted([i, *m]) for i, m in enumerate(_meeting(z, radii)) if m), [])
+    exact = {i for i, is_zero in zip(flagged, zero) if is_zero}
+    thin = next(([i] for i, r in enumerate(radii) if not r and i not in exact), [])
+    cluster = next((sorted([i, *m]) for i, m in enumerate(_meeting(z, radii)) if m), thin)
     if not cluster:
         return "", radii, fl
     centre = sum(z[j] for j in cluster) / len(cluster)
     where = f"{centre.real:.4g}"
     if round(centre.imag, 4):
         where += f"{centre.imag:+.4g}i"
+    if cluster is thin:  # a radius of 0.0 with an exact residual that is not 0
+        return f"inclusion disc of the zero near {where} underflows to radius 0.0", radii, fl
     listed = ", ".join(f"{radii[j]:.1e}" for j in cluster)
     return (
         f"zeros near {where} not isolated in double precision "

@@ -259,6 +259,72 @@ class TestProductFamily:
         assert convolve(pair.numbers, pair.beta) == unit(a.ctx, a.order)
 
 
+NAMES_BY_BETA = ("bernoulli", "euler", "genocchi-det")
+
+
+def _counting_convolve(monkeypatch):
+    calls = []
+    inner = families.convolve
+
+    def counted(a, b):
+        calls.append(a.order)
+        return inner(a, b)
+
+    monkeypatch.setattr(families, "convolve", counted)
+    return calls
+
+
+class TestPairBetaClosedForm:
+    """The pair beta of two beta-defined built-ins comes from the Galois
+    numbers, not ``convolve``; ``convolve`` is the oracle."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 12, 40])
+    @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10", "1/1000", "999/1000", "1/1000000000"])
+    def test_matches_convolve(self, monkeypatch, qs, order):
+        ctx = QContext(qs)
+        fams = [resolve(FamilySpec.builtin(name), ctx, order) for name in NAMES_BY_BETA]
+        oracle = [[convolve(fa.beta, fb.beta) for fb in fams] for fa in fams]
+        calls = _counting_convolve(monkeypatch)
+        for fa, row in zip(fams, oracle):
+            for fb, want in zip(fams, row):
+                got = product_family(fa, fb).beta
+                assert got == want and all(type(c) is F for c in got)
+        assert calls == []
+
+    @given(
+        q=q_values(),
+        names=st.tuples(*[st.sampled_from(NAMES_BY_BETA)] * 2),
+        order=st.integers(0, 16),
+    )
+    def test_matches_convolve_at_any_q(self, q, names, order):
+        fa, fb = (resolve(FamilySpec.builtin(name), QContext(q), order) for name in names)
+        assert product_family(fa, fb).beta == convolve(fa.beta, fb.beta)
+
+    def test_only_beta_defined_builtins_skip_convolve(self, monkeypatch, ctx_half):
+        bern = resolve(B, ctx_half, 4)
+        seq = ESeq(ctx_half, [F(1), F(1, 3), F(-1, 5), F(2), F(1, 7)])
+        others = [
+            resolve(GT, ctx_half, 4),
+            resolve(FamilySpec.from_beta(seq), ctx_half, 4),
+            resolve(FamilySpec.from_numbers(seq), ctx_half, 4),
+            product_family(bern, bern),
+            families.AppellFamily(ctx_half, bern.beta, "bernoulli"),
+        ]
+        calls = _counting_convolve(monkeypatch)
+        for fam in others:
+            assert product_family(fam, bern).beta == product_family(bern, fam).beta
+        assert calls == [4] * 2 * len(others)
+        calls.clear()
+        short = resolve(E, ctx_half, 8).truncated(4)
+        assert short.affine == resolve(E, ctx_half, 4).affine is not None
+        assert product_family(short, bern).beta == convolve(short.beta, bern.beta)
+        assert calls == []
+
+    def test_mismatched_orders_still_raise(self, ctx_half):
+        with pytest.raises(ValueError, match="mismatched order"):
+            product_family(resolve(B, ctx_half, 4), resolve(E, ctx_half, 5))
+
+
 class TestIterate2:
     def test_self_pair_degree_two(self, ctx_half):
         fb = resolve(B, ctx_half, 4)

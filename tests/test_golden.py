@@ -7,7 +7,8 @@ Any change to either rendering, intended or not, shows up here and has to
 be stated in CHANGES.md.  A last pair of digests pins the exact numbers,
 beta and sampled values of one pair family at order 48, the coefficient size
 (thousands of bits) where the series kernels and ``sample`` spend their
-time.  ``ZEROS_DIGEST`` pins every ``find_roots`` outcome, accepted or
+time, and ``PAIRS_64_DIGEST`` the numbers and beta of all nine ordered pairs
+of beta-defined built-ins at order 64.  ``ZEROS_DIGEST`` pins every ``find_roots`` outcome, accepted or
 refused, on the fixed part of the ``zeros`` benchmark workload.
 """
 
@@ -61,6 +62,10 @@ CLI_GOLDEN = {
 DEEP_SERIES_DIGEST = "a4ed31b0a4db67934aa41ed88005c8b27567cab8b3766427a342a25a1e59774d"
 DEEP_SAMPLE_DIGEST = "fda110b7edd56ff793472841d5285c631c8c084e23b2a22fc757431c548dff0b"
 
+# each ordered pair of bernoulli, euler, genocchi-det at q = 5/11, order 64:
+# numbers and beta, one per line; pinned while the pair beta was a convolution
+PAIRS_64_DIGEST = "bf0f07c23bdefd8a93268d343079963abec9b433add223f64ba5036e15be42f1"
+
 # find_roots on q in {1/10, 1/2, 9/10} x {bernoulli, euler, genocchi-det} x
 # {plain, x bernoulli}, combo k at every 4th degree from 2 + k % 4 to 40, then
 # bernoulli x bernoulli at the three former false failures; one line per
@@ -101,6 +106,16 @@ def test_deep_pair_digests():
     assert _sha256(seq_text) == DEEP_SERIES_DIGEST
     points = sample(fam.poly(48), F(-2), F(2), 33)
     assert _sha256("".join(f"{x} {v}\n" for x, v in points)) == DEEP_SAMPLE_DIGEST
+
+
+def test_pairs_64_digest():
+    ctx, names = QContext(F(5, 11)), ("bernoulli", "euler", "genocchi-det")
+    text = ""
+    for a in names:
+        for b in names:
+            fam = pair_family(FamilySpec.builtin(a), FamilySpec.builtin(b), ctx, 64)
+            text += "".join(f"{c}\n" for c in fam.numbers.coeffs + fam.beta.coeffs)
+    assert _sha256(text) == PAIRS_64_DIGEST
 
 
 def test_zeros_digest():

@@ -178,7 +178,7 @@ class TestToFloat:
         z = complex(x, y)
         # one image over the largest denominator serves points of any size
         points = [z, complex(x), complex(y * 2.0**-40, x)]
-        assert _exact_values(p, points) == [exact_value_oracle(p, w) for w in points]
+        assert _exact_values(p, points)[0] == [exact_value_oracle(p, w) for w in points]
         roots_ = (z, z.conjugate(), complex(x))[: p.degree]
         got = vieta_residuals(p, roots_)
         assert float_bits(got) == float_bits(vieta_oracle(p, roots_))
@@ -321,6 +321,17 @@ class TestFindRoots:
         assert str(info.value) == f"{low} underflow in the float image"
         assert info.value.sweeps == 0
 
+    def test_zero_width_disc_refuses_by_name(self):
+        # x^3 + x/10^302 has zeros 0 and +/- 10^-151 i.  At modulus 10^-151, p
+        # and Horner's bound underflow, so two float discs get radius 0.0, but
+        # no dyadic point there is a zero: the exact residuals certify nothing
+        with pytest.raises(RootFindingError, match=(
+            r"^inclusion disc of the zero near 9\.211e-152 underflows to radius 0\.0$"
+        )):
+            find_roots(QPoly([0, F(1, 10**302), 0, 1]))
+        # a true dyadic zero keeps its radius 0.0 and is accepted
+        assert find_roots(QPoly([0, -1, 1])).real_roots == (0.0, 1.0)
+
     def test_unisolated_cluster_refuses_by_name(self):
         # two zeros 7e-12 apart at x = 1; no double image separates them
         p = pair_family(B, B, QContext(F(1, 10)), 23).poly(23)
@@ -433,8 +444,13 @@ class TestExactClusterCheck:
         for c in reversed(p.coeffs):  # Horner over Q(i)
             re, im = re * x - im * y + c, re * y + im * x
         lead = p.coeffs[-1]
-        (got,) = _exact_values(p, [complex(1.25, -0.375)])
+        (got,), _ = _exact_values(p, [complex(1.25, -0.375)])
         assert got == complex(float(re / lead), float(im / lead))
+
+    def test_exact_zero_is_told_from_underflow(self):
+        # at 2^-549, x^2 - 2^-1100 is 3 2^-1100: it rounds to 0.0 but is not 0
+        p = QPoly([-F(1, 2**1100), 0, 1])
+        assert _exact_values(p, [2.0**-550, 2.0**-549]) == ([0j, 0j], [True, False])
 
     @pytest.mark.parametrize(
         "coeffs", [[-1, 3, -3, 1], [1, 0, -2, 0, 1]], ids=["(x-1)^3", "(x^2-1)^2"]
