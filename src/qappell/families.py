@@ -9,17 +9,18 @@ so P_n(0) = A_n and D_q P_n = [n]_q P_{n-1} holds for any number
 sequence.  The companion beta sequence is the reciprocal of the numbers
 under the q-binomial convolution; it drives the determinant construction
 and the inversion identities.  A family is held by its beta, and its
-numbers are one reciprocal of it, computed on first read.  The 2-iterated
+numbers are computed from it on first read.  The 2-iterated
 and mixed families come from A_I(t) A_II(t), so their beta is beta^I * beta^II
 and their numbers are its reciprocal.  The first three built-ins have betas
-affine in e_q(t) and (e_q(t) - 1)/t, so for a pair of them beta^I * beta^II
-has a closed form in the Galois numbers; other pairs convolve the betas.
+affine in e_q(t) and (e_q(t) - 1)/t: their numbers follow a q-binomial
+recurrence with small weights, and for a pair of them beta^I * beta^II has a
+closed form in the Galois numbers; other pairs convolve the betas.
 
 Built-ins
 ---------
-bernoulli       beta_m = 1/[m+1]_q, numbers by reciprocal
-euler           beta_0 = 1, beta_m = 1/2, numbers by reciprocal
-genocchi-det    beta_0 = 1, beta_m = 1/(2 [m+1]_q), numbers by reciprocal
+bernoulli       beta_m = 1/[m+1]_q, numbers by recurrence
+euler           beta_0 = 1, beta_m = 1/2, numbers by recurrence
+genocchi-det    beta_0 = 1, beta_m = 1/(2 [m+1]_q), numbers by recurrence
 genocchi-table  numbers taken from the published closed forms (n <= 4),
                 beta by reciprocal
 
@@ -103,9 +104,9 @@ class FamilySpec(NamedTuple):
 class AppellFamily:
     """A resolved family: context, order, beta, a label and its numbers.
 
-    The numbers are reciprocal(beta), computed on first read and kept,
-    unless the family was built from given numbers.  ``affine`` is the
-    (c, d, s) of a beta-defined built-in, None for every other family.
+    The numbers are computed on first read and kept, unless the family was
+    built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
+    the (c, d, s) of a beta-defined built-in, else as reciprocal(beta).
     """
 
     __slots__ = ("ctx", "order", "beta", "label", "affine", "_numbers", "_polys")
@@ -127,7 +128,8 @@ class AppellFamily:
     @property
     def numbers(self) -> ESeq:
         if self._numbers is None:
-            self._numbers = reciprocal(self.beta)
+            self._numbers = (_affine_numbers(self.ctx, self.order, self.affine) if self.affine
+                             else reciprocal(self.beta))
         return self._numbers
 
     def __repr__(self) -> str:
@@ -170,6 +172,46 @@ class AppellFamily:
 # (c, d, s) of a beta-defined built-in: beta_m = c [m = 0] + d + s/[m+1]_q
 _HALF = Fraction(1, 2)
 _AFFINE = {"bernoulli": (0, 0, 1), "euler": (_HALF, _HALF, 0), "genocchi-det": (_HALF, 0, _HALF)}
+
+
+def _affine_numbers(ctx: QContext, order: int, affine: tuple) -> ESeq:
+    """The numbers of an ``_AFFINE`` built-in by their own q-binomial recurrence.
+
+    w(t) = t beta(t) = c t + d t e_q(t) + s (e_q(t) - 1), so w_0 = 0, w_j = c [j = 1] + d [j]_q
+    + s, and A(t) w(t) = t gives A_(n-1) w_1 [n]_q = [n = 1] - sum_(k<n-1) C(n,k)_q w_(n-k) A_k
+    (Carlitz 1948).  For q = a/b, C(n,k)_q = G(n,k)/b^(k(n-k)), G(n,k) = b^(n-k) G(n-1,k-1)
+    + a^k G(n-1,k), [j]_q = v_j/b^(j-1) and w_j = W_j/(b^(j-1) scale), or W_j/scale if d = 0.
+    Each A_k = M_k/(b^(e_k) L) over L, the lcm of the cofactors so far: a row sum raises its
+    b-exponent as it goes, one gcd against its cofactor L v_n W_1 gives A_(n-1) as one
+    ``Fraction``, and when L grows, every M_k grows with it.
+    """
+    scale = lcm(*(Fraction(x).denominator for x in affine))
+    cc, dd, ss = (int(x * scale) for x in affine)
+    a, b = ctx.q.numerator, ctx.q.denominator
+    apow, bpow = [a**k for k in range(order + 2)], [b**k for k in range(order + 2)]
+    v = [(y - x) // (b - a) for x, y in zip(apow, bpow)]
+    lift = 1 if dd else 0  # w_j's b-exponent is lift (j - 1)
+    w = [0, cc + dd + ss] + [ss * bpow[lift * j - lift] + dd * v[j] for j in range(2, order + 2)]
+    row, nums, exps, frame, out = [1], [], [], 1, []
+    for n in range(1, order + 2):
+        row = [1, *(bpow[n - k] * row[k - 1] + apow[k] * row[k] for k in range(1, n)), 1]
+        top, acc = n - 1, 0 if n > 1 else -scale
+        for k in range(n - 1):
+            e = k * (n - k) + lift * (n - k - 1) + exps[k]
+            t = row[k] * w[n - k] * nums[k]
+            if e > top:
+                acc, top = acc * b ** (e - top) + t, e
+            else:
+                acc += t * b ** (top - e)
+        g = gcd(acc, frame * v[n] * w[1])
+        num, den = -acc // g, frame * v[n] * w[1] // g
+        grow = den // gcd(frame, den)  # lcm(L, den) = L grow
+        if grow > 1:
+            nums, frame = [x * grow for x in nums], frame * grow
+        nums.append(num * (frame // den))
+        exps.append(top - n + 1)
+        out.append(Fraction(num, b ** exps[-1] * den))
+    return ESeq(ctx, out)
 
 
 def _pair_beta(ctx: QContext, order: int, one: tuple, two: tuple) -> ESeq:

@@ -335,8 +335,9 @@ def _settle_clusters(
     (4n + 1) u sum |a_k||z_i|^k: each complex multiply-add errs by at most
     (2 sqrt 2 + 1) u < 4u (Higham, ch. 3.6) and the extra u covers the
     rounded coefficients, so it contains the exact disc.  Members whose float
-    discs overlap, or have radius 0.0, which may be underflow, are corrected in
-    index order, in place, and sized anew; only an exact 0 gives radius 0.0.
+    discs overlap are corrected in index order, in place, and sized anew; the
+    others of radius 0.0, which may be underflow, get one exact evaluation, and
+    only an exact 0 keeps radius 0.0.
     """
     n = len(z)
     bound = (4 * n + 1) * _UNIT_ROUNDOFF
@@ -351,13 +352,15 @@ def _settle_clusters(
         fl.append(abs(value))
         residuals.append(fl[-1] + bound * size)
     radii = _weierstrass_radii(z, residuals)
-    flagged = [i for i, m in enumerate(_meeting(z, radii)) if m or not radii[i]]
+    met = _meeting(z, radii)
+    moving = [i for i, m in enumerate(met) if m]
+    flagged = moving + [i for i, r in enumerate(radii) if not r and not met[i]]
     if not flagged:
         return "", radii, fl
-    values, zero = _exact_values(p, [z[i] for i in flagged])
-    for _ in range(_EXACT_STEPS):
+    values, zero = _exact_values(p, [z[i] for i in flagged])  # the thin ones get only this
+    for _ in range(_EXACT_STEPS if moving else 0):
         moved = False
-        for i, value, is_zero in zip(flagged, values, zero):  # only its own update moves z_i
+        for i, value, is_zero in zip(moving, values, zero):  # only its own update moves z_i
             if is_zero:  # z_i is a zero of p
                 continue
             zi = z[i]
@@ -368,7 +371,7 @@ def _settle_clusters(
             if cmath.isfinite(delta):
                 z[i] = zi - delta
                 moved = moved or abs(delta) > _UNIT_ROUNDOFF * abs(zi)
-        values, zero = _exact_values(p, [z[i] for i in flagged])
+        values[: len(moving)], zero[: len(moving)] = _exact_values(p, [z[i] for i in moving])
         if not moved:
             break
     for i, value in zip(flagged, values):
@@ -382,7 +385,7 @@ def _settle_clusters(
         return "", radii, fl
     centre = sum(z[j] for j in cluster) / len(cluster)
     where = f"{centre.real:.4g}"
-    if round(centre.imag, 4):
+    if abs(centre.imag) > 5e-5 * abs(centre):  # not lost to 4 digits of |centre|
         where += f"{centre.imag:+.4g}i"
     if cluster is thin:  # a radius of 0.0 with an exact residual that is not 0
         return f"inclusion disc of the zero near {where} underflows to radius 0.0", radii, fl

@@ -254,18 +254,40 @@ class TestProperties:
 
     def test_properties_run_one_reciprocal_per_family(self, monkeypatch):
         calls = []
-        real = families.reciprocal
+        real, kernel = families.reciprocal, families._affine_numbers
 
         def counting(seq):
             calls.append(seq.order)
             return real(seq)
 
+        def counting_kernel(ctx, order, affine):
+            calls.append(order)
+            return kernel(ctx, order, affine)
+
         monkeypatch.setattr(families, "reciprocal", counting)
+        monkeypatch.setattr(families, "_affine_numbers", counting_kernel)
         run_properties(QContext("1/2"), 8)
-        # one per built-in (genocchi-table's is its beta) and one per ordered
-        # pair; the singles truncated for pairs with genocchi-table cut the
-        # numbers already read rather than run their own
+        # one per built-in (genocchi-table's is its beta, the others' numbers
+        # their recurrence) and one per ordered pair; the singles truncated
+        # for pairs with genocchi-table cut the numbers already read rather
+        # than run their own
         assert sorted(calls) == [4] * 8 + [8] * 12
+
+    def test_wrong_builtin_numbers_fail_reciprocal_orthogonality(self, monkeypatch):
+        # the singles' numbers come from their recurrence, not from their
+        # beta, so numbers * beta = 1 cross-checks the two
+        real = families._affine_numbers
+
+        def skewed(ctx, order, affine):
+            got = real(ctx, order, affine)
+            if affine != families._AFFINE["euler"] or order < 3:
+                return got
+            return ESeq(ctx, got.coeffs[:3] + (got.coeffs[3] + 1,) + got.coeffs[4:])
+
+        monkeypatch.setattr(families, "_affine_numbers", skewed)
+        report = run_verify(F(1, 2), 8)
+        assert report.exit_code == 1
+        assert "  [FAIL] reciprocal-orthogonality: " in report.to_text()
 
     def test_verify_resolves_each_family_once(self, monkeypatch):
         calls = []

@@ -14,6 +14,7 @@ from qappell import (
     pair_family,
     product_family,
     q_derive,
+    reciprocal,
     resolve,
     umbral_compose,
     unit,
@@ -164,21 +165,28 @@ class TestAppellPoly:
 
 
 def _counting_reciprocal(monkeypatch):
-    """Count the calls the families module makes to ``reciprocal``."""
+    """Count the number computations the families module runs: its calls to
+    ``reciprocal`` and to the built-ins' recurrence, by order."""
     calls = []
-    inner = families.reciprocal
+    inner, kernel = families.reciprocal, families._affine_numbers
 
     def counted(a):
         calls.append(a.order)
         return inner(a)
 
+    def counted_kernel(ctx, order, affine):
+        calls.append(order)
+        return kernel(ctx, order, affine)
+
     monkeypatch.setattr(families, "reciprocal", counted)
+    monkeypatch.setattr(families, "_affine_numbers", counted_kernel)
     return calls
 
 
 class TestNumbersOnDemand:
-    """A family is held by its beta; its numbers are one reciprocal, run on
-    the first read of ``numbers`` and kept."""
+    """A family is held by its beta; its numbers are one computation, a
+    reciprocal or the built-ins' recurrence, run on the first read of
+    ``numbers`` and kept."""
 
     @pytest.mark.parametrize("spec", [B, E, GD])
     def test_builtin_by_beta_inverts_on_first_read(self, monkeypatch, ctx_half, spec):
@@ -221,6 +229,47 @@ class TestNumbersOnDemand:
         assert calls == []
         assert fam.numbers.coeffs == (F(1, 3), F(-1, 18))
         assert calls == [1]
+
+
+class TestAffineNumbers:
+    """The numbers of the beta-defined built-ins come from their own
+    q-binomial recurrence; ``reciprocal(beta)`` is the oracle."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 24])
+    @pytest.mark.parametrize(
+        "qs", ["1/2", "5/11", "9/10", "5/6", "2/9", "999/1000", "1/1000000000"]
+    )
+    @pytest.mark.parametrize("name", ["bernoulli", "euler", "genocchi-det"])
+    def test_matches_the_reciprocal_of_beta(self, name, qs, order):
+        ctx = QContext(qs)
+        fam = resolve(FamilySpec.builtin(name), ctx, order)
+        got = families._affine_numbers(ctx, order, fam.affine)
+        assert got == reciprocal(fam.beta) and all(type(c) is F for c in got)
+        assert fam.numbers == got
+
+    @given(
+        q=q_values(),
+        name=st.sampled_from(["bernoulli", "euler", "genocchi-det"]),
+        order=st.integers(0, 16),
+    )
+    def test_matches_the_reciprocal_at_any_q(self, q, name, order):
+        fam = resolve(FamilySpec.builtin(name), QContext(q), order)
+        assert fam.numbers == reciprocal(fam.beta)
+
+    def test_only_beta_defined_builtins_take_the_recurrence(self, monkeypatch, ctx_half):
+        singles = [resolve(spec, ctx_half, 5) for spec in (B, E, GD)]
+        bern = singles[0]
+        others = [
+            pair_family(B, E, ctx_half, 5),
+            resolve(FamilySpec.from_beta(bern.beta), ctx_half, 5),
+            families.AppellFamily(ctx_half, bern.beta, "bernoulli"),
+        ]
+        monkeypatch.setattr(families, "reciprocal", None)
+        assert [fam.numbers.order for fam in singles] == [5, 5, 5]
+        monkeypatch.undo()
+        monkeypatch.setattr(families, "_affine_numbers", None)
+        assert all(fam.numbers == bern.numbers for fam in others[1:])
+        assert others[0].numbers.order == 5
 
 
 def _product_numbers_oracle(a, b):

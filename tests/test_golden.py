@@ -8,7 +8,8 @@ be stated in CHANGES.md.  A last pair of digests pins the exact numbers,
 beta and sampled values of one pair family at order 48, the coefficient size
 (thousands of bits) where the series kernels and ``sample`` spend their
 time, and ``PAIRS_64_DIGEST`` the numbers and beta of all nine ordered pairs
-of beta-defined built-ins at order 64.  ``ZEROS_DIGEST`` pins every ``find_roots`` outcome, accepted or
+of beta-defined built-ins at order 64, ``SINGLES_DIGEST`` the numbers of those
+three built-ins at order 64 and 48.  ``ZEROS_DIGEST`` pins every ``find_roots`` outcome, accepted or
 refused, on the fixed part of the ``zeros`` benchmark workload.
 """
 
@@ -66,6 +67,10 @@ DEEP_SAMPLE_DIGEST = "fda110b7edd56ff793472841d5285c631c8c084e23b2a22fc757431c54
 # numbers and beta, one per line; pinned while the pair beta was a convolution
 PAIRS_64_DIGEST = "bf0f07c23bdefd8a93268d343079963abec9b433add223f64ba5036e15be42f1"
 
+# the numbers of bernoulli, euler and genocchi-det at q = 5/11, order 64, then
+# at q = 999/1000, order 48, one per line; pinned while they were reciprocal(beta)
+SINGLES_DIGEST = "cd6aac9e2a20b023a9a4c74241d1fb2144fc3adda4e3a5c28ef1ddc73a6f56ff"
+
 # find_roots on q in {1/10, 1/2, 9/10} x {bernoulli, euler, genocchi-det} x
 # {plain, x bernoulli}, combo k at every 4th degree from 2 + k % 4 to 40, then
 # bernoulli x bernoulli at the three former false failures; one line per
@@ -116,6 +121,16 @@ def test_pairs_64_digest():
             fam = pair_family(FamilySpec.builtin(a), FamilySpec.builtin(b), ctx, 64)
             text += "".join(f"{c}\n" for c in fam.numbers.coeffs + fam.beta.coeffs)
     assert _sha256(text) == PAIRS_64_DIGEST
+
+
+def test_singles_digest():
+    text = ""
+    for q, order in ((F(5, 11), 64), (F(999, 1000), 48)):
+        ctx = QContext(q)
+        for name in ("bernoulli", "euler", "genocchi-det"):
+            fam = resolve(FamilySpec.builtin(name), ctx, order)
+            text += "".join(f"{c}\n" for c in fam.numbers.coeffs)
+    assert _sha256(text) == SINGLES_DIGEST
 
 
 def test_zeros_digest():

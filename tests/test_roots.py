@@ -321,14 +321,25 @@ class TestFindRoots:
         assert str(info.value) == f"{low} underflow in the float image"
         assert info.value.sweeps == 0
 
-    def test_zero_width_disc_refuses_by_name(self):
+    def test_zero_width_disc_refuses_by_name(self, monkeypatch):
         # x^3 + x/10^302 has zeros 0 and +/- 10^-151 i.  At modulus 10^-151, p
         # and Horner's bound underflow, so two float discs get radius 0.0, but
-        # no dyadic point there is a zero: the exact residuals certify nothing
+        # no dyadic point there is a zero: the exact residuals certify nothing.
+        # With the disc about the exact zero 0, three have radius 0.0 and none
+        # overlap: one exact evaluation of all three, no correction moves the
+        # iterate that is named, and its place keeps its imaginary part
+        calls = []
+
+        def counted(p, points):
+            calls.append(len(points))
+            return _exact_values(p, points)
+
+        monkeypatch.setattr(roots, "_exact_values", counted)
         with pytest.raises(RootFindingError, match=(
-            r"^inclusion disc of the zero near 9\.211e-152 underflows to radius 0\.0$"
+            r"^inclusion disc of the zero near 9\.211e-152\+3\.894e-152i underflows to radius 0\.0$"
         )):
             find_roots(QPoly([0, F(1, 10**302), 0, 1]))
+        assert calls == [3]
         # a true dyadic zero keeps its radius 0.0 and is accepted
         assert find_roots(QPoly([0, -1, 1])).real_roots == (0.0, 1.0)
 
