@@ -477,16 +477,15 @@ def _zeros_match(
     computed: RootSet,
     printed_reals: list[float],
     printed_pairs: list[complex],
-    tol: float = ZERO_MATCH_TOL,
 ) -> bool:
     if computed.counts() != (len(printed_reals), 2 * len(printed_pairs)):
         return False
     for got, want in zip(computed.real_roots, sorted(printed_reals)):
-        if abs(got - want) > tol:
+        if abs(got - want) > ZERO_MATCH_TOL:
             return False
     uppers = sorted((u for u, _ in computed.complex_pairs), key=lambda w: w.real)
     for got, want in zip(uppers, sorted(printed_pairs, key=lambda w: w.real)):
-        if abs(got.real - want.real) > tol or abs(got.imag - want.imag) > tol:
+        if max(abs(got.real - want.real), abs(got.imag - want.imag)) > ZERO_MATCH_TOL:
             return False
     return True
 

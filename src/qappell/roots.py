@@ -13,20 +13,21 @@ Ehrlich 1967; the core of MPSolve, Bini 1996) on the monic float image:
   applied in place (Gauss-Seidel style); it converges cubically to simple
   zeros, so no Newton polish follows;
 * stop: per iterate, as in MPSolve (Bini 1996; Bini & Robol 2014).  z_i
-  is frozen once its update falls below ``tol``, or once its update has
-  stopped shrinking while |p(z_i)| is within Horner's rounding error bound
-  2n u sum |a_k||z_i|^k (u = 2^-53; Higham, *Accuracy and Stability of
-  Numerical Algorithms*, ch. 5).  Each sweep updates only the iterates
-  still moving, but their Aberth sums run over all n, the frozen included;
-* isolation: each zero gets the Weierstrass inclusion disc of radius
+  is frozen once its update falls below ``_DEFAULT_TOL``, or once its
+  update has stopped shrinking while |p(z_i)| is within Horner's rounding
+  error bound 2n u sum |a_k||z_i|^k (u = 2^-53; Higham, *Accuracy and
+  Stability of Numerical Algorithms*, ch. 5).  Each sweep updates only the
+  iterates still moving, but their Aberth sums run over all n, the frozen
+  included;
+* acceptance: each zero gets the Weierstrass inclusion disc of radius
   n |p(z_i) / prod_(j != i) (z_i - z_j)| (Braess & Hadeler 1973; Neumaier
-  2003), first from |fl p(z_i)| plus Horner's bound.  At a cluster that
-  residual is rounding noise, so each member whose disc meets another gets
-  up to ``_EXACT_STEPS`` Aberth corrections from exact residuals, which
-  then size its disc; if discs still overlap, ``RootFindingError`` names
-  the cluster.  The stage costs O(n^2) for the radii, one Horner pass per
-  iterate, disc tests by a sweep over real parts and one exact image per
-  correction step; the residual check and the classification follow.
+  2003), first from |fl p(z_i)| plus Horner's bound; it must meet no other
+  disc and have radius at most ``_TARGET`` |z_i|.  At a cluster, or for q
+  near 1, that residual is rounding noise, so each member that fails gets up
+  to ``_EXACT_STEPS`` Aberth corrections from exact residuals, which then
+  size its disc; one that still fails is named in a ``RootFindingError``.
+  The stage costs O(n^2) for the radii, one Horner pass per iterate, disc
+  tests by a sweep over real parts and one exact image per correction step.
 
 Classification rests on the same discs (``_build``), since p is real and
 the mirror image of a zero is a zero.  There is no randomness anywhere, so
@@ -61,7 +62,8 @@ _ANGLE_OFFSET = 0.4  # radians; fixed, keeps the start set asymmetric
 _DEFAULT_TOL = 1e-13
 _DEFAULT_SWEEPS = 500
 _UNIT_ROUNDOFF = 2.0**-53
-_EXACT_STEPS = 8  # exact-residual corrections of a clustered zero, at most
+_EXACT_STEPS = 8  # exact-residual corrections of a clustered or wide disc, at most
+_TARGET = 2.0**-20  # widest accepted inclusion disc, relative to |z_i|
 
 
 class RootFindingError(RuntimeError):
@@ -181,9 +183,7 @@ def _newton_polygon_start(coeffs: list[float]) -> list[complex]:
     return z
 
 
-def find_roots(
-    p: QPoly, *, tol: float = _DEFAULT_TOL, max_sweeps: int = _DEFAULT_SWEEPS
-) -> RootSet:
+def find_roots(p: QPoly, *, max_sweeps: int = _DEFAULT_SWEEPS) -> RootSet:
     """All zeros of p (degree >= 1), classified; deterministic."""
     if p.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -233,7 +233,7 @@ def find_roots(
                 )
             update = abs(delta)
             # Horner's rounding error bound 2n u sum |a_k||z|^k (Higham, ch. 5)
-            if update >= tol and not (
+            if update >= _DEFAULT_TOL and not (
                 update >= updates[i]
                 and abs(value) <= 2 * n * _UNIT_ROUNDOFF * _horner(abs_coeffs, abs(zi))
             ):
@@ -248,15 +248,9 @@ def find_roots(
             f"still moving, last max update {max(updates[i] for i in live):.3e})"
         )
 
-    cluster, radii, residuals = _settle_clusters(p, z, coeffs, tail)
+    cluster, radii = _settle_clusters(p, z, coeffs, tail)
     if cluster:
         raise failure(cluster)
-    residual_tol = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
-    bad = [r for r in residuals if not (r < residual_tol) or math.isnan(r)]
-    if bad:
-        raise failure(
-            f"residuals exceed {residual_tol:.3e}: worst {max(residuals):.3e}"
-        )
     try:
         return _build(n, z, coeffs, sweeps, radii)
     except ClassificationError as exc:
@@ -326,22 +320,23 @@ def _meeting(z: list[complex], radii: list[float], mirrored=False) -> list[list[
 
 def _settle_clusters(
     p: QPoly, z: list[complex], coeffs: list[float], tail: list[float]
-) -> tuple[str, list[float], list[float]]:
-    """Name a cluster whose Weierstrass inclusion discs overlap, or "", and
-    give every member's disc radius and |fl p(z_i)| at its final z_i.
+) -> tuple[str, list[float]]:
+    """Name a zero whose Weierstrass inclusion disc meets another or is wider
+    than ``_TARGET`` |z_i|, or "", and give every member's disc radius.
 
     Each connected union of m discs holds exactly m zeros (Braess & Hadeler
     1973).  A float disc uses |fl p(z_i)| plus Horner's bound for complex z,
     (4n + 1) u sum |a_k||z_i|^k: each complex multiply-add errs by at most
     (2 sqrt 2 + 1) u < 4u (Higham, ch. 3.6) and the extra u covers the
     rounded coefficients, so it contains the exact disc.  Members whose float
-    discs overlap are corrected in index order, in place, and sized anew; the
-    others of radius 0.0, which may be underflow, get one exact evaluation, and
-    only an exact 0 keeps radius 0.0.
+    discs overlap or miss the target are corrected in index order, in place,
+    and sized anew; the others of radius 0.0, which may be underflow, get one
+    exact evaluation, and only an exact 0 keeps radius 0.0.  Overlap is named
+    first, then radius 0.0, then width.
     """
     n = len(z)
     bound = (4 * n + 1) * _UNIT_ROUNDOFF
-    fl, residuals = [], []
+    residuals = []
     terms = [(c, abs(c)) for c in reversed(coeffs)]
     for w in z:
         # |fl p(w)| and sum |a_k||w|^k in one pass, in _horner's order
@@ -349,14 +344,14 @@ def _settle_clusters(
         for c, a in terms:
             value = value * w + c
             size = size * modulus + a
-        fl.append(abs(value))
-        residuals.append(fl[-1] + bound * size)
+        residuals.append(abs(value) + bound * size)
     radii = _weierstrass_radii(z, residuals)
     met = _meeting(z, radii)
-    moving = [i for i, m in enumerate(met) if m]
+    # not <=, so that a NaN radius misses the target
+    moving = [i for i, m in enumerate(met) if m or not radii[i] <= _TARGET * abs(z[i])]
     flagged = moving + [i for i, r in enumerate(radii) if not r and not met[i]]
     if not flagged:
-        return "", radii, fl
+        return "", radii
     values, zero = _exact_values(p, [z[i] for i in flagged])  # the thin ones get only this
     for _ in range(_EXACT_STEPS if moving else 0):
         moved = False
@@ -376,24 +371,28 @@ def _settle_clusters(
             break
     for i, value in zip(flagged, values):
         residuals[i] = abs(value)
-        fl[i] = abs(_horner(coeffs, z[i]))
     radii = _weierstrass_radii(z, residuals)
     exact = {i for i, is_zero in zip(flagged, zero) if is_zero}
-    thin = next(([i] for i, r in enumerate(radii) if not r and i not in exact), [])
-    cluster = next((sorted([i, *m]) for i, m in enumerate(_meeting(z, radii)) if m), thin)
+    thin = [i for i, r in enumerate(radii) if not r and i not in exact]
+    lone = (thin or [i for i, r in enumerate(radii) if not r <= _TARGET * abs(z[i])])[:1]
+    cluster = next((sorted([i, *m]) for i, m in enumerate(_meeting(z, radii)) if m), lone)
     if not cluster:
-        return "", radii, fl
+        return "", radii
     centre = sum(z[j] for j in cluster) / len(cluster)
     where = f"{centre.real:.4g}"
     if abs(centre.imag) > 5e-5 * abs(centre):  # not lost to 4 digits of |centre|
         where += f"{centre.imag:+.4g}i"
-    if cluster is thin:  # a radius of 0.0 with an exact residual that is not 0
-        return f"inclusion disc of the zero near {where} underflows to radius 0.0", radii, fl
-    listed = ", ".join(f"{radii[j]:.1e}" for j in cluster)
-    return (
-        f"zeros near {where} not isolated in double precision "
-        f"(inclusion radii {listed})"
-    ), radii, fl
+    if len(cluster) > 1:
+        listed = ", ".join(f"{radii[j]:.1e}" for j in cluster)
+        return (
+            f"zeros near {where} not isolated in double precision "
+            f"(inclusion radii {listed})"
+        ), radii
+    width = radii[cluster[0]]
+    if width:  # NaN or wider than the target
+        return f"inclusion disc of the zero near {where} has radius {width:.1e}", radii
+    # a radius of 0.0 with an exact residual that is not 0
+    return f"inclusion disc of the zero near {where} underflows to radius 0.0", radii
 
 
 def _build(

@@ -303,6 +303,21 @@ class TestRoots:
         assert (code, out) == (3, "")
         assert err == "root finding failed: a_0..a_8 underflow in the float image\n"
 
+    def test_wide_disc_exits_3_by_name(self, capsys, monkeypatch):
+        # the real zero near 4.158e-10 needs the exact corrections to get
+        # its disc below 2^-20 of its modulus
+        from qappell import roots
+
+        monkeypatch.setattr(roots, "_EXACT_STEPS", 0)
+        code, out, err = run_cli(
+            capsys, "roots", "--family", "bernoulli", "--q", "1/1000000000", "-n", "24"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "root finding failed: inclusion disc of the zero near 4.158e-10 "
+            "has radius 6.0e-16\n"
+        )
+
     def test_classification_failure_exits_3(self, capsys, monkeypatch):
         from qappell import roots
         from qappell.roots import ClassificationError

@@ -572,6 +572,65 @@ class TestDiscClassification:
             _build(2, z, [1.0, -2.0, 1.0], sweeps=0, radii=[1.4e-10, 1.4e-10])
 
 
+class TestAccuracyTarget:
+    """Every accepted inclusion disc has radius at most ``_TARGET`` |z_i|."""
+
+    def test_tiny_zeros_get_their_digits(self):
+        # x^2 + 2^-1000: the absolute update rule freezes both iterates after
+        # one sweep, 40 % off; their discs are wider than the target, so the
+        # exact corrections pin the zeros +/- 2^-500 i
+        rs = find_roots(QPoly([F(1, 2**1000), 0, 1]))
+        assert rs.complex_pairs == ((complex(0, 2.0**-500), complex(0, -(2.0**-500))),)
+
+    def test_wide_disc_refuses_by_name(self, monkeypatch):
+        # without the exact corrections the discs stay at about 1.2 |z_i|
+        monkeypatch.setattr(roots, "_EXACT_STEPS", 0)
+        with pytest.raises(RootFindingError, match=(
+            r"^inclusion disc of the zero near -1\.641e-151\+2\.577e-151i has radius 3\.6e-151$"
+        )):
+            find_roots(QPoly([F(1, 2**1000), 0, 1]))
+
+    @pytest.mark.parametrize(
+        "coeffs, radius, named",
+        [
+            ([-1, 2], math.nan, "has radius nan"),
+            ([1, 0, 1], math.nan, "has radius nan"),
+            ([-1, 2], math.inf, "has radius inf"),
+            ([1, 0, 1], math.inf, "not isolated"),  # an infinite disc meets every other
+        ],
+    )
+    def test_non_finite_radius_is_refused(self, monkeypatch, coeffs, radius, named):
+        monkeypatch.setattr(roots, "_weierstrass_radii", lambda z, residuals: [radius] * len(z))
+        with pytest.raises(RootFindingError, match=named):
+            find_roots(QPoly(coeffs))
+
+    @pytest.mark.parametrize(
+        "q, name, n, counts",
+        [(F(99, 100), "bernoulli", 32, (8, 24)), (F(19, 20), "genocchi-det", 40, (6, 34))],
+    )
+    def test_former_residual_refusals(self, q, name, n, counts):
+        # refused as "residuals exceed ..." by the float residual tolerance
+        # this target replaced: |fl p(z)| is rounding noise above it for q
+        # near 1, although the zeros are well separated
+        p = resolve(FamilySpec.builtin(name), QContext(q), n).poly(n)
+        rs = find_roots(p)
+        assert rs.counts() == counts
+        assert all(v < 1e-11 for v in relative_vieta(p, rs.roots))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            exact = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)],
+                maxsteps=200,
+                extraprec=200,
+            )
+            assert sum(mpmath.im(w) == 0 for w in exact) == counts[0]
+            want = [complex(w) for w in exact]
+        for got in rs.roots:
+            nearest = min(want, key=lambda w: abs(got - w))
+            want.remove(nearest)
+            assert abs(got - nearest) < 2.0**-20 * abs(nearest), (got, nearest)
+
+
 # q x {plain, x bernoulli}, a different base family per q; combo k takes
 # every 12th degree from 4 + 2k, so together they cover the even degrees 4..40
 SWEEP = [
