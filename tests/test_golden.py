@@ -3,6 +3,8 @@
 The digests pin the text rendering and the sorted-key JSON rendering of
 `run_verify` (up to order 24 at q = 5/11), and the stdout and exit code of
 a few CLI commands that take the pair, determinant and cross-method paths.
+``CLI_PARITY`` pins the stdout digest, stderr and exit code of every command
+in every format and of each usage error.
 Any change to either rendering, intended or not, shows up here and has to
 be stated in CHANGES.md.  A last pair of digests pins the exact numbers,
 beta and sampled values of one pair family at order 48, the coefficient size
@@ -58,6 +60,175 @@ CLI_GOLDEN = {
         "3cd7921fd86fb47af5a8ea0e29490e5171a713a675b7153e1c407e35f81d2005",
 }
 
+# every command in every format, a single family and a pair, one method and
+# --method all, and each usage error: (stdout SHA-256, stderr, exit code)
+CLI_PARITY = {
+    # numbers x text/json/csv; single and pair; one method and all
+    "numbers --family bernoulli --q 1/2 --upto 6": (
+        "5029911504209d389ce408546fe137a4f3b274b92d57cd59a0f9c8867871fac6",
+        "", 0,
+    ),
+    "numbers --iterate bernoulli,euler --q 1/2 --upto 5 --method all --format json": (
+        "3a971d9b282e7998d710cf1a5a061803c5ee7fe4a2ad94029342255c6b5c6736",
+        "", 0,
+    ),
+    "numbers --family euler --q 2/5 --upto 5 --method determinant --format csv": (
+        "8190b666d9a3c480f7043affbb8d595ce4d9491d4591fa6ca216eaa84af58580",
+        "", 0,
+    ),
+    "numbers --mixed euler,genocchi-table --q 1/3 --upto 4 --method operator --format json": (
+        "73c70a5de636eaad0ef013f2461dcdba96802af7274e87198e61b1ca6d428180",
+        "", 0,
+    ),
+    # poly
+    "poly --family euler --q 1/2 -n 5": (
+        "1fe14f7e7838ad8449ccec41d2bdb15ed71b520b9574007693c2442d205700ee",
+        "", 0,
+    ),
+    "poly --iterate bernoulli,euler --q 1/2 -n 4 --method all": (
+        "7334ca695360b93aa9f40faaca24aaeadd1f07d518c7e0b1e77e726e8c4f1047",
+        "", 0,
+    ),
+    "poly --family bernoulli --q 1/3 -n 6 --method operator --format json": (
+        "abe28fcaf3aab6d87fa3a9629c0874db5146df774f666a3ab3b989e579bbc67c",
+        "", 0,
+    ),
+    "poly --mixed euler,genocchi-table --q 1/2 -n 4 --method all --format json": (
+        "678356856337f5e83644a9e3bb5ce066dfdfc934c9e6f439e8c98796edafd224",
+        "", 0,
+    ),
+    "poly --iterate bernoulli,bernoulli --q 1/2 -n 5 --method determinant --format csv": (
+        "f53d89ad4356e222115ca0e30bfcb66adef07b290e049ebd323073a047a64126",
+        "", 0,
+    ),
+    "poly --family genocchi-det --q 1/2 -n 4 --method all --format csv": (
+        "694da054461a958ae0e2dcc6e04de29341bd4dd23076c5a7a7db7b509c09432c",
+        "", 0,
+    ),
+    # roots, --full-precision in each format
+    "roots --family euler --q 1/2 -n 5": (
+        "1712c58d99e85718435c9e2ca15fe1afe3314f290672c6f5fcfc1edb616fcee2",
+        "", 0,
+    ),
+    "roots --family bernoulli --q 1/2 -n 6 --method all --format json": (
+        "bee88e82d834bbbbb196b464161f32ed164fa655acd00f04e523bc99aa3420cd",
+        "", 0,
+    ),
+    "roots --iterate bernoulli,euler --q 1/2 -n 5 --format csv": (
+        "38d943c5e6d6b3bdf8ddd0ccc531d33c5a9fc4203bf5cbca12c4e99754fccc3a",
+        "", 0,
+    ),
+    "roots --family euler --q 1/2 -n 5 --method determinant --full-precision": (
+        "1b720d85afc95d9153adffd942e7394a2b8f8c8595c717bba57b2044e5c3ea80",
+        "", 0,
+    ),
+    "roots --iterate bernoulli,euler --q 1/2 -n 5 --method all --full-precision --format csv": (
+        "5884a4cce8de2ea1f1183e018af87c229146d238a9f1b59c1254717b78cc0d8b",
+        "", 0,
+    ),
+    "roots --mixed euler,bernoulli --q 1/3 -n 4 --method operator --full-precision --format json": (
+        "b8dd4fd88c46502e5c793226812fd1e5f765e28afde947227c17ec4080e28132",
+        "", 0,
+    ),
+    # sample
+    "sample --family bernoulli --q 1/2 -n 3 --xmin -1 --xmax 1 --steps 5": (
+        "d56b46e096d8fba5645d3cda89f2cd5384a0dc49e72d38cfb185617753464dda",
+        "", 0,
+    ),
+    "sample --family euler --q 1/2 --degrees 1,2 --xmin 0 --xmax 1 --steps 3 --format json": (
+        "670926e2a65d259d575c76fe8df3f865caef55c4f279f060e27c8da25fb702a8",
+        "", 0,
+    ),
+    "sample --iterate bernoulli,euler --q 1/2 -n 2 --xmin=-1/2 --xmax 1/2 --steps 4 --format csv": (
+        "15af1decfdcc382eedf93d5f33581a22bb5ccc4b07d32961ce5b01b412a53253",
+        "", 0,
+    ),
+    # verify
+    "verify": (
+        "e881d206f0db93110cb613788fc5623f41eb664ba4f3e8c6b1542fedb3917197",
+        "", 0,
+    ),
+    "verify --q 1/3 --format json": (
+        "c5b561ac32e941c311e568f004405cdc0e70084ab78ded1df025cf7c8db319be",
+        "", 0,
+    ),
+    # each CliError path, and which check wins when two fail
+    "numbers --family bernoulli --q 1/2 --upto -1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: --upto must be >= 0\n", 2,
+    ),
+    "poly --family bernoulli --q 1/2 -n -1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: -n must be >= 0\n", 2,
+    ),
+    "roots --family bernoulli --q 1/2 -n 0": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: -n must be >= 1 for roots\n", 2,
+    ),
+    "numbers --family bernoulli --q 1/2 --upto 129": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: --upto 129 is above the cap of 128 (see the README)\n", 2,
+    ),
+    "roots --iterate bernoulli,euler --q 1/2 -n 129": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: -n 129 is above the cap of 128 (see the README)\n", 2,
+    ),
+    "poly --family euler --q 2 -n 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: q must satisfy 0 < q < 1, got 2\n", 2,
+    ),
+    "poly --family euler --q abc -n 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: cannot parse 'abc' as a rational\n", 2,
+    ),
+    "poly --family nosuch --q 1/2 -n 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: unknown family 'nosuch'; choose from bernoulli, euler, genocchi-det,"
+        " genocchi-table\n", 2,
+    ),
+    "roots --iterate bernoulli --q 1/2 -n 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: expected two comma-separated names, got 'bernoulli'\n", 2,
+    ),
+    "numbers --family euler --q 1/2 --upto 3 --out no-such-dir/out.txt": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: cannot write no-such-dir/out.txt: No such file or directory\n", 2,
+    ),
+    "numbers --family nosuch --q 0 --upto -1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: q must satisfy 0 < q < 1, got 0\n", 2,
+    ),
+    "roots --family nosuch --q 1/2 -n 0": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: unknown family 'nosuch'; choose from bernoulli, euler, genocchi-det,"
+        " genocchi-table\n", 2,
+    ),
+    "poly --iterate euler --q 1/2 -n -5": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: expected two comma-separated names, got 'euler'\n", 2,
+    ),
+    "roots --family euler --q 1/2 -n 0 --out no-such-dir/out.txt": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: -n must be >= 1 for roots\n", 2,
+    ),
+    "sample --family euler --q 1/2 --xmin 0 --xmax 1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: sample needs -n or --degrees\n", 2,
+    ),
+    "sample --family euler --q 1/2 -n 2 --xmin 1 --xmax 1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: --xmin must be < --xmax\n", 2,
+    ),
+    "verify --format csv": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: verify supports text or json output\n", 2,
+    ),
+    "verify --upto 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: verify needs --upto >= 4 to cover the reference tables\n", 2,
+    ),
+}
+
 # bernoulli * euler at q = 5/11, order 48: numbers and beta, one per line;
 # then sample(P_48, -2, 2, 33) as "x value" lines
 DEEP_SERIES_DIGEST = "a4ed31b0a4db67934aa41ed88005c8b27567cab8b3766427a342a25a1e59774d"
@@ -101,6 +272,14 @@ def test_cli_digests(command, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert _sha256(out) == CLI_GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", list(CLI_PARITY))
+def test_cli_parity(command, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # --out no-such-dir/out.txt must fail to open
+    code = cli.main(command.split())
+    out, err = capsys.readouterr()
+    assert (_sha256(out), err, code) == CLI_PARITY[command]
 
 
 def test_deep_pair_digests():
