@@ -154,7 +154,9 @@ def _resolve(
     return series, members
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, lines: list[str]) -> None:
+    """Write the lines, each ended by a newline, to --out or else stdout."""
+    text = "\n".join(lines) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return
@@ -165,71 +167,41 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         raise CliError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
-def _json_text(payload: dict) -> str:
+def _json(payload: dict) -> str:
     import json  # imported here: text and csv output never need it
 
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2)
 
 
-def _methods(args: argparse.Namespace) -> tuple[str, ...]:
-    if args.method == "all":
-        return ("series", "determinant", "operator")
-    return (args.method,)
+def _header(ctx: QContext, specs: tuple[FamilySpec, ...], **fields) -> dict:
+    """The JSON payload of a family command: schema, q and family, then the fields."""
+    return {"schema": 1, "q": frac_str(ctx.q), "family": _label(specs), **fields}
 
 
-def _by_method(methods: tuple[str, ...], compute, render) -> dict | None:
-    """compute(m) for every method, or None once a divergence is reported.
+def _family_results(
+    args: argparse.Namespace, flag: str, order: int, floor: int, compute, render
+) -> tuple[QContext, tuple[FamilySpec, ...], dict] | None:
+    """The context, the specs and every --method's result, or None after a divergence.
 
-    A divergence from the first method writes each method's result, as
-    render gives it, to stderr.
+    The order is checked against its floor and cap, and the families are
+    resolved once at it.  compute(at) gives one method's result, where at(n)
+    is that method's polynomial of degree n.  A divergence from the first
+    method writes each method's result, as render gives it, to stderr.
     """
-    computed = {m: compute(m) for m in methods}
-    if any(v != computed[methods[0]] for v in computed.values()):
-        sys.stderr.write("cross-method divergence:\n")
-        for m in methods:
-            sys.stderr.write(f"  {m}: {render(computed[m])}\n")
-        return None
-    return computed
-
-
-def cmd_numbers(args: argparse.Namespace) -> int:
     ctx = _context(args)
     specs = _specs(args)
-    if args.upto < 0:
-        raise CliError("--upto must be >= 0")
-    _check_cap("--upto", args.upto, MAX_ORDER)
-    series, members = _resolve(specs, ctx, args.upto)
-    methods = _methods(args)
-    values = _by_method(
-        methods,
-        lambda m: [
-            _poly_by_method(series, members, n, m)(0) for n in range(args.upto + 1)
-        ],
-        lambda vs: [frac_str(v) for v in vs],
-    )
-    if values is None:
-        return 2
-    rows = list(enumerate(values[methods[0]]))
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "q": frac_str(ctx.q),
-            "family": _label(specs),
-            "numbers": [
-                {"n": n, "exact": frac_str(v), "decimal": decimal_str(v)} for n, v in rows
-            ],
-        }
-        text = _json_text(payload)
-    elif args.format == "csv":
-        lines = ["n,exact,decimal"]
-        lines += [f"{n},{frac_str(v)},{decimal_str(v)}" for n, v in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{_label(specs)} numbers at q = {frac_str(ctx.q)}"]
-        lines += [f"  n={n}: {frac_str(v)} = {decimal_str(v)}" for n, v in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    return 0
+    if order < floor:
+        raise CliError(f"{flag} must be >= {floor}" + (" for roots" if floor else ""))
+    _check_cap(flag, order, MAX_ORDER)
+    series, members = _resolve(specs, ctx, order)
+    methods = ("series", "determinant", "operator") if args.method == "all" else (args.method,)
+    results = {m: compute(lambda n: _poly_by_method(series, members, n, m)) for m in methods}
+    if any(v != results[methods[0]] for v in results.values()):
+        sys.stderr.write("cross-method divergence:\n")
+        for m, v in results.items():
+            sys.stderr.write(f"  {m}: {render(v)}\n")
+        return None
+    return ctx, specs, results
 
 
 def _poly_by_method(
@@ -247,66 +219,71 @@ def _poly_by_method(
     return apply_operator(fam_i.numbers, fam_ii.poly(n))
 
 
-def _poly_payload(p: QPoly) -> dict:
-    return {"coeffs": [frac_str(c) for c in p.coeffs], "text": poly_text(p)}
+def cmd_numbers(args: argparse.Namespace) -> int:
+    run = _family_results(
+        args,
+        "--upto",
+        args.upto,
+        0,
+        lambda at: [at(n)(0) for n in range(args.upto + 1)],
+        lambda vs: [frac_str(v) for v in vs],
+    )
+    if run is None:
+        return 2
+    ctx, specs, results = run
+    rows = list(enumerate(next(iter(results.values()))))
+    if args.format == "json":
+        numbers = [{"n": n, "exact": frac_str(v), "decimal": decimal_str(v)} for n, v in rows]
+        lines = [_json(_header(ctx, specs, numbers=numbers))]
+    elif args.format == "csv":
+        lines = ["n,exact,decimal"]
+        lines += [f"{n},{frac_str(v)},{decimal_str(v)}" for n, v in rows]
+    else:
+        lines = [f"{_label(specs)} numbers at q = {frac_str(ctx.q)}"]
+        lines += [f"  n={n}: {frac_str(v)} = {decimal_str(v)}" for n, v in rows]
+    _emit(args, lines)
+    return 0
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    specs = _specs(args)
-    if args.n < 0:
-        raise CliError("-n must be >= 0")
-    _check_cap("-n", args.n, MAX_ORDER)
-    series, members = _resolve(specs, ctx, args.n)
-    methods = _methods(args)
-    computed = _by_method(
-        methods, lambda m: _poly_by_method(series, members, args.n, m), poly_text
-    )
-    if computed is None:
+    run = _family_results(args, "-n", args.n, 0, lambda at: at(args.n), poly_text)
+    if run is None:
         return 2
+    ctx, specs, results = run
+    p = next(iter(results.values()))
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "q": frac_str(ctx.q),
-            "family": _label(specs),
-            "n": args.n,
-            "methods": {m: _poly_payload(p) for m, p in computed.items()},
-        }
+        payload = _header(
+            ctx,
+            specs,
+            n=args.n,
+            methods={
+                m: {"coeffs": [frac_str(c) for c in r.coeffs], "text": poly_text(r)}
+                for m, r in results.items()
+            },
+        )
         if args.method == "all":
             payload["agree"] = True
-        text = _json_text(payload)
+        lines = [_json(payload)]
     elif args.format == "csv":
-        p = computed[methods[0]]
         lines = ["power,coefficient"]
         lines += [f"{k},{frac_str(p.coeff(k))}" for k in range(p.degree, -1, -1)]
-        text = "\n".join(lines) + "\n"
+    elif args.method == "all":
+        lines = [f"{m}: {poly_text(r)}" for m, r in results.items()]
+        lines.append("all methods agree")
     else:
-        if args.method == "all":
-            lines = [f"{m}: {poly_text(p)}" for m, p in computed.items()]
-            lines.append("all methods agree")
-            text = "\n".join(lines) + "\n"
-        else:
-            text = poly_text(computed[methods[0]]) + "\n"
-    _emit(args, text)
+        lines = [poly_text(p)]
+    _emit(args, lines)
     return 0
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
     from . import roots  # imported here: start-up is most of a small call
 
-    ctx = _context(args)
-    specs = _specs(args)
-    if args.n < 1:
-        raise CliError("-n must be >= 1 for roots")
-    _check_cap("-n", args.n, MAX_ORDER)
-    series, members = _resolve(specs, ctx, args.n)
-    methods = _methods(args)
-    computed = _by_method(
-        methods, lambda m: _poly_by_method(series, members, args.n, m), poly_text
-    )
-    if computed is None:
+    run = _family_results(args, "-n", args.n, 1, lambda at: at(args.n), poly_text)
+    if run is None:
         return 2
-    p = computed[methods[0]]
+    ctx, specs, results = run
+    p = next(iter(results.values()))
     try:
         rs = roots.find_roots(p)
     except roots.RootFindingError as exc:
@@ -323,20 +300,17 @@ def cmd_roots(args: argparse.Namespace) -> int:
         return pair_str(z)
 
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "q": frac_str(ctx.q),
-            "family": _label(specs),
-            "n": args.n,
-            "poly": poly_text(p),
-            "real": [w for w in rs.real_roots],
-            "complex": [
-                {"re": w.real, "im": w.imag} for pair in rs.complex_pairs for w in pair
-            ],
-            "residuals": list(rs.residuals),
-            "vieta": {"sum": vsum, "product": vprod},
-        }
-        text = _json_text(payload)
+        payload = _header(
+            ctx,
+            specs,
+            n=args.n,
+            poly=poly_text(p),
+            real=[w for w in rs.real_roots],
+            complex=[{"re": w.real, "im": w.imag} for pair in rs.complex_pairs for w in pair],
+            residuals=list(rs.residuals),
+            vieta={"sum": vsum, "product": vprod},
+        )
+        lines = [_json(payload)]
     elif args.format == "csv":
         lines = ["type,re,im"]
         for w in rs.real_roots:
@@ -344,7 +318,6 @@ def cmd_roots(args: argparse.Namespace) -> int:
         for pair in rs.complex_pairs:
             for w in pair:
                 lines.append(f"complex,{fmt_real(w.real)},{fmt_real(w.imag)}")
-        text = "\n".join(lines) + "\n"
     else:
         lines = [f"polynomial: {poly_text(p)}"]
         lines.append(
@@ -355,8 +328,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
             + (", ".join(fmt_pair(w) for pr in rs.complex_pairs for w in pr) or "(none)")
         )
         lines.append(f"vieta residuals: sum {vsum:.2e}, product {vprod:.2e}")
-        text = "\n".join(lines) + "\n"
-    _emit(args, text)
+    _emit(args, lines)
     return 0
 
 
@@ -393,29 +365,19 @@ def cmd_sample(args: argparse.Namespace) -> int:
     columns = {d: roots.sample(fam.poly(d), xmin, xmax, args.steps) for d in degrees}
     xs = [x for x, _ in columns[degrees[0]]]
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "q": frac_str(ctx.q),
-            "family": _label(specs),
-            "x": [decimal_str(x) for x in xs],
-            "series": {
-                str(d): [decimal_str(v) for _, v in columns[d]] for d in degrees
-            },
-        }
-        text = _json_text(payload)
+        series = {str(d): [decimal_str(v) for _, v in columns[d]] for d in degrees}
+        lines = [_json(_header(ctx, specs, x=[decimal_str(x) for x in xs], series=series))]
     else:
         # text and csv are the same table
         if len(degrees) == 1:
-            header = "x,p(x)"
+            lines = ["x,p(x)"]
         else:
-            header = "x," + ",".join(f"p{d}(x)" for d in degrees)
-        lines = [header]
+            lines = ["x," + ",".join(f"p{d}(x)" for d in degrees)]
         for i, x in enumerate(xs):
             row = [decimal_str(x)]
             row += [decimal_str(columns[d][i][1]) for d in degrees]
             lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
-    _emit(args, text)
+    _emit(args, lines)
     return 0
 
 
@@ -430,10 +392,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CliError("verify supports text or json output")
     report = audit.run_verify(ctx.q, order=args.upto)
     if args.format == "json":
-        text = _json_text(report.to_json_dict())
+        _emit(args, [_json(report.to_json_dict())])
     else:
-        text = report.to_text()
-    _emit(args, text)
+        _emit(args, [report.to_text().removesuffix("\n")])
     return report.exit_code
 
 

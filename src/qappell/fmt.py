@@ -8,6 +8,8 @@ from .qcore import QPoly
 
 __all__ = ["frac_str", "decimal_str", "poly_text", "real_str", "pair_str"]
 
+_ZERO_PLACES = 4  # decimals of a rounded zero, as the published tables print them
+
 
 def _int_str(n: int) -> str:
     """str(n), also past Python's int-to-str digit limit (4300 by default)."""
@@ -67,17 +69,13 @@ def poly_text(p: QPoly) -> str:
     return " ".join(parts)
 
 
-def real_str(v: float, places: int = 4) -> str:
+def real_str(v: float) -> str:
     """Rounded real, avoiding '-0.0000'."""
-    s = f"{v:.{places}f}"
-    if s == f"-{0:.{places}f}":
-        s = f"{0:.{places}f}"
-    return s
+    s = f"{v:.{_ZERO_PLACES}f}"
+    return s.lstrip("-") if float(s) == 0 else s
 
 
-def pair_str(z: complex, places: int = 4) -> str:
+def pair_str(z: complex) -> str:
     """'a+bi' / 'a-bi' with both parts rounded."""
-    re = real_str(z.real, places)
-    im = abs(z.imag)
     sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{im:.{places}f}i"
+    return f"{real_str(z.real)}{sign}{abs(z.imag):.{_ZERO_PLACES}f}i"

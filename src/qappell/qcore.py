@@ -81,12 +81,6 @@ class QContext:
     def __repr__(self) -> str:
         return f"QContext(q={self.q})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QContext) and self.q == other.q
-
-    def __hash__(self) -> int:
-        return hash(("QContext", self.q))
-
     def q_number(self, a: int) -> Fraction:
         """[a]_q for integer a >= 0."""
         if a < 0:

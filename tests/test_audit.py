@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qappell import QContext, QPoly, audit, families, resolve
+from qappell import QContext, QPoly, audit, cli, families, resolve
 from qappell.audit import (
     load_fixture,
     printed_family_poly,
@@ -310,6 +310,23 @@ class TestReport:
         counts = report_half.counts()
         assert counts["mismatch"] == 0
         assert counts["paper-typo-suspected"] == len(EXPECTED_TYPO_IDS)
+
+    def test_unregistered_table_mismatch_exits_1(self, monkeypatch, capsys):
+        real = audit.load_fixture
+
+        def skewed():
+            fixture = real()
+            fixture["iterated_polys"]["bernoulli2"]["2"][-1] = "7/3"  # a wrong constant term
+            return fixture
+
+        monkeypatch.setattr(audit, "load_fixture", skewed)
+        report = run_verify(F(1, 2), 8)
+        assert report.properties_ok
+        mismatched = [c.check_id for c in report.checks if c.status == "mismatch"]
+        assert mismatched == ["iterated-polys:bernoulli2:2"]
+        assert report.exit_code == 1
+        assert cli.main(["verify"]) == 1
+        assert "[mismatch] iterated-polys:bernoulli2:2" in capsys.readouterr().out
 
     def test_every_typo_is_expected(self, report_half):
         typo_ids = {

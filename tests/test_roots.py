@@ -707,7 +707,10 @@ class TestSample:
         assert decimal_str(pts[0][1]) == "0.000000000000"
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sample(QPoly.monomial(1), F(0), F(1), 1)
-        with pytest.raises(ValueError):
-            sample(QPoly.monomial(1), F(1), F(0), 5)
+        # sample checks its own arguments; the CLI's earlier checks do not cover it
+        for steps in (1, 0):
+            with pytest.raises(ValueError, match="steps must be >= 2"):
+                sample(QPoly.monomial(1), F(0), F(1), steps)
+        for xmin, xmax in ((F(1), F(0)), (F(1), F(1))):
+            with pytest.raises(ValueError, match="xmin must be < xmax"):
+                sample(QPoly.monomial(1), xmin, xmax, 5)
