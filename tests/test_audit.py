@@ -328,6 +328,45 @@ class TestReport:
         assert cli.main(["verify"]) == 1
         assert "[mismatch] iterated-polys:bernoulli2:2" in capsys.readouterr().out
 
+    def test_unregistered_zero_mismatch_exits_1(self, monkeypatch, report_half):
+        real = audit.load_fixture
+
+        def skewed():
+            fixture = real()
+            fixture["real_zeros"]["bernoulli2"]["2"][0] = "0.6230"  # 1e-3 off a matching zero
+            return fixture
+
+        monkeypatch.setattr(audit, "load_fixture", skewed)
+        report = run_verify(F(1, 2), 8)
+        assert report.properties == report_half.properties
+        changed = [(c, d) for c, d in zip(report.checks, report_half.checks) if c != d]
+        assert [(c.check_id, c.status, c.note, d.status) for c, d in changed] == [
+            (
+                "zeros:bernoulli2:2",
+                "mismatch",
+                "unexpected divergence; suspect an engine bug",
+                "match",
+            )
+        ]
+        assert report.exit_code == 1
+
+    def test_registered_zero_row_that_matches_has_no_note(self, monkeypatch, report_half):
+        real = audit.load_fixture
+
+        def corrected():
+            fixture = real()
+            fixture["real_zeros"]["euler2"]["2"] = ["0.0886", "1.4114"]  # the engine's zeros
+            return fixture
+
+        monkeypatch.setattr(audit, "load_fixture", corrected)
+        report = run_verify(F(1, 2), 8)
+        changed = [(c, d) for c, d in zip(report.checks, report_half.checks) if c != d]
+        assert [(c.check_id, c.status, c.note, d.status) for c, d in changed] == [
+            ("zeros:euler2:2", "match", "", "paper-typo-suspected")
+        ]
+        assert "misprinted row" in changed[0][1].note
+        assert report.exit_code == 0
+
     def test_every_typo_is_expected(self, report_half):
         typo_ids = {
             c.check_id

@@ -219,6 +219,18 @@ CLI_PARITY = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "error: --xmin must be < --xmax\n", 2,
     ),
+    "sample --family euler --q 1/2 -n 2 --xmin 0 --xmax 1 --steps 1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: --steps must be >= 2\n", 2,
+    ),
+    "sample --family euler --q 1/2 --degrees 1,x --xmin 0 --xmax 1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: bad --degrees list '1,x'\n", 2,
+    ),
+    "sample --family euler --q 1/2 -n 2 --xmin 0.5 --xmax 1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: '0.5' is not an exact rational; write it as a fraction like '1/2'\n", 2,
+    ),
     "verify --format csv": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "error: verify supports text or json output\n", 2,
