@@ -6,12 +6,14 @@ together with a registry of known misprints in them.  ``run_verify`` first
 executes the exact property suite (ladder, reciprocal orthogonality,
 cross-method equality, the inversion identities, commutativity, Vieta and
 zero-count checks) and then compares engine output against the printed
-values.  The exact tables are one phase: ``_table_rows`` yields one row
-(check id, subject, printed, computed, renderer) per printed number, plain
-polynomial and, at q = 1/2, 2-iterated or mixed polynomial, and
-``_audit_tables`` checks every row in one loop; the printed zeros,
-compared within a tolerance, follow.  Each comparison gets one of three
-statuses:
+values.  ``_table_rows`` yields one exact row per printed number, plain
+polynomial and, at q = 1/2, 2-iterated or mixed polynomial.  At q = 1/2,
+``_audit_zeros`` first finds every zero set and returns one row per printed
+zero table, compared within a tolerance, plus the Vieta and zero-count
+properties.  ``_audit_tables`` then gives every row, exact rows first, its
+status in one loop.  Each row reaches it as (check id, subject, printed,
+computed, equal, hint); the hint, the zeros of a misprinted polynomial row,
+joins the note only when the row differs.  The statuses are:
 
     match                 equal (exactly for rationals, within 5e-5 for
                           printed 4-decimal zeros)
@@ -392,27 +394,6 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _check(
-    checks: list[CheckRecord],
-    registry: dict,
-    check_id: str,
-    subject: str,
-    printed: str,
-    computed: str,
-    equal: bool,
-    extra_note: str = "",
-) -> None:
-    if equal:
-        status, note = "match", ""
-    elif check_id in registry:
-        status, note = "paper-typo-suspected", registry[check_id]
-    else:
-        status, note = "mismatch", "unexpected divergence; suspect an engine bug"
-    if extra_note:
-        note = f"{note}; {extra_note}" if note else extra_note
-    checks.append(CheckRecord(check_id, subject, printed, computed, status, note))
-
-
 def _number_text(x: Fraction) -> str:
     return f"{frac_str(x)} = {decimal_str(x)}"
 
@@ -460,17 +441,24 @@ def _table_rows(
             )
 
 
-def _audit_tables(rows, registry: dict, checks: list[CheckRecord]) -> None:
-    for check_id, subject, printed, computed, render in rows:
-        _check(
-            checks,
-            registry,
-            check_id,
-            subject,
-            render(printed),
-            render(computed),
-            printed == computed,
-        )
+def _audit_tables(rows, zero_rows: list[tuple], registry: dict) -> list[CheckRecord]:
+    """One status per printed row: the exact rows, rendered and compared
+    here, then the zero rows.  A row's hint joins its note only when it differs."""
+    exact = (
+        (check_id, subject, render(printed), render(computed), printed == computed, "")
+        for check_id, subject, printed, computed, render in rows
+    )
+    checks = []
+    for check_id, subject, printed, computed, equal, hint in [*exact, *zero_rows]:
+        if equal:
+            status, notes = "match", ()
+        elif check_id in registry:
+            status, notes = "paper-typo-suspected", (registry[check_id], hint)
+        else:
+            status, notes = "mismatch", ("unexpected divergence; suspect an engine bug", hint)
+        note = "; ".join(filter(None, notes))
+        checks.append(CheckRecord(check_id, subject, printed, computed, status, note))
+    return checks
 
 
 def _zeros_match(
@@ -480,14 +468,13 @@ def _zeros_match(
 ) -> bool:
     if computed.counts() != (len(printed_reals), 2 * len(printed_pairs)):
         return False
-    for got, want in zip(computed.real_roots, sorted(printed_reals)):
-        if abs(got - want) > ZERO_MATCH_TOL:
-            return False
     uppers = sorted((u for u, _ in computed.complex_pairs), key=lambda w: w.real)
-    for got, want in zip(uppers, sorted(printed_pairs, key=lambda w: w.real)):
-        if max(abs(got.real - want.real), abs(got.imag - want.imag)) > ZERO_MATCH_TOL:
-            return False
-    return True
+    got = [*computed.real_roots, *uppers]
+    want = [*sorted(printed_reals), *sorted(printed_pairs, key=lambda w: w.real)]
+    return all(
+        max(abs(g.real - w.real), abs(g.imag - w.imag)) <= ZERO_MATCH_TOL
+        for g, w in zip(got, want)
+    )
 
 
 def _render_rootset(rs: RootSet) -> str:
@@ -495,19 +482,17 @@ def _render_rootset(rs: RootSet) -> str:
     if rs.real_roots:
         parts.append("real " + ", ".join(real_str(r) for r in rs.real_roots))
     if rs.complex_pairs:
-        parts.append(
-            "complex " + ", ".join(pair_str(u) for u, _ in rs.complex_pairs)
-        )
+        parts.append("complex " + ", ".join(pair_str(u) for u, _ in rs.complex_pairs))
     return "; ".join(parts) if parts else "none"
 
 
 def _audit_zeros(
-    pairs: dict[str, AppellFamily],
-    fixture: dict,
-    registry: dict,
-    checks: list[CheckRecord],
-    properties: list[PropertyRecord],
-) -> None:
+    pairs: dict[str, AppellFamily], fixture: dict
+) -> tuple[list[tuple], list[PropertyRecord]]:
+    """The zero rows (check id, subject, printed, computed, equal, hint) and the
+    vieta and zero-count properties; every zero-finder call of the audit is here.
+    The hint of a row whose polynomial is misprinted gives that row's own zeros."""
+    rows = []
     worst_vieta = 0.0
     counts_ok = True
     for key, fam in pairs.items():
@@ -518,57 +503,44 @@ def _audit_zeros(
             n = int(n_str)
             poly = fam.poly(n)
             rs = find_roots(poly)
-            vs, vp = vieta_residuals(poly, rs.roots)
-            worst_vieta = max(worst_vieta, vs, vp)
-            nreal, ncomplex = rs.counts()
-            if nreal + ncomplex != rs.degree:
-                counts_ok = False
+            worst_vieta = max(worst_vieta, *vieta_residuals(poly, rs.roots))
+            counts_ok = counts_ok and sum(rs.counts()) == rs.degree
 
             printed_reals = [float(s) for s in real_rows[n_str]]
             printed_entries = [
                 complex(float(re), float(im)) for re, im in pair_rows.get(n_str, [])
             ]
-            printed_uppers = [w for w in printed_entries if w.imag > 0]
-
-            row_misprinted = f"iterated-polys:{key}:{n}" in registry
-            extra = ""
-            if row_misprinted:
-                printed_poly = _fixture_poly(fixture["iterated_polys"][key][n_str])
-                extra = (
-                    "zeros of the misprinted row itself: "
-                    + _render_rootset(find_roots(printed_poly))
-                )
-
-            equal = _zeros_match(rs, printed_reals, printed_uppers)
             printed_text = "real " + ", ".join(real_rows[n_str])
             if printed_entries:
                 printed_text += "; complex " + ", ".join(
                     pair_str(w) for w in printed_entries
                 )
-            _check(
-                checks,
-                registry,
+            hint = ""
+            if f"iterated-polys:{key}:{n}" in fixture["known_misprints"]:
+                printed_poly = _fixture_poly(fixture["iterated_polys"][key][n_str])
+                hint = "zeros of the misprinted row itself: " + _render_rootset(
+                    find_roots(printed_poly)
+                )
+            rows.append((
                 f"zeros:{key}:{n}",
                 f"{display} zeros (real and complex), degree {n}",
                 printed_text,
                 _render_rootset(rs),
-                equal,
-                extra_note=extra if not equal else "",
-            )
-    properties.append(
+                _zeros_match(rs, printed_reals, [w for w in printed_entries if w.imag > 0]),
+                hint,
+            ))
+    return rows, [
         PropertyRecord(
             "vieta",
             worst_vieta < VIETA_TOL,
             f"sum/product residuals below {VIETA_TOL:.0e} (worst {worst_vieta:.2e})",
-        )
-    )
-    properties.append(
+        ),
         PropertyRecord(
             "zero-count",
             counts_ok,
             "real plus complex zero counts equal the degree for every set",
-        )
-    )
+        ),
+    ]
 
 
 def _exhibits(fams: dict[str, AppellFamily]) -> list[str]:
@@ -610,9 +582,8 @@ def run_verify(q: Fraction, order: int = 8) -> VerifyReport:
     """Property suite plus reference-table audit at the given q."""
     ctx = QContext(q)
     fixture = load_fixture()
-    registry = dict(fixture["known_misprints"])
     report = VerifyReport(q=ctx.q, order=order)
-    report.properties = run_properties(ctx, order)
+    properties = run_properties(ctx, order)
     # the printed tables stop at degree 4; every table phase shares these
     tables = {
         name: resolve(FamilySpec.builtin(name), ctx, 4) for name in BUILTIN_NAMES
@@ -622,13 +593,15 @@ def run_verify(q: Fraction, order: int = 8) -> VerifyReport:
         for key, family in fixture["families"].items():
             a, b = family["pair"]
             pairs[key] = product_family(tables[a], tables[b])
-    _audit_tables(_table_rows(ctx, tables, pairs, fixture), registry, report.checks)
-    if pairs:
-        _audit_zeros(pairs, fixture, registry, report.checks, report.properties)
-    else:
+    zero_rows, zero_properties = _audit_zeros(pairs, fixture) if pairs else ([], [])
+    report.properties = properties + zero_properties
+    if not pairs:
         report.skipped.append(
             "iterated-polynomial and zero tables were published for q = 1/2 "
             f"only; skipped at q = {frac_str(ctx.q)}"
         )
+    report.checks = _audit_tables(
+        _table_rows(ctx, tables, pairs, fixture), zero_rows, fixture["known_misprints"]
+    )
     report.exhibits = _exhibits(tables)
     return report

@@ -60,7 +60,7 @@ __all__ = [
 
 _ANGLE_OFFSET = 0.4  # radians; fixed, keeps the start set asymmetric
 _DEFAULT_TOL = 1e-13
-_DEFAULT_SWEEPS = 500
+_MAX_SWEEPS = 500  # Aberth sweeps before a refusal
 _UNIT_ROUNDOFF = 2.0**-53
 _EXACT_STEPS = 8  # exact-residual corrections of a clustered or wide disc, at most
 _TARGET = 2.0**-20  # widest accepted inclusion disc, relative to |z_i|
@@ -183,7 +183,7 @@ def _newton_polygon_start(coeffs: list[float]) -> list[complex]:
     return z
 
 
-def find_roots(p: QPoly, *, max_sweeps: int = _DEFAULT_SWEEPS) -> RootSet:
+def find_roots(p: QPoly) -> RootSet:
     """All zeros of p (degree >= 1), classified; deterministic."""
     if p.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -215,7 +215,7 @@ def find_roots(p: QPoly, *, max_sweeps: int = _DEFAULT_SWEEPS) -> RootSet:
     abs_coeffs = [abs(c) for c in coeffs]
     live = list(range(n))
     updates = [math.inf] * n
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         moving = []
         for i in live:
             zi = z[i]
@@ -244,7 +244,7 @@ def find_roots(p: QPoly, *, max_sweeps: int = _DEFAULT_SWEEPS) -> RootSet:
             break
     else:
         raise failure(
-            f"no convergence after {max_sweeps} sweeps ({len(live)} of {n} iterates "
+            f"no convergence after {_MAX_SWEEPS} sweeps ({len(live)} of {n} iterates "
             f"still moving, last max update {max(updates[i] for i in live):.3e})"
         )
 

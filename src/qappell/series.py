@@ -145,7 +145,7 @@ def reciprocal(a: ESeq) -> ESeq:
     minus_inv0 = -1 / alpha[0]
     beta = [-minus_inv0]
     for n in range(1, a.order + 1):
-        beta.append(dot(alpha[1 : n + 1], beta[n - 1 :: -1], minus_inv0))
+        beta.append(dot(alpha[1 : n + 1], beta[::-1], minus_inv0))
     return ESeq(a.ctx, [a.ctx.q_factorial(n) * c for n, c in enumerate(beta)])
 
 

@@ -143,6 +143,11 @@ CLI_PARITY = {
         "15af1decfdcc382eedf93d5f33581a22bb5ccc4b07d32961ce5b01b412a53253",
         "", 0,
     ),
+    # the spaced form of a negative fraction endpoint prints the same
+    "sample --iterate bernoulli,euler --q 1/2 -n 2 --xmin -1/2 --xmax 1/2 --steps 4 --format csv": (
+        "15af1decfdcc382eedf93d5f33581a22bb5ccc4b07d32961ce5b01b412a53253",
+        "", 0,
+    ),
     # verify
     "verify": (
         "e881d206f0db93110cb613788fc5623f41eb664ba4f3e8c6b1542fedb3917197",
