@@ -16,8 +16,7 @@ _EXPORTS = {
         ("qcore", "QContext QPoly parse_q parse_rat q_derive"),
         ("series", "ESeq convolve reciprocal shift_up unit"),
         ("families", "AppellFamily FamilySpec resolve product_family pair_family iterate2"),
-        ("families", "umbral_compose apply_operator identity_residuals"),
-        ("determinant", "det_appell_poly det_pair_poly"),
+        ("families", "route_poly umbral_compose apply_operator identity_residuals"),
         ("roots", "RootSet find_roots sample vieta_residuals"),
     )
     for name in names.split()

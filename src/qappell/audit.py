@@ -2,18 +2,22 @@
 
 The package ships a verbatim transcription of the published value tables
 for the plain, 2-iterated and mixed families (``data/printed_tables.json``),
-together with a registry of known misprints in them.  ``run_verify`` first
-executes the exact property suite (ladder, reciprocal orthogonality,
-cross-method equality, the inversion identities, commutativity, Vieta and
+together with a registry of known misprints in them.  ``run_verify``
+builds one family set, every built-in and ordered pair resolved once at
+the order (at least 4, where the printed tables stop), and every phase
+reads it.  It first executes the exact property suite (ladder, reciprocal
+orthogonality, cross-method equality of the ``families.route_poly`` routes
+and ``iterate2``, the inversion identities, commutativity, Vieta and
 zero-count checks) and then compares engine output against the printed
 values.  ``_table_rows`` yields one exact row per printed number, plain
 polynomial and, at q = 1/2, 2-iterated or mixed polynomial.  At q = 1/2,
 ``_audit_zeros`` first finds every zero set and returns one row per printed
-zero table, compared within a tolerance, plus the Vieta and zero-count
-properties.  ``_audit_tables`` then gives every row, exact rows first, its
-status in one loop.  Each row reaches it as (check id, subject, printed,
-computed, equal, hint); the hint, the zeros of a misprinted polynomial row,
-joins the note only when the row differs.  The statuses are:
+zero table, compared within a tolerance (its printed complex zeros must
+come in conjugate pairs), plus the Vieta and zero-count properties.
+``_audit_tables`` then gives every row, exact rows first, its status in one
+loop.  Each row reaches it as (check id, subject, printed, computed, equal,
+hint); the hint, the zeros of a misprinted polynomial row, joins the note
+only when the row differs.  The statuses are:
 
     match                 equal (exactly for rationals, within 5e-5 for
                           printed 4-decimal zeros)
@@ -29,24 +33,25 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .determinant import det_pair_poly, weight_table
 from .families import (
     BUILTIN_NAMES,
+    ROUTES,
     AppellFamily,
     FamilySpec,
     GENOCCHI_TABLE_MAX_ORDER,
-    apply_operator,
     genocchi_table_numbers,
     identity_residuals,
     iterate2,
     product_family,
     resolve,
+    route_poly,
 )
 from .fmt import decimal_str, frac_str, pair_str, poly_text, real_str
-from .qcore import QContext, QPoly, lincomb, q_derive
+from .qcore import QContext, QPoly, q_derive
 from .roots import RootSet, find_roots, vieta_residuals
 from .series import convolve, shift_up, unit
 
@@ -220,11 +225,7 @@ class VerifyReport:
 
     @property
     def exit_code(self) -> int:
-        if not self.properties_ok:
-            return 1
-        if self.counts()["mismatch"]:
-            return 1
-        return 0
+        return 0 if self.properties_ok and not self.counts()["mismatch"] else 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,12 +287,6 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _order_cap(name: str, requested: int) -> int:
-    if name == "genocchi-table":
-        return min(requested, GENOCCHI_TABLE_MAX_ORDER)
-    return requested
-
-
 def _ladder_ok(polys: list[QPoly], ctx: QContext) -> bool:
     return all(
         q_derive(polys[n], ctx) == ctx.q_number(n) * polys[n - 1]
@@ -299,76 +294,72 @@ def _ladder_ok(polys: list[QPoly], ctx: QContext) -> bool:
     )
 
 
-def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
-    """The exact whole-pipeline checks; every one must pass."""
+# each ordered pair as route_poly takes it: (series family, members)
+_Pairs = dict[tuple[str, str], tuple[AppellFamily, tuple[AppellFamily, ...]]]
+
+
+def _families(ctx: QContext, order: int) -> tuple[dict[str, AppellFamily], _Pairs]:
+    """Every built-in, resolved once at the order (genocchi-table at most 4),
+    and every ordered pair at the lower of its two orders: the one family set
+    that each phase of a verify reads."""
+    capped = {"genocchi-table": min(order, GENOCCHI_TABLE_MAX_ORDER)}
     singles = {
-        name: resolve(FamilySpec.builtin(name), ctx, _order_cap(name, order))
+        name: resolve(FamilySpec.builtin(name), ctx, capped.get(name, order))
         for name in BUILTIN_NAMES
     }
-    # read the singles' numbers first, so that the truncated copies below cut them
-    orthogonal = all(
-        convolve(fam.numbers, fam.beta) == unit(ctx, fam.order) for fam in singles.values()
-    )
-    # each ordered pair's members, at the lower of the two orders
-    pairs: dict[tuple[str, str], tuple[AppellFamily, AppellFamily]] = {}
+    for fam in singles.values():
+        fam.numbers  # read before truncating, so that the truncated copies cut them
+    pairs = {}
     for a in BUILTIN_NAMES:
         for b in BUILTIN_NAMES:
             cap = min(singles[a].order, singles[b].order)
-            pairs[(a, b)] = (singles[a].truncated(cap), singles[b].truncated(cap))
-    pair_fams = {key: product_family(fa, fb) for key, (fa, fb) in pairs.items()}
-    # one weight table per beta; beta is prefix-stable, so pair (a, b) reads
-    # the first rows of a's table
-    tables = {name: weight_table(fam.beta, fam.order) for name, fam in singles.items()}
-    det_singles = {name: [QPoly(w) for w in tables[name]] for name in singles}
-    det_pairs = {
-        (a, b): [lincomb(tables[a][n], fb.polys(n)) for n in range(fb.order + 1)]
-        for (a, b), (_, fb) in pairs.items()
+            members = (singles[a].truncated(cap), singles[b].truncated(cap))
+            pairs[(a, b)] = (product_family(*members), members)
+    return singles, pairs
+
+
+def run_properties(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[PropertyRecord]:
+    """The exact whole-pipeline checks on a family set; every one must pass."""
+    routes = {**{name: (fam, (fam,)) for name, fam in singles.items()}, **pairs}
+    det = {
+        key: [route_poly(series, members, n, "determinant") for n in range(series.order + 1)]
+        for key, (series, members) in routes.items()
     }
     iterated = {
         key: [iterate2(fa, fb, n) for n in range(fa.order + 1)]
-        for key, (fa, fb) in pairs.items()
+        for key, (_, (fa, fb)) in pairs.items()
     }
 
     properties = (
         (
             "reciprocal-orthogonality",
             "numbers convolved with beta give the unit sequence, all built-ins",
-            orthogonal,
+            all(
+                convolve(fam.numbers, fam.beta) == unit(fam.ctx, fam.order)
+                for fam in singles.values()
+            ),
         ),
         (
             "ladder-series",
             "D_q P_n = [n]_q P_(n-1) for built-ins and all ordered pairs (series route)",
-            all(
-                _ladder_ok(fam.polys(fam.order), ctx)
-                for fam in [*singles.values(), *pair_fams.values()]
-            ),
+            all(_ladder_ok(fam.polys(fam.order), fam.ctx) for fam, _ in routes.values()),
         ),
         (
             "ladder-determinant",
             "the same ladder along determinant-constructed sequences",
-            all(
-                _ladder_ok(det_polys, ctx)
-                for det_polys in [*det_singles.values(), *det_pairs.values()]
-            ),
+            all(_ladder_ok(det[key], fam.ctx) for key, (fam, _) in routes.items()),
         ),
         (
             "cross-method",
             "series, determinant, operator and umbral routes agree exactly",
             all(
-                fam.poly(n)
-                == det_singles[name][n]
-                == apply_operator(fam.numbers, QPoly.monomial(n))
-                for name, fam in singles.items()
-                for n in range(fam.order + 1)
+                route_poly(series, members, n, route) == det[key][n]
+                for key, (series, members) in routes.items()
+                for n in range(series.order + 1)
+                for route in ROUTES
+                if route != "determinant"
             )
-            and all(
-                iterated[key][n]
-                == det_pairs[key][n]
-                == apply_operator(fa.numbers, fb.poly(n))
-                == pair_fams[key].poly(n)
-                for key, (fa, fb) in pairs.items()
-                for n in range(fa.order + 1)
-            ),
+            and all(iterated[key] == det[key] for key in pairs),
         ),
         (
             "inversion-identities",
@@ -377,7 +368,7 @@ def run_properties(ctx: QContext, order: int) -> list[PropertyRecord]:
                 r.is_zero
                 for name, fam in singles.items()
                 for n in range(1, min(6, fam.order) + 1)
-                for r in identity_residuals(fam, pair_fams[(name, name)], n)
+                for r in identity_residuals(fam, pairs[(name, name)][0], n)
             ),
         ),
         (
@@ -464,8 +455,14 @@ def _audit_tables(rows, zero_rows: list[tuple], registry: dict) -> list[CheckRec
 def _zeros_match(
     computed: RootSet,
     printed_reals: list[float],
-    printed_pairs: list[complex],
+    printed_complex: list[complex],
 ) -> bool:
+    """Printed lower-half zeros must be conjugates of upper-half ones, as
+    multisets; the upper-half ones are compared with the computed pairs."""
+    printed_pairs = [w for w in printed_complex if w.imag > 0]
+    lowers = Counter(w.conjugate() for w in printed_complex if w.imag < 0)
+    if lowers - Counter(printed_pairs):
+        return False
     if computed.counts() != (len(printed_reals), 2 * len(printed_pairs)):
         return False
     uppers = sorted((u for u, _ in computed.complex_pairs), key=lambda w: w.real)
@@ -526,7 +523,7 @@ def _audit_zeros(
                 f"{display} zeros (real and complex), degree {n}",
                 printed_text,
                 _render_rootset(rs),
-                _zeros_match(rs, printed_reals, [w for w in printed_entries if w.imag > 0]),
+                _zeros_match(rs, printed_reals, printed_entries),
                 hint,
             ))
     return rows, [
@@ -543,11 +540,10 @@ def _audit_zeros(
     ]
 
 
-def _exhibits(fams: dict[str, AppellFamily]) -> list[str]:
+def _exhibits(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[str]:
     out: list[str] = []
-    gd = fams["genocchi-det"]
-    gtab = fams["genocchi-table"]
-    eul = fams["euler"]
+    gd = singles["genocchi-det"]
+    gtab = singles["genocchi-table"]
     out.append(
         "three inequivalent q-Genocchi readings: published numbers "
         f"({', '.join(frac_str(c) for c in gtab.numbers)}); determinant-recipe numbers "
@@ -555,21 +551,21 @@ def _exhibits(fams: dict[str, AppellFamily]) -> list[str]:
         "generating-function form 2t/(e_q(t)+1) has constant term 0 and is "
         "not invertible"
     )
-    shifted = shift_up(eul.numbers)
+    shifted = shift_up(singles["euler"].numbers.truncated(4))
     out.append(
         "expansion of 2t/(e_q(t)+1) via t * (2/(e_q(t)+1)): coefficients "
         f"{', '.join(frac_str(c) for c in shifted)} (leading 0, so no "
         "reciprocal exists)"
     )
-    bern = fams["bernoulli"]
     recipes = (
-        ("2-iterated q-Genocchi", gd, gtab, product_family(gtab, gtab)),
-        ("q-Bernoulli-Genocchi", gd, bern, product_family(gtab, bern)),
-        ("q-Euler-Genocchi", gd, eul, product_family(gtab, eul)),
+        ("2-iterated q-Genocchi", "genocchi-table"),
+        ("q-Bernoulli-Genocchi", "bernoulli"),
+        ("q-Euler-Genocchi", "euler"),
     )
-    for label, beta_fam, basis_fam, table_route in recipes:
+    for label, basis in recipes:
+        table_route = pairs[("genocchi-table", basis)][0]
         for n in (1, 2):
-            det_route = det_pair_poly(beta_fam, basis_fam, n)
+            det_route = route_poly(*pairs[("genocchi-det", basis)], n, "determinant")
             out.append(
                 f"{label}, degree {n}: determinant recipe with the "
                 f"1/(2[i+1]_q) beta gives {poly_text(det_route)}; the "
@@ -583,25 +579,23 @@ def run_verify(q: Fraction, order: int = 8) -> VerifyReport:
     ctx = QContext(q)
     fixture = load_fixture()
     report = VerifyReport(q=ctx.q, order=order)
-    properties = run_properties(ctx, order)
-    # the printed tables stop at degree 4; every table phase shares these
-    tables = {
-        name: resolve(FamilySpec.builtin(name), ctx, 4) for name in BUILTIN_NAMES
+    # the printed tables stop at degree 4, and every phase reads this one set
+    singles, pairs = _families(ctx, max(order, 4))
+    properties = run_properties(singles, pairs)
+    printed = {
+        key: pairs[tuple(family["pair"])][0]
+        for key, family in fixture["families"].items()
+        if ctx.q == Fraction(1, 2)
     }
-    pairs: dict[str, AppellFamily] = {}
-    if ctx.q == Fraction(1, 2):
-        for key, family in fixture["families"].items():
-            a, b = family["pair"]
-            pairs[key] = product_family(tables[a], tables[b])
-    zero_rows, zero_properties = _audit_zeros(pairs, fixture) if pairs else ([], [])
+    zero_rows, zero_properties = _audit_zeros(printed, fixture) if printed else ([], [])
     report.properties = properties + zero_properties
-    if not pairs:
+    if not printed:
         report.skipped.append(
             "iterated-polynomial and zero tables were published for q = 1/2 "
             f"only; skipped at q = {frac_str(ctx.q)}"
         )
     report.checks = _audit_tables(
-        _table_rows(ctx, tables, pairs, fixture), zero_rows, fixture["known_misprints"]
+        _table_rows(ctx, singles, printed, fixture), zero_rows, fixture["known_misprints"]
     )
-    report.exhibits = _exhibits(tables)
+    report.exhibits = _exhibits(singles, pairs)
     return report

@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .determinant import det_appell_poly, det_pair_poly
 from .families import (
+    ROUTES,
     AppellFamily,
     FamilyError,
     FamilySpec,
-    apply_operator,
     product_family,
     resolve,
+    route_poly,
 )
 from .fmt import decimal_str, frac_str, pair_str, poly_text, real_str
-from .qcore import QContext, QPoly, parse_q, parse_rat
+from .qcore import QContext, parse_q, parse_rat
 
 __all__ = ["main"]
 
@@ -53,11 +53,7 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_method(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--method",
-        choices=("series", "determinant", "operator", "all"),
-        default="series",
-    )
+    sub.add_argument("--method", choices=(*ROUTES, "all"), default="series")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,29 +190,14 @@ def _family_results(
         raise CliError(f"{flag} must be >= {floor}" + (" for roots" if floor else ""))
     _check_cap(flag, order, MAX_ORDER)
     series, members = _resolve(specs, ctx, order)
-    methods = ("series", "determinant", "operator") if args.method == "all" else (args.method,)
-    results = {m: compute(lambda n: _poly_by_method(series, members, n, m)) for m in methods}
+    methods = ROUTES if args.method == "all" else (args.method,)
+    results = {m: compute(lambda n: route_poly(series, members, n, m)) for m in methods}
     if any(v != results[methods[0]] for v in results.values()):
         sys.stderr.write("cross-method divergence:\n")
         for m, v in results.items():
             sys.stderr.write(f"  {m}: {render(v)}\n")
         return None
     return ctx, specs, results
-
-
-def _poly_by_method(
-    series: AppellFamily, members: tuple[AppellFamily, ...], n: int, method: str
-) -> QPoly:
-    if method == "series":
-        return series.poly(n)
-    if len(members) == 1:
-        if method == "determinant":
-            return det_appell_poly(members[0], n)
-        return apply_operator(members[0].numbers, QPoly.monomial(n))
-    fam_i, fam_ii = members
-    if method == "determinant":
-        return det_pair_poly(fam_i, fam_ii, n)
-    return apply_operator(fam_i.numbers, fam_ii.poly(n))
 
 
 def cmd_numbers(args: argparse.Namespace) -> int:

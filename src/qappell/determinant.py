@@ -35,7 +35,8 @@ R_j[k] = (-beta_0)^k * S[j+1][j+1+k], and each D_j is one ``dot`` of a row
 with D.  The member is
 sum_j w_j b_j(x), with w_j = (-1)^(n+j) minor_j / beta_0^(n+1) =
 -D_j / (-beta_0)^(n+1-j): the weights depend on beta and n only, and with
-the monomial basis they are the member's coefficients.
+the monomial basis they are the member's coefficients.  A family keeps its
+rows and weights (``AppellFamily.weights``); ``families.route_poly`` sums them.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .families import AppellFamily
-from .qcore import QPoly, dot, lincomb
+from .qcore import dot
 from .series import ESeq
 
-__all__ = ["det_weights", "weight_table", "det_appell_poly", "det_pair_poly"]
+__all__ = ["scaled_rows", "row_weights"]
 
 
-def _scaled_rows(beta: ESeq, n: int) -> list[list[Fraction]]:
+def scaled_rows(beta: ESeq, n: int) -> list[list[Fraction]]:
     """Rows R_0..R_(n-1) of the degree-n matrix, scaled as in the module
     docstring: R_j[k] = (-beta_0)^k C(j+1+k, j)_q beta_(k+1) for k < n - j."""
     if n < 0:
@@ -66,33 +66,11 @@ def _scaled_rows(beta: ESeq, n: int) -> list[list[Fraction]]:
     ]
 
 
-def _weights(beta0: Fraction, rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction]:
+def row_weights(beta0: Fraction, rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction]:
     """Row-0 weights w_0..w_n of degree n, from the leading parts of the
-    scaled rows by the Hessenberg recurrence in the module docstring."""
+    scaled rows of any degree N >= n by the Hessenberg recurrence in the
+    module docstring."""
     d = [Fraction(0)] * n + [Fraction(1)]
     for j in range(n - 1, -1, -1):
         d[j] = dot(rows[j][: n - j], d[j + 1 :])
     return [-c / (-beta0) ** (n + 1 - j) for j, c in enumerate(d)]
-
-
-def det_weights(beta: ESeq, n: int) -> list[Fraction]:
-    """The row-0 weights w_0..w_n of the degree-n determinant, for any basis."""
-    return _weights(beta[0], _scaled_rows(beta, n), n)
-
-
-def weight_table(beta: ESeq, upto: int) -> list[list[Fraction]]:
-    """det_weights(beta, n) for n = 0..upto, all from one set of scaled rows."""
-    rows = _scaled_rows(beta, upto)
-    return [_weights(beta[0], rows, n) for n in range(upto + 1)]
-
-
-def det_appell_poly(fam: AppellFamily, n: int) -> QPoly:
-    """Plain family member via the determinant with the monomial basis."""
-    return QPoly(det_weights(fam.beta, n))
-
-
-def det_pair_poly(beta_fam: AppellFamily, basis_fam: AppellFamily, n: int) -> QPoly:
-    """2-iterated/mixed member: beta from one family, row 0 from the other."""
-    if beta_fam.ctx.q != basis_fam.ctx.q:
-        raise ValueError("families disagree on q")
-    return lincomb(det_weights(beta_fam.beta, n), basis_fam.polys(n))

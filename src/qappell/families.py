@@ -31,6 +31,10 @@ function 2t/(e_q(t)+1) has a vanishing constant term so it cannot be
 inverted at all.  Both variants are kept so that every published table
 can be reproduced and the inconsistency can be exhibited rather than
 silently resolved.
+
+``route_poly`` forms a member by any of ``ROUTES``, for ``--method`` and
+``verify`` alike; a family keeps its determinant weights as it keeps its
+numbers and polynomials.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
+from .determinant import row_weights, scaled_rows
 from .qcore import QContext, QPoly, lincomb, lincomb_ints
 from .series import ESeq, convolve, reciprocal
 
@@ -48,10 +53,12 @@ __all__ = [
     "FamilySpec",
     "AppellFamily",
     "FamilyError",
+    "ROUTES",
     "resolve",
     "product_family",
     "pair_family",
     "iterate2",
+    "route_poly",
     "umbral_compose",
     "apply_operator",
     "identity_residuals",
@@ -59,6 +66,8 @@ __all__ = [
 ]
 
 BUILTIN_NAMES = ("bernoulli", "euler", "genocchi-det", "genocchi-table")
+
+ROUTES = ("series", "determinant", "operator")
 
 DEFAULT_ORDER = 12
 
@@ -107,9 +116,11 @@ class AppellFamily:
     The numbers are computed on first read and kept, unless the family was
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
     the (c, d, s) of a beta-defined built-in, else as reciprocal(beta).
+    Polynomials and determinant weights are kept per degree in the same way.
     """
 
-    __slots__ = ("ctx", "order", "beta", "label", "affine", "_numbers", "_polys")
+    __slots__ = ("ctx", "order", "beta", "label", "affine", "_numbers", "_polys", "_rows",
+                 "_weights")
 
     def __init__(self, ctx: QContext, beta: ESeq, label: str,
                  numbers: Optional[ESeq] = None, affine: Optional[tuple] = None):
@@ -124,6 +135,8 @@ class AppellFamily:
         self.affine = affine
         self._numbers = numbers
         self._polys: dict[int, QPoly] = {}
+        self._rows: Optional[list[list[Fraction]]] = None
+        self._weights: dict[int, tuple[Fraction, ...]] = {}
 
     @property
     def numbers(self) -> ESeq:
@@ -159,6 +172,18 @@ class AppellFamily:
     def polys(self, upto: int) -> list[QPoly]:
         self._check_degree(upto)
         return [self.poly(n) for n in range(upto + 1)]
+
+    def weights(self, n: int) -> tuple[Fraction, ...]:
+        """The row-0 weights w_0..w_n of the degree-n determinant.  The scaled
+        rows are built once, at the family's order, as those of degree n are
+        their leading part."""
+        self._check_degree(n)
+        got = self._weights.get(n)
+        if got is None:
+            if self._rows is None:
+                self._rows = scaled_rows(self.beta, self.order)
+            got = self._weights[n] = tuple(row_weights(self.beta[0], self._rows, n))
+        return got
 
     def truncated(self, order: int) -> "AppellFamily":
         """The same family at a lower order; numbers and beta are prefix-stable,
@@ -321,6 +346,26 @@ def pair_family(
 ) -> AppellFamily:
     """Resolve both specs and form their product family."""
     return product_family(resolve(spec_i, ctx, order), resolve(spec_ii, ctx, order))
+
+
+def route_poly(
+    series: AppellFamily, members: tuple[AppellFamily, ...], n: int, route: str
+) -> QPoly:
+    """The degree-n member of series by one of ``ROUTES``: its own polynomial,
+    the determinant sum_k w_k b_k(x) or the operator sum_k (A_k/[k]_q!) D_q^k
+    applied to b_n(x).  members is the family itself, with b_k = x^k, or a
+    pair's two factors: w and A come from the first, b_k is the second's."""
+    first, basis = members[0], members[-1]
+    if first.ctx.q != basis.ctx.q:
+        raise ValueError("families disagree on q")
+    single = len(members) == 1
+    if route == "series":
+        return series.poly(n)
+    if route == "determinant":
+        return QPoly(first.weights(n)) if single else lincomb(first.weights(n), basis.polys(n))
+    if route == "operator":
+        return apply_operator(first.numbers, QPoly.monomial(n) if single else basis.poly(n))
+    raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
 
 
 def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:

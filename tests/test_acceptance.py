@@ -25,12 +25,12 @@ from qappell import (
     product_family,
     q_derive,
     resolve,
+    route_poly,
     umbral_compose,
     unit,
     vieta_residuals,
 )
 from qappell.audit import load_fixture, printed_family_poly, printed_number, run_verify
-from qappell.determinant import det_appell_poly, det_pair_poly
 from qappell.families import FamilySpec
 from qappell.series import ESeq
 
@@ -82,7 +82,7 @@ def test_criterion_02_family_polys():
         for n in range(4):
             printed = printed_family_poly(ctx, key, n)
             assert fam.poly(n) == printed
-            assert det_appell_poly(fam, n) == printed
+            assert route_poly(fam, (fam,), n, "determinant") == printed
     bern = resolve(FamilySpec.builtin("bernoulli"), ctx, 3)
     assert bern.poly(2) == QPoly([F(2, 21), -1, 1])
 
@@ -185,7 +185,8 @@ def test_criterion_05_ladder():
             order = cap(name, 8)
             fam = resolve(FamilySpec.builtin(name), ctx, order)
             sequences.append((fam.polys(order),
-                              [det_appell_poly(fam, n) for n in range(order + 1)]))
+                              [route_poly(fam, (fam,), n, "determinant")
+                               for n in range(order + 1)]))
         for a in BUILTINS:
             for b in BUILTINS:
                 order = min(cap(a, 8), cap(b, 8))
@@ -193,7 +194,8 @@ def test_criterion_05_ladder():
                 fb = resolve(FamilySpec.builtin(b), ctx, order)
                 pf = product_family(fa, fb)
                 sequences.append((pf.polys(order),
-                                  [det_pair_poly(fa, fb, n) for n in range(order + 1)]))
+                                  [route_poly(pf, (fa, fb), n, "determinant")
+                                   for n in range(order + 1)]))
         for series_polys, det_polys in sequences:
             assert series_polys == det_polys
             for n in range(1, len(series_polys)):

@@ -6,6 +6,7 @@ import pytest
 
 from qappell import QContext, QPoly, audit, cli, families, resolve
 from qappell.audit import (
+    _families,
     load_fixture,
     printed_family_poly,
     printed_number,
@@ -99,31 +100,42 @@ def _add_one_where(wrong):
 
 
 def _bump_weight_row(n):
-    """A skew of weight_table: 1 added to weight 0 of row n, which adds the
-    constant 1 to every determinant member of degree n."""
+    """A skew of AppellFamily.weights: 1 added to weight 0 of degree n, which
+    adds the constant 1 to every determinant member of degree n."""
 
     def skew(real):
-        def skewed(beta, upto):
-            rows = real(beta, upto)
-            return [[w[0] + 1, *w[1:]] if m == n else w for m, w in enumerate(rows)]
+        def skewed(fam, m):
+            weights = real(fam, m)
+            return (weights[0] + 1, *weights[1:]) if m == n else weights
 
         return skewed
 
     return skew
 
 
+def _properties(qs, order):
+    """The property suite on the family set a verify at this q and order reads."""
+    return run_properties(*_families(QContext(qs), order))
+
+
+def _failing(qs="1/2", order=5):
+    return {rec.prop_id for rec in _properties(qs, order) if not rec.ok}
+
+
 class TestProperties:
     def test_all_pass_at_several_q(self):
         for qs in ("1/2", "1/3", "3/4"):
-            for rec in run_properties(QContext(qs), order=6):
+            for rec in _properties(qs, 6):
                 assert rec.ok, rec.prop_id
 
     @pytest.mark.parametrize(
         "module, name, skew, failing",
         [
+            # route_poly reads the determinant weights and the operator from
+            # families, so these skews reach every route family alike
             pytest.param(
-                audit,
-                "weight_table",
+                families.AppellFamily,
+                "weights",
                 _bump_weight_row(2),
                 {"ladder-determinant", "cross-method"},
                 id="determinant",
@@ -138,14 +150,14 @@ class TestProperties:
                 id="iterate2-one-factor-order",
             ),
             pytest.param(
-                audit,
+                families,
                 "apply_operator",
                 _add_one_where(lambda coeffs, p: p == QPoly.monomial(2)),
                 {"cross-method"},
                 id="operator-plain",
             ),
             pytest.param(
-                audit,
+                families,
                 "apply_operator",
                 _add_one_where(
                     lambda coeffs, p: p.degree == 2 and p != QPoly.monomial(2)
@@ -166,8 +178,27 @@ class TestProperties:
     )
     def test_a_wrong_route_fails_its_checks(self, monkeypatch, module, name, skew, failing):
         monkeypatch.setattr(module, name, skew(getattr(module, name)))
-        records = run_properties(QContext("1/2"), order=5)
-        assert {rec.prop_id for rec in records if not rec.ok} == failing
+        assert _failing() == failing
+
+    def test_one_dispatch_serves_cli_and_verify(self, monkeypatch, capsys):
+        # cli and audit both look up the one route_poly: a skew of its
+        # determinant route at n = 2 fails --method all and the property suite
+        assert cli.route_poly is audit.route_poly is families.route_poly
+        real = families.route_poly
+
+        def skewed(series, members, n, route):
+            got = real(series, members, n, route)
+            return lincomb([1, 1], [got, QPoly([1])]) if (route, n) == ("determinant", 2) else got
+
+        for module in (cli, audit):
+            monkeypatch.setattr(module, "route_poly", skewed)
+        argv = "poly --family euler --q 1/2 -n 2 --method all".split()
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cross-method divergence:\n")
+        assert "  determinant: x^2 - 3/4x + 7/8\n" in err
+        assert _failing() == {"ladder-determinant", "cross-method"}
 
     def test_a_wrong_pair_family_poly_fails_its_checks(self, monkeypatch):
         # pair families (label "a*b") feed the series ladder, the last link of
@@ -176,8 +207,7 @@ class TestProperties:
             families.AppellFamily.poly
         )
         monkeypatch.setattr(families.AppellFamily, "poly", skewed)
-        records = run_properties(QContext("1/2"), order=5)
-        assert {rec.prop_id for rec in records if not rec.ok} == {
+        assert _failing() == {
             "ladder-series",
             "cross-method",
             "inversion-identities",
@@ -195,10 +225,7 @@ class TestProperties:
             return ESeq(got.ctx, (got.coeffs[0] + 1,) + got.coeffs[1:])
 
         monkeypatch.setattr(audit, "convolve", skewed)
-        records = run_properties(ctx, order=5)
-        assert {rec.prop_id for rec in records if not rec.ok} == {
-            "reciprocal-orthogonality"
-        }
+        assert _failing() == {"reciprocal-orthogonality"}
 
     @pytest.mark.parametrize("which", [0, 1], ids=["monomial", "2-iterated"])
     def test_a_wrong_identity_residual_fails_its_check(self, monkeypatch, which):
@@ -211,11 +238,10 @@ class TestProperties:
             return tuple(got)
 
         monkeypatch.setattr(audit, "identity_residuals", skewed)
-        records = run_properties(QContext("1/2"), order=5)
-        assert {rec.prop_id for rec in records if not rec.ok} == {"inversion-identities"}
+        assert _failing() == {"inversion-identities"}
 
     def test_each_determinant_poly_is_built_once(self, monkeypatch):
-        built = {"tables": [], "iterates": [], "products": []}
+        built = {"rows": [], "dets": [], "iterates": [], "products": []}
 
         def counting(real, kind, key):
             def wrapper(*args):
@@ -224,26 +250,33 @@ class TestProperties:
 
             return wrapper
 
-        monkeypatch.setattr(audit, "weight_table", counting(
-            audit.weight_table, "tables", lambda beta, upto: (beta, upto)))
+        monkeypatch.setattr(families, "scaled_rows", counting(
+            families.scaled_rows, "rows", lambda beta, n: (id(beta), n)))
+        monkeypatch.setattr(audit, "route_poly", counting(
+            audit.route_poly, "dets", lambda series, members, n, route: (series.label, n, route)))
         monkeypatch.setattr(audit, "iterate2", counting(
             audit.iterate2, "iterates", lambda fa, fb, n: (fa.label, fb.label, n)))
         # identity_residuals would reach product_family through families
         for module in (audit, families):
             monkeypatch.setattr(module, "product_family", counting(
                 families.product_family, "products", lambda fa, fb: (fa.label, fb.label)))
-        ctx = QContext(F(1, 2))
-        run_properties(ctx, 12)
-        # one weight table per built-in, at its own order
-        assert built["tables"] == [
-            (fam.beta, fam.order)
-            for fam in (
-                resolve(FamilySpec.builtin(name), ctx, 4 if name == "genocchi-table" else 12)
-                for name in families.BUILTIN_NAMES
-            )
-        ]
-        # one iterate per ordered pair and degree: 9 pairs at order 12 and
-        # the 7 with genocchi-table (capped at 4) at order 4
+        singles, pairs = _families(QContext(F(1, 2)), 12)
+        run_properties(singles, pairs)
+        # at most one scaled-row build per family object, at its own order: the
+        # four built-ins and the three first factors cut to order 4 for a pair
+        # with genocchi-table
+        owners = {id(fam.beta): fam for _, members in pairs.values() for fam in members}
+        owners.update({id(fam.beta): fam for fam in singles.values()})
+        rows = Counter(beta for beta, _ in built["rows"])
+        assert set(rows.values()) == {1} and set(rows) <= set(owners)
+        assert all(owners[beta].order == n for beta, n in built["rows"])
+        assert len(rows) == 4 + 3
+        # one determinant member per route family and degree: the four
+        # built-ins, 9 pairs at order 12 and the 7 with genocchi-table at 4
+        dets = Counter(key for key in built["dets"] if key[2] == "determinant")
+        assert set(dets.values()) == {1}
+        assert len(dets) == 3 * 13 + 5 + 9 * 13 + 7 * 5
+        # one iterate per ordered pair and degree
         iterates = Counter(built["iterates"])
         assert set(iterates.values()) == {1}
         assert len(iterates) == 9 * 13 + 7 * 5
@@ -266,7 +299,7 @@ class TestProperties:
 
         monkeypatch.setattr(families, "reciprocal", counting)
         monkeypatch.setattr(families, "_affine_numbers", counting_kernel)
-        run_properties(QContext("1/2"), 8)
+        _properties("1/2", 8)
         # one per built-in (genocchi-table's is its beta, the others' numbers
         # their recurrence) and one per ordered pair; the singles truncated
         # for pairs with genocchi-table cut the numbers already read rather
@@ -290,18 +323,27 @@ class TestProperties:
         assert "  [FAIL] reciprocal-orthogonality: " in report.to_text()
 
     def test_verify_resolves_each_family_once(self, monkeypatch):
-        calls = []
-        real = families.resolve
+        resolved, products = [], []
+        real_resolve, real_product = families.resolve, families.product_family
 
-        def counting(spec, *args):
-            calls.append(spec.label)
-            return real(spec, *args)
+        def counting_resolve(spec, *args):
+            resolved.append(spec.label)
+            return real_resolve(spec, *args)
 
-        monkeypatch.setattr(families, "resolve", counting)
-        monkeypatch.setattr(audit, "resolve", counting)
+        def counting_product(fa, fb):
+            products.append((fa.label, fb.label))
+            return real_product(fa, fb)
+
+        for module in (families, audit):
+            monkeypatch.setattr(module, "resolve", counting_resolve)
+            monkeypatch.setattr(module, "product_family", counting_product)
         run_verify(F(1, 2), 8)
-        # four built-ins for the property suite, four at order 4 for the tables
-        assert len(calls) <= 8, calls
+        # one family set serves every phase: the four built-ins and the 16
+        # ordered pairs, each built once
+        assert sorted(resolved) == sorted(families.BUILTIN_NAMES)
+        assert sorted(products) == sorted(
+            (a, b) for a in families.BUILTIN_NAMES for b in families.BUILTIN_NAMES
+        )
 
 
 class TestReport:
@@ -347,6 +389,24 @@ class TestReport:
                 "unexpected divergence; suspect an engine bug",
                 "match",
             )
+        ]
+        assert report.exit_code == 1
+
+    def test_printed_complex_zeros_must_be_conjugate_pairs(self, monkeypatch, report_half):
+        real = audit.load_fixture
+
+        def skewed():
+            fixture = real()
+            # the lower zero of the pair 1.0897 +/- 0.1112i, no longer its conjugate
+            fixture["complex_zeros"]["bernoulli2"]["4"][1] = ["0.5000", "-0.2000"]
+            return fixture
+
+        monkeypatch.setattr(audit, "load_fixture", skewed)
+        report = run_verify(F(1, 2), 8)
+        assert report.properties == report_half.properties
+        changed = [(c, d) for c, d in zip(report.checks, report_half.checks) if c != d]
+        assert [(c.check_id, c.status, d.status) for c, d in changed] == [
+            ("zeros:bernoulli2:4", "mismatch", "match")
         ]
         assert report.exit_code == 1
 

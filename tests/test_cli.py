@@ -362,14 +362,14 @@ class TestRoots:
         from qappell import cli
         from qappell.qcore import QPoly
 
-        real = cli._poly_by_method
+        real = cli.route_poly
 
-        def skewed(series, members, n, method):
-            if method == "operator" and n == 2:
+        def skewed(series, members, n, route):
+            if route == "operator" and n == 2:
                 return QPoly([1, 1])
-            return real(series, members, n, method)
+            return real(series, members, n, route)
 
-        monkeypatch.setattr(cli, "_poly_by_method", skewed)
+        monkeypatch.setattr(cli, "route_poly", skewed)
         code, out, err = run_cli(capsys, *argv.split(), "--method", "all")
         assert (code, out) == (2, "")
         assert err == "cross-method divergence:\n" + report

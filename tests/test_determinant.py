@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qappell import QContext, QPoly, iterate2, pair_family, resolve
-from qappell.determinant import (
-    _scaled_rows,
-    det_appell_poly,
-    det_pair_poly,
-    det_weights,
-    weight_table,
+from qappell import (
+    AppellFamily,
+    QContext,
+    QPoly,
+    iterate2,
+    pair_family,
+    product_family,
+    resolve,
+    route_poly,
 )
-from qappell.families import FamilySpec
+from qappell import families
+from qappell.determinant import row_weights, scaled_rows
+from qappell.families import ROUTES, FamilyError, FamilySpec
 from qappell.qcore import lincomb
 from qappell.series import ESeq
 
@@ -86,6 +90,17 @@ def bareiss(rows):
     return sign * m[n - 1][n - 1] if n else F(1)
 
 
+def det_route(*members, n):
+    """route_poly's determinant member of one family, or of a pair of factors."""
+    series = members[0] if len(members) == 1 else product_family(*members)
+    return route_poly(series, members, n, "determinant")
+
+
+def drawn(seq):
+    """A family held by a drawn beta, as resolve builds one from a custom beta."""
+    return AppellFamily(seq.ctx, seq, "drawn")
+
+
 def custom_beta():
     """Strategy: beta_0 any nonzero small fraction, then 1..5 more entries."""
     return st.tuples(
@@ -101,7 +116,7 @@ class TestBuildMatrix:
         assert m == ((QPoly([1]), QPoly.monomial(1)), (F(1), F(2, 3)))
         # the displayed orientation: (-1)^1 * det([[1, x], [1, 2/3]]) = x - 2/3
         assert laplace(m) * (-1 / fam.beta[0] ** 2) == QPoly([F(-2, 3), 1])
-        assert lincomb(det_weights(fam.beta, 1), m[0]) == QPoly([F(-2, 3), 1])
+        assert lincomb(fam.weights(1), m[0]) == QPoly([F(-2, 3), 1])
 
     def test_euler_row_two(self, ctx_half):
         fam = resolve(E, ctx_half, 2)
@@ -112,34 +127,42 @@ class TestBuildMatrix:
 class TestDetPoly:
     def test_degree_zero_prefactor_only(self, ctx_half):
         beta = ESeq(ctx_half, [F(4), F(1, 2)])
-        assert det_weights(beta, 0) == [F(1, 4)]
+        assert row_weights(beta[0], scaled_rows(beta, 0), 0) == [F(1, 4)]
+        assert drawn(beta).weights(0) == (F(1, 4),)
+        assert det_route(drawn(beta), n=0) == QPoly([F(1, 4)])
 
     def test_bernoulli_n1(self, ctx_half):
         fam = resolve(B, ctx_half, 1)
-        assert det_appell_poly(fam, 1) == QPoly([F(-2, 3), 1])
+        assert det_route(fam, n=1) == QPoly([F(-2, 3), 1])
 
     def test_euler_n2(self, ctx_half):
         fam = resolve(E, ctx_half, 2)
-        assert det_appell_poly(fam, 2) == QPoly([F(-1, 8), F(-3, 4), 1])
+        assert det_route(fam, n=2) == QPoly([F(-1, 8), F(-3, 4), 1])
 
     def test_iterated_euler_n2(self, ctx_half):
         # deliberately +1/8, not the misprinted -1/16
         fam = resolve(E, ctx_half, 2)
-        assert det_pair_poly(fam, fam, 2) == QPoly([F(1, 8), F(-3, 2), 1])
+        assert det_route(fam, fam, n=2) == QPoly([F(1, 8), F(-3, 2), 1])
 
     def test_pair_rejects_mismatched_q(self, ctx_half):
         half = resolve(E, ctx_half, 2)
         third = resolve(B, QContext(F(1, 3)), 2)
-        with pytest.raises(ValueError, match="families disagree on q"):
-            det_pair_poly(half, third, 2)
-        with pytest.raises(ValueError, match="families disagree on q"):
-            det_pair_poly(third, half, 2)
+        for route in ROUTES:
+            with pytest.raises(ValueError, match="families disagree on q"):
+                route_poly(half, (half, third), 2, route)
+            with pytest.raises(ValueError, match="families disagree on q"):
+                route_poly(third, (third, half), 2, route)
+
+    def test_unknown_route_is_refused(self, ctx_half):
+        fam = resolve(E, ctx_half, 2)
+        with pytest.raises(ValueError, match="unknown route 'umbral'"):
+            route_poly(fam, (fam,), 2, "umbral")
 
     def test_matches_series_route(self, ctx_half):
         for spec in (B, E, GD):
             fam = resolve(spec, ctx_half, 8)
             for n in range(9):
-                assert det_appell_poly(fam, n) == fam.poly(n)
+                assert det_route(fam, n=n) == fam.poly(n)
 
     @given(
         q=q_values(),
@@ -151,27 +174,27 @@ class TestDetPoly:
         ctx = QContext(q)
         fam = resolve(FamilySpec.from_beta(ESeq(ctx, beta)), ctx, len(beta) - 1)
         for n in range(fam.order + 1):
-            assert det_appell_poly(fam, n) == fam.poly(n)
+            assert det_route(fam, n=n) == fam.poly(n)
 
     def test_pairs_match_iterate2(self, ctx_half):
         for sa, sb in ((B, B), (E, E), (GT, GT), (E, B), (GT, B), (GT, E)):
             fa = resolve(sa, ctx_half, 4)
             fb = resolve(sb, ctx_half, 4)
             for n in range(5):
-                assert det_pair_poly(fa, fb, n) == iterate2(fa, fb, n)
+                assert det_route(fa, fb, n=n) == iterate2(fa, fb, n)
 
     def test_pairs_match_iterate2_deeper(self, ctx_half):
         fa = resolve(B, ctx_half, 8)
         fb = resolve(E, ctx_half, 8)
         for n in range(9):
-            assert det_pair_poly(fa, fb, n) == iterate2(fa, fb, n)
+            assert det_route(fa, fb, n=n) == iterate2(fa, fb, n)
 
     def test_genocchi_recipe_vs_published_row(self, ctx_half):
         # the literal determinant recipe pairs the 1/(2[i+1]_q) beta with the
         # published polynomials; it does not reproduce the published mixed row
         gdet = resolve(GD, ctx_half, 2)
         bern = resolve(B, ctx_half, 2)
-        got = det_pair_poly(gdet, bern, 1)
+        got = det_route(gdet, bern, n=1)
         assert got == QPoly([F(-1), 1])
         published_row = QPoly([F(-1, 3), 1])
         assert got != published_row
@@ -185,7 +208,7 @@ class TestRowZeroLinearity:
         basis_b = [QPoly([1])] + [QPoly([F(1), F(2), F(1, 3)][: k + 1]) for k in range(1, 4)]
         m_a = build_matrix(fam.beta, basis_a, 3)
         summed = tuple(lincomb([1, 1], [a, b]) for a, b in zip(basis_a, basis_b))
-        weights = det_weights(fam.beta, 3)
+        weights = fam.weights(3)
         lhs = lincomb(weights, summed)
         assert lhs == lincomb([1, 1], [lincomb(weights, basis_a), lincomb(weights, basis_b)])
         assert lhs == laplace((summed,) + m_a[1:]) * (-1 / fam.beta[0] ** 4)
@@ -199,7 +222,7 @@ class TestDegenerateRow:
         n = 4
         m = build_matrix(fam.beta, monomial_basis(n), n)
         beta_top = tuple(QPoly([fam.beta[j]]) for j in range(n + 1))
-        assert lincomb(det_weights(fam.beta, n), beta_top).is_zero
+        assert lincomb(fam.weights(n), beta_top).is_zero
         assert laplace([m[1]] + list(m[1:])) == 0
 
 
@@ -231,7 +254,7 @@ class TestBareiss:
         n = 12
         fam = resolve(spec, ctx_half, n)
         scalars = build_matrix(fam.beta, monomial_basis(n), n)[1:]
-        weights = det_weights(fam.beta, n)
+        weights = fam.weights(n)
         scale = fam.beta[0] ** (n + 1)
         for j in range(n + 1):
             minor = bareiss([r[:j] + r[j + 1 :] for r in scalars])
@@ -252,7 +275,7 @@ class TestLaplaceOracle:
         seq = ESeq(ctx, beta)
         m = build_matrix(seq, basis, n)
         expected = laplace(m) * (F(-1) ** n / beta[0] ** (n + 1))
-        assert lincomb(det_weights(seq, n), m[0]) == expected
+        assert lincomb(drawn(seq).weights(n), m[0]) == expected
 
 
 class TestBlockTriangular:
@@ -263,7 +286,7 @@ class TestBlockTriangular:
         ctx = QContext(q)
         n = len(beta) - 1
         seq = ESeq(ctx, beta)
-        weights = det_weights(seq, n)
+        weights = drawn(seq).weights(n)
         scalars = [list(r) for r in build_matrix(seq, monomial_basis(n), n)[1:]]
         for j in range(n + 1):
             minor = laplace([r[:j] + r[j + 1 :] for r in scalars])
@@ -275,25 +298,26 @@ class TestBlockTriangular:
 
 
 class TestWeightTable:
-    """The degree-n matrix is the leading block of the degree-N one, so one
-    table built at the top order gives every degree's row-0 weights."""
+    """The degree-n matrix is the leading block of the degree-N one, so the
+    scaled rows a family builds once at its order give every degree's row-0
+    weights: the family keeps one weight table."""
 
     @pytest.mark.parametrize("spec", [B, E, GD], ids=lambda s: s.name)
     def test_rows_match_each_degree_matrix_and_the_oracles(self, ctx_half, spec):
         top = 12
-        beta = resolve(spec, ctx_half, top).beta
-        table = weight_table(beta, top)
-        assert len(table) == top + 1
-        assert table[0] == [1 / beta[0]]
+        fam = resolve(spec, ctx_half, top)
+        beta = fam.beta
+        assert fam.weights(0) == (1 / beta[0],)
         for n in range(1, top + 1):
             m = build_matrix(beta, monomial_basis(n), n)
-            assert table[n] == det_weights(beta, n)
+            weights = list(fam.weights(n))
+            assert weights == row_weights(beta[0], scaled_rows(beta, n), n)
             scale = F(-1) ** n / beta[0] ** (n + 1)
             if n <= 5:
-                assert QPoly(table[n]) == laplace(m) * scale
+                assert QPoly(weights) == laplace(m) * scale
             # weight j is cofactor j of the scalar rows, eliminated by Bareiss
             scalars = m[1:]
-            assert table[n] == [
+            assert weights == [
                 scale * F(-1) ** j * bareiss([r[:j] + r[j + 1 :] for r in scalars])
                 for j in range(n + 1)
             ]
@@ -306,42 +330,73 @@ class TestWeightTable:
     def test_rows_match_each_degree_matrix_for_drawn_beta(self, q, beta, tops):
         ctx = QContext(q)
         seq = ESeq(ctx, beta)
-        top = len(beta) - 1
-        table = weight_table(seq, top)
-        assert table[0] == [1 / beta[0]]
+        fam = drawn(seq)
+        assert fam.weights(0) == (1 / beta[0],)
         basis = [QPoly([1])] + [QPoly(cs) for cs in tops]
-        for n in range(1, top + 1):
-            assert table[n] == det_weights(seq, n)
+        for n in range(1, fam.order + 1):
+            weights = fam.weights(n)
+            assert list(weights) == row_weights(seq[0], scaled_rows(seq, n), n)
             scale = F(-1) ** n / beta[0] ** (n + 1)
-            assert QPoly(table[n]) == laplace(build_matrix(seq, monomial_basis(n), n)) * scale
+            assert QPoly(weights) == laplace(build_matrix(seq, monomial_basis(n), n)) * scale
             # the same weights serve any row-0 basis
-            assert lincomb(table[n], basis[: n + 1]) == laplace(build_matrix(seq, basis, n)) * scale
+            assert lincomb(weights, basis[: n + 1]) == laplace(build_matrix(seq, basis, n)) * scale
 
     @given(q=q_values(), beta=custom_beta())
     def test_scaled_rows_match_the_matrix(self, q, beta):
         seq = ESeq(QContext(q), beta)
         top = len(beta) - 1
-        rows = _scaled_rows(seq, top)
+        rows = scaled_rows(seq, top)
         scalars = build_matrix(seq, monomial_basis(top), top)[1:]
         # R_j[k] = (-beta_0)^k S[j+1][j+1+k], formed once for every degree
         assert rows == [
             [(-beta[0]) ** k * scalars[j][j + 1 + k] for k in range(top - j)]
             for j in range(top)
         ]
-        table = weight_table(seq, top)
+        fam = drawn(seq)
+        kept = [fam.weights(n) for n in range(top + 1)]
         for n in range(top + 1):
             cut = seq.truncated(n)
-            assert _scaled_rows(cut, n) == [r[: n - j] for j, r in enumerate(rows[:n])]
-            assert weight_table(cut, n) == table[: n + 1]
+            # prefix stability: the rows and weights of a lower order are the
+            # leading parts of the top order's, so the kept rows serve it
+            assert scaled_rows(cut, n) == [r[: n - j] for j, r in enumerate(rows[:n])]
+            assert [row_weights(beta[0], rows, m) for m in range(n + 1)] == [
+                list(w) for w in kept[: n + 1]
+            ]
+            assert [drawn(cut).weights(m) for m in range(n + 1)] == kept[: n + 1]
+            assert [fam.truncated(n).weights(m) for m in range(n + 1)] == kept[: n + 1]
+
+    def test_rows_are_built_once_per_family(self, ctx_half, monkeypatch):
+        built = []
+        real = families.scaled_rows
+
+        def counting(beta, n):
+            built.append((beta, n))
+            return real(beta, n)
+
+        monkeypatch.setattr(families, "scaled_rows", counting)
+        fam = resolve(E, ctx_half, 6)
+        kept = [fam.weights(n) for n in (3, 0, 6, 3)]
+        assert built == [(fam.beta, 6)]
+        assert kept[0] is kept[3]
+        for n in range(7):
+            assert det_route(fam, n=n) == fam.poly(n)
+            assert det_route(fam, fam, n=n) == iterate2(fam, fam, n)
+        assert built == [(fam.beta, 6)]
 
     def test_preconditions(self, ctx_half):
-        beta = ESeq(ctx_half, [0, 1, 1])
         with pytest.raises(ValueError, match="beta_0"):
-            weight_table(beta, 2)
+            scaled_rows(ESeq(ctx_half, [0, 1, 1]), 2)
         with pytest.raises(ValueError, match="order"):
-            weight_table(ESeq(ctx_half, [1, 1]), 2)
+            scaled_rows(ESeq(ctx_half, [1, 1]), 2)
         with pytest.raises(ValueError, match=">= 0"):
-            det_weights(ESeq(ctx_half, [1, 1]), -1)
+            scaled_rows(ESeq(ctx_half, [1, 1]), -1)
+        with pytest.raises(ValueError, match="beta_0"):
+            drawn(ESeq(ctx_half, [0, 1, 1])).weights(2)
+        fam = drawn(ESeq(ctx_half, [1, 1]))
+        with pytest.raises(FamilyError, match=">= 0"):
+            fam.weights(-1)
+        with pytest.raises(FamilyError, match="exceeds the truncation order 1"):
+            fam.weights(2)
 
 
 class TestDeep:
@@ -352,11 +407,12 @@ class TestDeep:
         ctx = QContext(q)
         n = 32
         bern, euler, gdet = (resolve(s, ctx, n) for s in (B, E, GD))
+        series = pair_family(B, E, ctx, n)
         start = time.perf_counter()
-        pair = det_pair_poly(bern, euler, n)
-        plain = det_appell_poly(gdet, n)
+        pair = route_poly(series, (bern, euler), n, "determinant")
+        plain = route_poly(gdet, (gdet,), n, "determinant")
         elapsed = time.perf_counter() - start
-        assert pair == pair_family(B, E, ctx, n).poly(n)
+        assert pair == series.poly(n)
         assert pair == iterate2(bern, euler, n)
         assert plain == gdet.poly(n)
         assert elapsed < 2.0

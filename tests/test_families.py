@@ -16,12 +16,12 @@ from qappell import (
     q_derive,
     reciprocal,
     resolve,
+    route_poly,
     umbral_compose,
     unit,
 )
 from qappell import families
-from qappell.determinant import weight_table
-from qappell.families import FamilyError, FamilySpec, GENOCCHI_TABLE_MAX_ORDER
+from qappell.families import ROUTES, FamilyError, FamilySpec, GENOCCHI_TABLE_MAX_ORDER
 from qappell.qcore import lincomb
 from qappell.series import ESeq
 
@@ -545,17 +545,17 @@ class TestOperator:
 
     @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10"])
     def test_routes_agree_and_hash_alike(self, qs):
-        # the operator, the double sum and the determinant weights give one
-        # canonical polynomial, from different denominators
+        # the operator, the double sum, the determinant weights and the
+        # product family give one canonical polynomial, from different denominators
         ctx = QContext(qs)
         fa, fb = resolve(B, ctx, 10), resolve(GD, ctx, 10)
-        table = weight_table(fa.beta, 10)
+        series = product_family(fa, fb)
         for n in range(11):
             routes = [
-                apply_operator(fa.numbers, fb.poly(n)),
+                *(route_poly(series, (fa, fb), n, route) for route in ROUTES),
                 _operator_fraction_oracle(fa.numbers, fb.poly(n)),
                 iterate2(fa, fb, n),
-                lincomb(table[n], fb.polys(n)),
+                lincomb(fa.weights(n), fb.polys(n)),
                 umbral_compose(fa.polys(n), fb.polys(n), n),
             ]
             for r in routes:

@@ -39,6 +39,24 @@ GOLDEN = {
         "7bce3119c3b5de91be21d238b7c57b04f5d3c643e0cde9d991aaecc598dc1477",
         "c8e9538ffa0aa9279c0c44dba0918832f8071e8a36d5516db6070aa15cbb4884",
     ),
+    # below order 4, reachable from the API only (the CLI refuses it): the
+    # family set is built at order 4, where the printed tables stop
+    (F(1, 2), 0): (
+        "233d8b9e64f9144684bdc106ccee7c882f6d55bb72acbedd398db450966ba1b6",
+        "704da1dc3c372942fa238dc100111685e1310609914741dbcade8b653a3bbe85",
+    ),
+    (F(1, 2), 1): (
+        "bcd446faa5075d1072d4fd90b9d10662bc32357b8d41e57dc7a72f8bf4402674",
+        "9d0206f0e34eca8c45e08964839f591412d1592335a368a14eb97eaf7437f625",
+    ),
+    (F(1, 2), 2): (
+        "360b23fc26d2849fecae0580fca3a3edd183f616640b1bb9a7b967cd646f8f17",
+        "ac33d65baf811951c32a76cdce234af2f7cf3d66afede831cf61e36bc3bf06d8",
+    ),
+    (F(1, 2), 3): (
+        "b3deb37adfe70e5fc4b2c63edb62313dfbd6ff6875c3701830fcf416eedb1c37",
+        "b52eef5c409a2dff499e51ac145ef41528757a09456561dd55b830d88155dece",
+    ),
     # denominators of about a thousand bits, where the exact kernels differ
     # most from a plain Fraction loop
     (F(5, 11), 24): (
