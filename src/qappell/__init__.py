@@ -16,7 +16,7 @@ _EXPORTS = {
         ("qcore", "QContext QPoly parse_q parse_rat q_derive"),
         ("series", "ESeq convolve reciprocal shift_up unit"),
         ("families", "AppellFamily FamilySpec resolve product_family pair_family iterate2"),
-        ("families", "route_poly umbral_compose apply_operator identity_residuals"),
+        ("families", "route_poly apply_operator identity_residuals"),
         ("roots", "RootSet find_roots sample vieta_residuals"),
     )
     for name in names.split()

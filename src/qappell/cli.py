@@ -34,9 +34,7 @@ MAX_STEPS = 10_001  # sample --steps
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage error: ``main`` prints it and returns 2."""
 
 
 def _add_common(sub: argparse.ArgumentParser, q_required: bool = True) -> None:
@@ -135,7 +133,7 @@ def _specs(args: argparse.Namespace) -> tuple[FamilySpec, ...]:
 
 
 def _label(specs: tuple[FamilySpec, ...]) -> str:
-    return "*".join(s.label for s in specs)
+    return "*".join(s.name for s in specs)
 
 
 def _resolve(
@@ -392,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,6 +32,11 @@ inverted at all.  Both variants are kept so that every published table
 can be reproduced and the inconsistency can be exhibited rather than
 silently resolved.
 
+``resolve`` builds the built-ins only.  Any other family is an
+``AppellFamily`` built directly: ``AppellFamily(ctx, beta, label)`` from its
+beta, or ``AppellFamily(ctx, reciprocal(numbers), label, numbers)`` from its
+numbers.  The 2-iterated member ``iterate2`` is one ``lincomb`` of the second
+family's polynomials, weighted by the coefficients of the first's.
 ``route_poly`` forms a member by any of ``ROUTES``, for ``--method`` and
 ``verify`` alike; a family keeps its determinant weights as it keeps its
 numbers and polynomials.
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .determinant import row_weights, scaled_rows
 from .qcore import QContext, QPoly, lincomb, lincomb_ints
@@ -59,7 +64,6 @@ __all__ = [
     "pair_family",
     "iterate2",
     "route_poly",
-    "umbral_compose",
     "apply_operator",
     "identity_residuals",
     "genocchi_table_numbers",
@@ -80,11 +84,10 @@ class FamilyError(ValueError):
 
 
 class FamilySpec(NamedTuple):
-    """One of: a built-in name, a custom number sequence, a custom beta."""
+    """A built-in family by its canonical name; any other family is an
+    ``AppellFamily`` built directly."""
 
-    kind: str  # "builtin" | "numbers" | "beta"
-    name: str = ""
-    seq: Optional[ESeq] = None
+    name: str
 
     @staticmethod
     def builtin(name: str) -> "FamilySpec":
@@ -93,25 +96,11 @@ class FamilySpec(NamedTuple):
             raise FamilyError(
                 f"unknown family {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
             )
-        return FamilySpec("builtin", name=key)
-
-    @staticmethod
-    def from_numbers(seq: ESeq) -> "FamilySpec":
-        return FamilySpec("numbers", seq=seq)
-
-    @staticmethod
-    def from_beta(seq: ESeq) -> "FamilySpec":
-        return FamilySpec("beta", seq=seq)
-
-    @property
-    def label(self) -> str:
-        if self.kind == "builtin":
-            return self.name
-        return f"custom-{self.kind}"
+        return FamilySpec(key)
 
 
 class AppellFamily:
-    """A resolved family: context, order, beta, a label and its numbers.
+    """A family: context, order, beta, a label and its numbers.
 
     The numbers are computed on first read and kept, unless the family was
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
@@ -128,6 +117,9 @@ class AppellFamily:
             raise FamilyError("numbers/beta context does not match the family context")
         if numbers is not None and numbers.order != beta.order:
             raise FamilyError("numbers and beta must share one truncation order")
+        # checked here, as the numbers of a beta are computed only when first read
+        if beta[0] == 0:
+            raise FamilyError("the beta sequence is not invertible: its first term is zero")
         self.ctx = ctx
         self.order = beta.order
         self.beta = beta
@@ -186,8 +178,9 @@ class AppellFamily:
         return got
 
     def truncated(self, order: int) -> "AppellFamily":
-        """The same family at a lower order; numbers and beta are prefix-stable,
-        so numbers already read are cut rather than recomputed."""
+        """The same family at an order from 0 to its own; numbers and beta are
+        prefix-stable, so numbers already read are cut rather than recomputed."""
+        self._check_degree(order)
         if order == self.order:
             return self
         known = None if self._numbers is None else self._numbers.truncated(order)
@@ -273,6 +266,8 @@ def genocchi_table_numbers(ctx: QContext, order: int = GENOCCHI_TABLE_MAX_ORDER)
 
     Only n = 0..4 were ever published, so the order is capped at 4.
     """
+    if order < 0:
+        raise FamilyError(f"order must be >= 0, got {order}")
     if order > GENOCCHI_TABLE_MAX_ORDER:
         raise FamilyError(
             f"genocchi-table numbers are only known up to n={GENOCCHI_TABLE_MAX_ORDER};"
@@ -295,37 +290,17 @@ def genocchi_table_numbers(ctx: QContext, order: int = GENOCCHI_TABLE_MAX_ORDER)
 
 
 def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> AppellFamily:
-    """Build the numbers/beta pair an order-N family needs from its spec."""
+    """The order-N family of a built-in, by its beta or its published numbers."""
     if order < 0:
         raise FamilyError(f"order must be >= 0, got {order}")
-    if spec.kind == "builtin":
-        if spec.name in _AFFINE:
-            c, d, s = affine = _AFFINE[spec.name]
-            beta = [d + s / ctx.q_number(m + 1) if s else d for m in range(1, order + 1)]
-            return AppellFamily(ctx, ESeq(ctx, [c + d + s, *beta]), spec.name, affine=affine)
-        if spec.name == "genocchi-table":
-            numbers = genocchi_table_numbers(ctx, order)
-            return AppellFamily(ctx, reciprocal(numbers), spec.name, numbers)
-        raise FamilyError(f"unknown builtin {spec.name!r}")
-
-    seq = spec.seq
-    if seq is None:
-        raise FamilyError("custom family spec carries no sequence")
-    if seq.ctx.q != ctx.q:
-        raise FamilyError("custom sequence was built for a different q")
-    if seq.order < order:
-        raise FamilyError(
-            f"custom sequence has order {seq.order}, cannot resolve order {order}"
-        )
-    seq = seq.truncated(order)
-    if spec.kind not in ("numbers", "beta"):
-        raise FamilyError(f"unknown spec kind {spec.kind!r}")
-    # checked here, as a beta's numbers are computed only when first read
-    if seq[0] == 0:
-        raise FamilyError(f"the {spec.kind} sequence is not invertible: its first term is zero")
-    if spec.kind == "numbers":
-        return AppellFamily(ctx, reciprocal(seq), spec.label, seq)
-    return AppellFamily(ctx, seq, spec.label)
+    if spec.name in _AFFINE:
+        c, d, s = affine = _AFFINE[spec.name]
+        beta = [d + s / ctx.q_number(m + 1) if s else d for m in range(1, order + 1)]
+        return AppellFamily(ctx, ESeq(ctx, [c + d + s, *beta]), spec.name, affine=affine)
+    if spec.name == "genocchi-table":
+        numbers = genocchi_table_numbers(ctx, order)
+        return AppellFamily(ctx, reciprocal(numbers), spec.name, numbers)
+    raise FamilyError(f"unknown builtin {spec.name!r}")
 
 
 def product_family(a: AppellFamily, b: AppellFamily) -> AppellFamily:
@@ -374,24 +349,10 @@ def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
         sum_k C(n,k)_q A^I_k P^II_{n-k}(x).
 
     Its weights are the coefficients of P^I_n, so it is the umbral
-    composition of the first family's polynomials with the second's.
+    composition of the first family's polynomials with the second's:
+    x^k in P^I_n is replaced by P^II_k.
     """
-    return umbral_compose(fam_i.polys(n), fam_ii.polys(n), n)
-
-
-def umbral_compose(
-    polys_a: Sequence[QPoly], polys_b: Sequence[QPoly], n: int
-) -> QPoly:
-    """Substitute the second sequence for the monomial basis of the first:
-
-        (A o B)_n(x) = sum_k a_{n,k} B_k(x),
-
-    where a_{n,k} = N_k/D is the x^k coefficient of A_n(x), so with
-    B_k = M_k/E_k the sum is one ``lincomb_ints`` of the rows M_k.
-    """
-    a_n = polys_a[n]
-    rows = ((c, a_n.den * b.den, b.nums) for c, b in zip(a_n.nums, polys_b) if c)
-    return QPoly.from_ints(*lincomb_ints(rows))
+    return lincomb(fam_i.poly(n).coeffs, fam_ii.polys(n))
 
 
 def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:

@@ -122,6 +122,8 @@ class QContext:
         """Integers with [i]_q! = Phi_i / Psi_i, i <= n: for q = a/b,
         Phi_i = prod_(j<=i) (b^j - a^j) and Psi_i = b^(i(i-1)/2) (b - a)^i.
         Both lists are kept and filled upward; a call returns copies."""
+        if n < 0:
+            raise ValueError(f"q-factorial needs n >= 0, got {n}")
         a, b = self.q.numerator, self.q.denominator
         phi, psi = self._fints
         for i in range(len(phi), n + 1):
@@ -167,11 +169,11 @@ class QPoly:
         return QPoly(())
 
     @staticmethod
-    def monomial(power: int, coefficient: RatLike = 1) -> "QPoly":
-        """coefficient * x**power."""
+    def monomial(power: int) -> "QPoly":
+        """x**power."""
         if power < 0:
             raise ValueError("monomial power must be >= 0")
-        return QPoly((0,) * power + (coefficient,))
+        return QPoly((0,) * power + (1,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -33,7 +33,8 @@ Classification rests on the same discs (``_build``), since p is real and
 the mirror image of a zero is a zero.  There is no randomness anywhere, so
 identical inputs give bit-identical results.  Every failure is a
 ``RootFindingError``, also a coefficient ratio outside double range, a
-failed classification, and a float image whose k >= 2 lowest coefficients
+failed classification ("classification failed: ...", raised by ``_build``
+itself), and a float image whose k >= 2 lowest coefficients
 are 0.0 while the exact ones are not all 0: "a_0..a_(k-1) underflow in the
 float image", not a multiple zero at 0.  Residual and Vieta checks are
 provided separately so callers can assert them.
@@ -51,7 +52,6 @@ from .qcore import QPoly, homogeneous_image
 __all__ = [
     "RootSet",
     "RootFindingError",
-    "ClassificationError",
     "to_float",
     "find_roots",
     "vieta_residuals",
@@ -81,10 +81,6 @@ class RootFindingError(RuntimeError):
         self.best = best
         self.residuals = residuals
         self.sweeps = sweeps
-
-
-class ClassificationError(RuntimeError):
-    """The inclusion discs certify neither a real zero nor a conjugate pair."""
 
 
 class RootSet(NamedTuple):
@@ -251,10 +247,7 @@ def find_roots(p: QPoly) -> RootSet:
     cluster, radii = _settle_clusters(p, z, coeffs, tail)
     if cluster:
         raise failure(cluster)
-    try:
-        return _build(n, z, coeffs, sweeps, radii)
-    except ClassificationError as exc:
-        raise failure(f"classification failed: {exc}") from exc
+    return _build(n, z, coeffs, sweeps, radii)
 
 
 def _exact_values(p: QPoly, points: list[complex]) -> tuple[list[complex], list[bool]]:
@@ -405,8 +398,16 @@ def _build(
     conj(D_i).  If D_i meets the real axis and conj(D_i) meets no other
     disc, conj(w_i) = w_i is real.  If D_i misses the axis, w_i is not
     real, and when conj(D_i) meets exactly one other disc D_j,
-    w_j = conj(w_i).  Whatever is left raises ``ClassificationError``.
+    w_j = conj(w_i).  Whatever is left raises a ``RootFindingError``
+    "classification failed: ..." with the iterates, their residuals and the
+    sweeps, as every refusal of ``find_roots`` carries them.
     """
+
+    def failure(message: str) -> RootFindingError:
+        return RootFindingError(
+            f"classification failed: {message}", z, [abs(_horner(coeffs, w)) for w in z], sweeps
+        )
+
     mirrored = _meeting(z, radii, mirrored=True)
     real = [abs(w.imag) <= r and not m for w, r, m in zip(z, radii, mirrored)]
     partner: dict[int, int] = {}
@@ -414,10 +415,10 @@ def _build(
         if abs(w.imag) > radii[i] and len(mirrored[i]) == 1:
             j = mirrored[i][0]
             if partner.setdefault(i, j) != j or partner.setdefault(j, i) != i:
-                raise ClassificationError(f"root {z[j]!r} mirrors two roots")
+                raise failure(f"root {z[j]!r} mirrors two roots")
     for i, w in enumerate(z):
         if not real[i] and i not in partner:
-            raise ClassificationError(
+            raise failure(
                 f"root {w!r} (disc radius {radii[i]:.1e}) is neither certified "
                 "real nor one of a certified conjugate pair"
             )
@@ -433,12 +434,12 @@ def _build(
     pairs.sort(key=lambda pair: (pair[0].real, pair[0].imag))
     flat = [complex(r, 0.0) for r in real_parts] + [w for pair in pairs for w in pair]
     if len(flat) != degree:
-        raise ClassificationError(
+        raise failure(
             f"classified {len(flat)} roots for a degree-{degree} polynomial"
         )
     residuals = tuple(abs(_horner(coeffs, w)) for w in flat)
     if not all(map(math.isfinite, residuals)):
-        raise ClassificationError("non-finite residual")
+        raise failure("non-finite residual")
     return RootSet(
         degree=degree,
         roots=tuple(flat),

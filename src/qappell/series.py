@@ -101,6 +101,8 @@ class ESeq:
 
     def truncated(self, order: int) -> "ESeq":
         """Copy truncated to a lower order."""
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return ESeq(self.ctx, self.coeffs[: order + 1])

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 from functools import wraps
 
 from qappell import (
+    AppellFamily,
     QContext,
     QPoly,
     apply_operator,
@@ -24,14 +25,15 @@ from qappell import (
     pair_family,
     product_family,
     q_derive,
+    reciprocal,
     resolve,
     route_poly,
-    umbral_compose,
     unit,
     vieta_residuals,
 )
 from qappell.audit import load_fixture, printed_family_poly, printed_number, run_verify
 from qappell.families import FamilySpec
+from qappell.qcore import lincomb
 from qappell.series import ESeq
 
 BUILTINS = ("bernoulli", "euler", "genocchi-det", "genocchi-table")
@@ -219,7 +221,8 @@ def test_criterion_06_reciprocal_orthogonality():
             q = F(rng.randint(1, 19), 20)
         ctx = QContext(q)
         coeffs = [rand_frac(allow_zero=False)] + [rand_frac() for _ in range(8)]
-        fam = resolve(FamilySpec.from_numbers(ESeq(ctx, coeffs)), ctx, 8)
+        numbers = ESeq(ctx, coeffs)
+        fam = AppellFamily(ctx, reciprocal(numbers), "custom", numbers)
         assert convolve(fam.numbers, fam.beta) == unit(ctx, 8)
 
 
@@ -243,9 +246,12 @@ def test_criterion_08_correspondence():
             fa, fb = resolve(sa, ctx, order), resolve(sb, ctx, order)
             pf = product_family(fa, fb)
             for n in range(order + 1):
-                direct = iterate2(fa, fb, n)
+                # the double sum sum_k C(n,k)_q A^I_k P^II_(n-k) as defined;
+                # iterate2 forms it as the umbral composition
+                weights = [ctx.q_binomial(n, k) * fa.number(k) for k in range(n + 1)]
+                direct = lincomb(weights, [fb.poly(n - k) for k in range(n + 1)])
+                umbral = iterate2(fa, fb, n)
                 swapped = iterate2(fb, fa, n)
-                umbral = umbral_compose(fa.polys(n), fb.polys(n), n)
                 operator = apply_operator(fa.numbers, fb.poly(n))
                 assert direct == swapped == umbral == operator == pf.poly(n)
 

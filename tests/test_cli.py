@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -320,17 +321,20 @@ class TestRoots:
 
     def test_classification_failure_exits_3(self, capsys, monkeypatch):
         from qappell import roots
-        from qappell.roots import ClassificationError
 
-        def skewed(*args):
-            raise ClassificationError("forced for the exit-code contract")
+        real = roots._build
+
+        def skewed(degree, z, coeffs, sweeps, radii):
+            # NaN discs certify neither a real zero nor a pair
+            return real(degree, z, coeffs, sweeps, [math.nan] * len(radii))
 
         monkeypatch.setattr(roots, "_build", skewed)
         code, _, err = run_cli(
             capsys, "roots", "--family", "euler", "--q", "1/2", "-n", "2"
         )
         assert code == 3
-        assert "classification failed: forced" in err
+        assert "classification failed: root " in err
+        assert "(disc radius nan) is neither certified real" in err
 
     @pytest.mark.parametrize(
         "argv, report",

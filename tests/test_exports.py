@@ -1,14 +1,17 @@
 """Every exported name exists, so no stale export survives a deletion, and
-every exported name is used, so no dead helper hides behind an export."""
+every exported name is used, so no dead helper hides behind an export.  The
+README's library block runs and gives the values its comments state."""
 
 import ast
 import importlib
 import pkgutil
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import qappell
+from qappell import QPoly
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(qappell.__path__) if info.name != "__main__"
@@ -48,3 +51,19 @@ def test_every_module_export_is_used():
         for name in MODULES
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_readme_library_block_runs():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    bern, rs = ns["bern"], ns["rs"]
+    assert bern.number(2) == F(2, 21)
+    assert bern.poly(2) == QPoly([F(2, 21), -1, 1])
+    assert [round(r, 4) for r in rs.real_roots] == [-0.0617, 0.3823]
+    (up, low), = rs.complex_pairs
+    assert (round(up.real, 4), round(up.imag, 4)) == (1.0897, 0.1112) and low == up.conjugate()
+    assert ns["iterate2"](bern, ns["euler"], 3) == QPoly([F(379, 2880), F(79, 96), F(-49, 24), 1])
+    assert ns["custom"].poly(2) == QPoly([F(1, 3), F(3, 4), 1])
+    assert ns["iterate2"](bern.truncated(2), ns["custom"], 2) == QPoly([F(-1, 14), F(-1, 4), 1])

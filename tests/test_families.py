@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qappell import (
+    AppellFamily,
     QContext,
     QPoly,
     apply_operator,
@@ -17,13 +18,12 @@ from qappell import (
     reciprocal,
     resolve,
     route_poly,
-    umbral_compose,
     unit,
 )
 from qappell import families
 from qappell.families import ROUTES, FamilyError, FamilySpec, GENOCCHI_TABLE_MAX_ORDER
 from qappell.qcore import lincomb
-from qappell.series import ESeq
+from qappell.series import ESeq, NonInvertibleError
 
 from conftest import (
     assert_canonical,
@@ -43,6 +43,13 @@ GT = FamilySpec.builtin("genocchi-table")
 BERNOULLI_HALF = [F(1), F(-2, 3), F(2, 21), F(1, 45), F(29, 7812)]
 EULER_HALF = [F(1), F(-1, 2), F(-1, 8), F(3, 64), F(63, 1024)]
 GENOCCHI_TABLE_HALF = [F(1), F(1, 3), F(-47, 21), F(2, 9), F(232, 1953)]
+
+
+def custom(kind, seq):
+    """A family defined by its numbers or by its beta, built with the constructor."""
+    if kind == "numbers":
+        return AppellFamily(seq.ctx, reciprocal(seq), "custom-numbers", seq)
+    return AppellFamily(seq.ctx, seq, "custom-beta")
 
 
 class TestResolve:
@@ -78,19 +85,22 @@ class TestResolve:
 
     def test_custom_numbers_roundtrip(self, ctx_half):
         seq = ESeq(ctx_half, [F(2), F(1, 3), F(-1, 5)])
-        fam = resolve(FamilySpec.from_numbers(seq), ctx_half, 2)
+        fam = custom("numbers", seq)
         assert fam.numbers == seq
         assert convolve(fam.numbers, fam.beta) == unit(ctx_half, 2)
 
     def test_custom_beta_requires_invertible(self, ctx_half):
         seq = ESeq(ctx_half, [F(0), F(1)])
         with pytest.raises(FamilyError, match="not invertible"):
-            resolve(FamilySpec.from_beta(seq), ctx_half, 1)
+            AppellFamily(ctx_half, seq, "custom-beta")
+        with pytest.raises(FamilyError, match="not invertible"):
+            AppellFamily(ctx_half, seq, "custom-numbers", ESeq(ctx_half, [F(1), F(2)]))
 
     def test_custom_numbers_require_invertible(self, ctx_half):
+        # a family defined by its numbers is built on their reciprocal
         seq = ESeq(ctx_half, [F(0), F(1), F(3)])
-        with pytest.raises(FamilyError, match="not invertible"):
-            resolve(FamilySpec.from_numbers(seq), ctx_half, 2)
+        with pytest.raises(NonInvertibleError, match="no reciprocal"):
+            custom("numbers", seq)
 
     def test_default_order(self, ctx_half):
         assert resolve(B, ctx_half).order == 12
@@ -100,16 +110,24 @@ class TestResolve:
         with pytest.raises(FamilyError, match=">= 0"):
             resolve(B, ctx_half, -1)
 
+    def test_negative_genocchi_table_order_rejected(self, ctx_half):
+        with pytest.raises(FamilyError, match=">= 0"):
+            families.genocchi_table_numbers(ctx_half, -2)
+        assert families.genocchi_table_numbers(ctx_half, 0).coeffs == (1,)
+
     def test_custom_sequence_wrong_q(self, ctx_half):
-        other = QContext(F(1, 3))
-        seq = ESeq(other, [F(1), F(1)])
-        with pytest.raises(FamilyError, match="different q"):
-            resolve(FamilySpec.from_numbers(seq), ctx_half, 1)
+        seq = ESeq(QContext(F(1, 3)), [F(1), F(1)])
+        for beta, numbers in ((seq, None), (reciprocal(seq), seq)):
+            with pytest.raises(FamilyError, match="does not match the family context"):
+                AppellFamily(ctx_half, beta, "custom", numbers)
+        half = ESeq(ctx_half, [F(1), F(1)])
+        with pytest.raises(FamilyError, match="does not match the family context"):
+            AppellFamily(ctx_half, reciprocal(half), "custom", seq)
 
     def test_custom_sequence_too_short(self, ctx_half):
-        seq = ESeq(ctx_half, [F(1), F(1)])
-        with pytest.raises(FamilyError, match="cannot resolve"):
-            resolve(FamilySpec.from_numbers(seq), ctx_half, 5)
+        seq = ESeq(ctx_half, [F(1), F(1), F(2)])
+        with pytest.raises(FamilyError, match="share one truncation order"):
+            AppellFamily(ctx_half, reciprocal(seq), "custom", seq.truncated(1))
 
 
 class TestAppellPoly:
@@ -151,6 +169,14 @@ class TestAppellPoly:
         assert low.numbers == resolve(B, ctx_half, 3).numbers
         assert low.beta == resolve(B, ctx_half, 3).beta
         assert low.polys(3) == fam.polys(3)
+
+    def test_truncated_refuses_orders_outside_its_own(self, ctx_half):
+        fam = resolve(E, ctx_half, 6)
+        with pytest.raises(FamilyError, match=">= 0"):
+            fam.truncated(-3)
+        with pytest.raises(FamilyError, match="exceeds the truncation order 6"):
+            fam.truncated(7)
+        assert fam.truncated(0).polys(0) == [QPoly([1])]
 
     @pytest.mark.parametrize("spec", [B, E, GD, GT])
     def test_truncated_before_and_after_reading_numbers(self, ctx_half, spec):
@@ -216,7 +242,7 @@ class TestNumbersOnDemand:
 
     def test_given_numbers_are_kept(self, monkeypatch, ctx_half):
         seq = ESeq(ctx_half, [F(2), F(1, 3), F(-1, 5)])
-        fam = resolve(FamilySpec.from_numbers(seq), ctx_half, 2)
+        fam = custom("numbers", seq)
         table = resolve(GT, ctx_half, 4)
         calls = _counting_reciprocal(monkeypatch)
         assert fam.numbers is fam.numbers and fam.numbers == seq
@@ -225,7 +251,7 @@ class TestNumbersOnDemand:
 
     def test_custom_beta_inverts_on_first_read(self, monkeypatch, ctx_half):
         calls = _counting_reciprocal(monkeypatch)
-        fam = resolve(FamilySpec.from_beta(ESeq(ctx_half, [F(3), F(1, 2)])), ctx_half, 1)
+        fam = custom("beta", ESeq(ctx_half, [F(3), F(1, 2)]))
         assert calls == []
         assert fam.numbers.coeffs == (F(1, 3), F(-1, 18))
         assert calls == [1]
@@ -261,8 +287,8 @@ class TestAffineNumbers:
         bern = singles[0]
         others = [
             pair_family(B, E, ctx_half, 5),
-            resolve(FamilySpec.from_beta(bern.beta), ctx_half, 5),
-            families.AppellFamily(ctx_half, bern.beta, "bernoulli"),
+            custom("beta", bern.beta),
+            AppellFamily(ctx_half, bern.beta, "bernoulli"),
         ]
         monkeypatch.setattr(families, "reciprocal", None)
         assert [fam.numbers.order for fam in singles] == [5, 5, 5]
@@ -299,10 +325,7 @@ class TestProductFamily:
     )
     def test_custom_specs_match_the_convolution_oracle(self, a, b, kinds):
         b = same_order(a, b)
-        fa, fb = (
-            resolve(FamilySpec(kind, seq=seq), a.ctx, a.order)
-            for kind, seq in zip(kinds, (a, b))
-        )
+        fa, fb = (custom(kind, seq) for kind, seq in zip(kinds, (a, b)))
         pair = product_family(fa, fb)
         assert pair.numbers == _product_numbers_oracle(fa, fb)
         assert convolve(pair.numbers, pair.beta) == unit(a.ctx, a.order)
@@ -354,10 +377,10 @@ class TestPairBetaClosedForm:
         seq = ESeq(ctx_half, [F(1), F(1, 3), F(-1, 5), F(2), F(1, 7)])
         others = [
             resolve(GT, ctx_half, 4),
-            resolve(FamilySpec.from_beta(seq), ctx_half, 4),
-            resolve(FamilySpec.from_numbers(seq), ctx_half, 4),
+            custom("beta", seq),
+            custom("numbers", seq),
             product_family(bern, bern),
-            families.AppellFamily(ctx_half, bern.beta, "bernoulli"),
+            AppellFamily(ctx_half, bern.beta, "bernoulli"),
         ]
         calls = _counting_convolve(monkeypatch)
         for fam in others:
@@ -441,27 +464,35 @@ class TestIterate2:
 
 
 class TestUmbral:
+    """iterate2 is the umbral composition: x^k in P^I_n is replaced by P^II_k."""
+
     def test_monomial_basis_is_identity(self, ctx_half):
         fam = resolve(B, ctx_half, 4)
-        basis = monomial_basis(4)
+        monomials = custom("numbers", unit(ctx_half, 4))  # A = (1, 0, ...), P_k = x^k
+        assert monomials.polys(4) == monomial_basis(4)
         for n in range(5):
-            assert umbral_compose(fam.polys(4), basis, n) == fam.poly(n)
+            assert iterate2(fam, monomials, n) == fam.poly(n) == iterate2(monomials, fam, n)
 
     def test_composition_equals_iterate2(self, ctx_half):
-        fa = resolve(B, ctx_half, 4)
-        fb = resolve(B, ctx_half, 4)
-        for n in range(5):
-            assert umbral_compose(fa.polys(n), fb.polys(n), n) == iterate2(fa, fb, n)
+        specs = (B, E, GD, GT)
+        for fa in (resolve(spec, ctx_half, 4) for spec in specs):
+            for fb in (resolve(spec, ctx_half, 4) for spec in specs):
+                for n in range(5):
+                    want = lincomb_oracle(fa.poly(n).coeffs, fb.polys(n))
+                    assert iterate2(fa, fb, n) == want
 
     @given(
-        polys_a=st.lists(st.lists(mixed, max_size=7).map(QPoly), min_size=1, max_size=4),
-        polys_b=st.lists(st.lists(mixed, max_size=7).map(QPoly), min_size=7, max_size=7),
+        a=seqs(order_max=6, invertible=True, coefficients=mixed),
+        b=seqs(order_max=6, invertible=True, coefficients=mixed),
+        kinds=st.tuples(*[st.sampled_from(["numbers", "beta"])] * 2),
     )
-    def test_matches_the_fraction_sum(self, polys_a, polys_b):
-        # sum_k a_(n,k) B_k with a_(n,k) read from the Fraction view
-        n = len(polys_a) - 1
-        want = lincomb_oracle(polys_a[n].coeffs, polys_b)
-        got = umbral_compose(polys_a, polys_b, n)
+    def test_matches_the_fraction_sum(self, a, b, kinds):
+        # sum_k a_(n,k) P^II_k with a_(n,k) read from the Fraction view
+        b = same_order(a, b)
+        fa, fb = (custom(kind, seq) for kind, seq in zip(kinds, (a, b)))
+        n = a.order
+        want = lincomb_oracle(fa.poly(n).coeffs, fb.polys(n))
+        got = iterate2(fa, fb, n)
         assert_canonical(got)
         assert got == want
 
@@ -469,9 +500,7 @@ class TestUmbral:
         fa = resolve(B, ctx_half, 8)
         fb = resolve(E, ctx_half, 8)
         for n in range(9):
-            ab = umbral_compose(fa.polys(n), fb.polys(n), n)
-            ba = umbral_compose(fb.polys(n), fa.polys(n), n)
-            assert ab == ba
+            assert iterate2(fa, fb, n) == iterate2(fb, fa, n)
 
 
 class TestOperator:
@@ -556,7 +585,6 @@ class TestOperator:
                 _operator_fraction_oracle(fa.numbers, fb.poly(n)),
                 iterate2(fa, fb, n),
                 lincomb(fa.weights(n), fb.polys(n)),
-                umbral_compose(fa.polys(n), fb.polys(n), n),
             ]
             for r in routes:
                 assert_canonical(r)
@@ -623,6 +651,6 @@ class TestLadder:
     def test_any_number_sequence(self, q, numbers):
         # the ladder is a structural property of the series construction
         ctx = QContext(q)
-        fam = resolve(FamilySpec.from_numbers(ESeq(ctx, numbers)), ctx, len(numbers) - 1)
+        fam = custom("numbers", ESeq(ctx, numbers))
         for n in range(1, fam.order + 1):
             assert q_derive(fam.poly(n), ctx) == ctx.q_number(n) * fam.poly(n - 1)

@@ -156,6 +156,13 @@ class TestQFactorial:
         other = QContext("5/11").factorial_ints(12)
         assert other == again and other[0][12] is not again[0][12]
 
+    def test_factorial_ints_refuse_a_negative_n(self, ctx_half):
+        # as q_factorial does, rather than return two empty lists
+        for call in (ctx_half.factorial_ints, ctx_half.q_factorial):
+            with pytest.raises(ValueError, match="needs n >= 0, got -1"):
+                call(-1)
+        assert ctx_half.factorial_ints(0) == ([1], [1])
+
 
 class TestQBinomial:
     def test_k_zero(self, ctx_half):
@@ -221,7 +228,8 @@ class TestQPoly:
         assert 3 * p == p * 3 == QPoly([3, 3])
 
     def test_monomial(self):
-        assert QPoly.monomial(3, F(1, 2)) == QPoly([0, 0, 0, F(1, 2)])
+        assert QPoly.monomial(3) == QPoly([0, 0, 0, 1])
+        assert F(1, 2) * QPoly.monomial(3) == QPoly([0, 0, 0, F(1, 2)])
         with pytest.raises(ValueError):
             QPoly.monomial(-1)
 

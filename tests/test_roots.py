@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,6 @@ from qappell import (
 from qappell.families import FamilySpec
 from qappell.fmt import decimal_str, real_str
 from qappell.roots import (
-    ClassificationError,
     RootFindingError,
     _build,
     _exact_values,
@@ -262,12 +262,20 @@ class TestFindRoots:
             find_roots(QPoly([10**400, 1]))
 
     def test_classification_failure_is_a_refusal(self, b2, monkeypatch):
-        def skewed(*args):
-            raise ClassificationError("forced")
+        real, seen = roots._build, []
+
+        def skewed(degree, z, coeffs, sweeps, radii):
+            # NaN discs certify neither a real zero nor a pair
+            seen.append((list(z), coeffs, sweeps))
+            return real(degree, z, coeffs, sweeps, [math.nan] * len(radii))
 
         monkeypatch.setattr(roots, "_build", skewed)
-        with pytest.raises(RootFindingError, match="classification failed: forced"):
+        with pytest.raises(RootFindingError, match="^classification failed: root ") as info:
             find_roots(b2.poly(4))
+        # the iterates, their residuals and the sweeps, as every refusal carries
+        z, coeffs, sweeps = seen[0]
+        assert info.value.best == z and info.value.sweeps == sweeps > 0
+        assert info.value.residuals == [abs(roots._horner(coeffs, w)) for w in z]
 
     @pytest.mark.parametrize("q, n", [(F(1, 2), 16), (F(1, 10), 9), (F(9, 10), 14)])
     def test_former_false_failures(self, q, n):
@@ -570,7 +578,9 @@ class TestDiscClassification:
         # two discs that both meet the axis and each other's mirror image
         # certify neither two reals nor a pair
         z = [complex(1, 1e-10), complex(1 + 2.7e-10, -1e-10)]
-        with pytest.raises(ClassificationError, match="neither certified real"):
+        with pytest.raises(
+            RootFindingError, match="^classification failed: .* neither certified real"
+        ):
             _build(2, z, [1.0, -2.0, 1.0], sweeps=0, radii=[1.4e-10, 1.4e-10])
 
 
@@ -672,6 +682,32 @@ def test_sweep_agrees_with_mpmath_or_refuses(k):
             assert abs(got - nearest) < 1e-8 * max(1.0, abs(nearest)), (n, got, nearest)
 
 
+class TestRoundingUnit:
+    """Horner's bounds and the disc widening use the unit roundoff of a double."""
+
+    def test_unit_roundoff_is_half_the_machine_epsilon(self):
+        assert roots._UNIT_ROUNDOFF == sys.float_info.epsilon / 2 == 2.0**-53
+
+    def test_float_discs_contain_the_exact_ones(self, monkeypatch):
+        # bernoulli at q = 99/100, n = 32: the first discs, from |fl p(z_i)|
+        # plus Horner's bound, are no narrower than those from the exact
+        # residuals at the same iterates
+        p = resolve(B, QContext(F(99, 100)), 32).poly(32)
+        real, first = roots._weierstrass_radii, []
+
+        def kept(z, residuals):
+            radii = real(z, residuals)
+            first.append((list(z), radii))
+            return radii
+
+        monkeypatch.setattr(roots, "_weierstrass_radii", kept)
+        find_roots(p)
+        z, radii = first[0]
+        values, _ = _exact_values(p, z)
+        exact = real(z, [abs(v) for v in values])
+        assert all(r >= e > 0 for r, e in zip(radii, exact))
+
+
 class TestClassify:
     def test_pure_complex_pair(self):
         rs = find_roots(QPoly([1, 0, 1]))  # x^2 + 1
@@ -689,7 +725,7 @@ class TestClassify:
     def test_unpaired_root_raises(self, b2):
         rs = find_roots(b2.poly(4))
         upper, _ = rs.complex_pairs[0]
-        with pytest.raises(ClassificationError):
+        with pytest.raises(RootFindingError, match="^classification failed: "):
             _build(3, list(rs.roots[:-1]), list(rs.monic_coeffs), sweeps=0, radii=[0.0] * 3)
 
 

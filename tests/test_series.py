@@ -81,6 +81,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             a.truncated(5)
 
+    def test_truncated_refuses_a_negative_order(self, ctx_half):
+        a = ESeq(ctx_half, range(1, 7))
+        with pytest.raises(ValueError, match=">= 0"):
+            a.truncated(-2)
+        assert a.truncated(0).coeffs == (1,)
+
     @given(seqs())
     def test_ordinary_form_is_kept(self, a):
         formula = tuple(c / a.ctx.q_factorial(k) for k, c in enumerate(a.coeffs))
