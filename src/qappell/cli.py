@@ -18,9 +18,10 @@ from .families import (
     FamilySpec,
     product_family,
     resolve,
+    route_numbers,
     route_poly,
 )
-from .fmt import decimal_str, frac_str, pair_str, poly_text, real_str
+from .fmt import decimal_str, frac_str, pair_str, poly_text, ratio_str, real_str
 from .qcore import QContext, parse_q, parse_rat
 
 __all__ = ["main"]
@@ -173,14 +174,14 @@ def _header(ctx: QContext, specs: tuple[FamilySpec, ...], **fields) -> dict:
 
 
 def _family_results(
-    args: argparse.Namespace, flag: str, order: int, floor: int, compute, render
+    args: argparse.Namespace, flag: str, order: int, floor: int, route, render
 ) -> tuple[QContext, tuple[FamilySpec, ...], dict] | None:
     """The context, the specs and every --method's result, or None after a divergence.
 
     The order is checked against its floor and cap, and the families are
-    resolved once at it.  compute(at) gives one method's result, where at(n)
-    is that method's polynomial of degree n.  A divergence from the first
-    method writes each method's result, as render gives it, to stderr.
+    resolved once at it.  route is ``route_poly`` or ``route_numbers``, called
+    at the order for each method.  A divergence from the first method writes
+    each method's result, as render gives it, to stderr.
     """
     ctx = _context(args)
     specs = _specs(args)
@@ -189,7 +190,7 @@ def _family_results(
     _check_cap(flag, order, MAX_ORDER)
     series, members = _resolve(specs, ctx, order)
     methods = ROUTES if args.method == "all" else (args.method,)
-    results = {m: compute(lambda n: route_poly(series, members, n, m)) for m in methods}
+    results = {m: route(series, members, order, m) for m in methods}
     if any(v != results[methods[0]] for v in results.values()):
         sys.stderr.write("cross-method divergence:\n")
         for m, v in results.items():
@@ -200,12 +201,7 @@ def _family_results(
 
 def cmd_numbers(args: argparse.Namespace) -> int:
     run = _family_results(
-        args,
-        "--upto",
-        args.upto,
-        0,
-        lambda at: [at(n)(0) for n in range(args.upto + 1)],
-        lambda vs: [frac_str(v) for v in vs],
+        args, "--upto", args.upto, 0, route_numbers, lambda vs: [frac_str(v) for v in vs]
     )
     if run is None:
         return 2
@@ -225,7 +221,7 @@ def cmd_numbers(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
-    run = _family_results(args, "-n", args.n, 0, lambda at: at(args.n), poly_text)
+    run = _family_results(args, "-n", args.n, 0, route_poly, poly_text)
     if run is None:
         return 2
     ctx, specs, results = run
@@ -258,7 +254,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def cmd_roots(args: argparse.Namespace) -> int:
     from . import roots  # imported here: start-up is most of a small call
 
-    run = _family_results(args, "-n", args.n, 1, lambda at: at(args.n), poly_text)
+    run = _family_results(args, "-n", args.n, 1, route_poly, poly_text)
     if run is None:
         return 2
     ctx, specs, results = run
@@ -341,21 +337,23 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if not xmin < xmax:
         raise CliError("--xmin must be < --xmax")
     fam, _ = _resolve(specs, ctx, max(degrees))
-    columns = {d: roots.sample(fam.poly(d), xmin, xmax, args.steps) for d in degrees}
-    xs = [x for x, _ in columns[degrees[0]]]
+    # the exact values as integers over one denominator each, rounded unreduced
+    columns = {}
+    for d in degrees:
+        xs, grid, values, den = roots.sample_ints(fam.poly(d), xmin, xmax, args.steps)
+        columns[d] = [ratio_str(v, den) for v in values]
+    x_text = [ratio_str(x, grid) for x in xs]
     if args.format == "json":
-        series = {str(d): [decimal_str(v) for _, v in columns[d]] for d in degrees}
-        lines = [_json(_header(ctx, specs, x=[decimal_str(x) for x in xs], series=series))]
+        series = {str(d): columns[d] for d in degrees}
+        lines = [_json(_header(ctx, specs, x=x_text, series=series))]
     else:
         # text and csv are the same table
         if len(degrees) == 1:
             lines = ["x,p(x)"]
         else:
             lines = ["x," + ",".join(f"p{d}(x)" for d in degrees)]
-        for i, x in enumerate(xs):
-            row = [decimal_str(x)]
-            row += [decimal_str(columns[d][i][1]) for d in degrees]
-            lines.append(",".join(row))
+        for i, x in enumerate(x_text):
+            lines.append(",".join([x, *(columns[d][i] for d in degrees)]))
     _emit(args, lines)
     return 0
 

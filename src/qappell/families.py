@@ -9,7 +9,10 @@ so P_n(0) = A_n and D_q P_n = [n]_q P_{n-1} holds for any number
 sequence.  The companion beta sequence is the reciprocal of the numbers
 under the q-binomial convolution; it drives the determinant construction
 and the inversion identities.  A family is held by its beta, and its
-numbers are computed from it on first read.  The 2-iterated
+numbers are computed from it on first read; the first three built-ins
+below are held by their three constants, and form their beta on first read
+too.  Each member is built from the integer Gauss rows of
+``QContext.gauss_row``.  The 2-iterated
 and mixed families come from A_I(t) A_II(t), so their beta is beta^I * beta^II
 and their numbers are its reciprocal.  The first three built-ins have betas
 affine in e_q(t) and (e_q(t) - 1)/t: their numbers follow a q-binomial
@@ -35,10 +38,11 @@ silently resolved.
 ``resolve`` builds the built-ins only.  Any other family is an
 ``AppellFamily`` built directly: ``AppellFamily(ctx, beta, label)`` from its
 beta, or ``AppellFamily(ctx, reciprocal(numbers), label, numbers)`` from its
-numbers.  The 2-iterated member ``iterate2`` is one ``lincomb`` of the second
-family's polynomials, weighted by the coefficients of the first's.
-``route_poly`` forms a member by any of ``ROUTES``, for ``--method`` and
-``verify`` alike; a family keeps its determinant weights as it keeps its
+numbers.  The 2-iterated member ``iterate2`` is one integer linear
+combination of the second family's polynomials, weighted by the coefficients
+of the first's.  ``route_poly`` forms a member by any of ``ROUTES``, for
+``--method`` and ``verify`` alike, and ``route_numbers`` reads its numbers by
+the same route; a family keeps its determinant weights as it keeps its
 numbers and polynomials.
 """
 
@@ -49,7 +53,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .determinant import row_weights, scaled_rows
-from .qcore import QContext, QPoly, lincomb, lincomb_ints
+from .qcore import QContext, QPoly, dot, lincomb, lincomb_ints
 from .series import ESeq, convolve, reciprocal
 
 __all__ = [
@@ -64,6 +68,7 @@ __all__ = [
     "pair_family",
     "iterate2",
     "route_poly",
+    "route_numbers",
     "apply_operator",
     "identity_residuals",
     "genocchi_table_numbers",
@@ -104,15 +109,15 @@ class AppellFamily:
 
     The numbers are computed on first read and kept, unless the family was
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
-    the (c, d, s) of a beta-defined built-in, else as reciprocal(beta).
+    the (c, d, s) of a beta-defined built-in, else as reciprocal(beta).  Such
+    a built-in forms its beta on first read too.
     Polynomials and determinant weights are kept per degree in the same way.
     """
 
-    __slots__ = ("ctx", "order", "beta", "label", "affine", "_numbers", "_polys", "_rows",
+    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_rows",
                  "_weights")
 
-    def __init__(self, ctx: QContext, beta: ESeq, label: str,
-                 numbers: Optional[ESeq] = None, affine: Optional[tuple] = None):
+    def __init__(self, ctx: QContext, beta: ESeq, label: str, numbers: Optional[ESeq] = None):
         if beta.ctx.q != ctx.q or (numbers is not None and numbers.ctx.q != ctx.q):
             raise FamilyError("numbers/beta context does not match the family context")
         if numbers is not None and numbers.order != beta.order:
@@ -120,15 +125,26 @@ class AppellFamily:
         # checked here, as the numbers of a beta are computed only when first read
         if beta[0] == 0:
             raise FamilyError("the beta sequence is not invertible: its first term is zero")
-        self.ctx = ctx
-        self.order = beta.order
-        self.beta = beta
-        self.label = label
-        self.affine = affine
-        self._numbers = numbers
+        self._setup(ctx, beta.order, label, None, beta, numbers)
+
+    def _setup(self, ctx: QContext, order: int, label: str, affine: Optional[tuple],
+               beta: Optional[ESeq], numbers: Optional[ESeq]) -> "AppellFamily":
+        """Set the fields, unchecked: ``__init__`` checks a custom family's
+        beta, while a built-in of ``_AFFINE`` and ``truncated`` need none."""
+        self.ctx, self.order, self.label, self.affine = ctx, order, label, affine
+        self._beta, self._numbers, self._rows = beta, numbers, None
         self._polys: dict[int, QPoly] = {}
-        self._rows: Optional[list[list[Fraction]]] = None
         self._weights: dict[int, tuple[Fraction, ...]] = {}
+        return self
+
+    @property
+    def beta(self) -> ESeq:
+        if self._beta is None:
+            c, d, s = self.affine
+            qn = self.ctx.q_number
+            rest = [d + s / qn(m + 1) if s else d for m in range(1, self.order + 1)]
+            self._beta = ESeq(self.ctx, [c + d + s, *rest])
+        return self._beta
 
     @property
     def numbers(self) -> ESeq:
@@ -152,13 +168,19 @@ class AppellFamily:
         return self.numbers[n]
 
     def poly(self, n: int) -> QPoly:
-        """The degree-n member P_n(x) = sum_k C(n,k)_q A_k x^(n-k)."""
+        """The degree-n member P_n(x) = sum_k C(n,k)_q A_k x^(n-k).  With A_k = N/D
+        and C(n,k)_q = G/b^m from the Gauss row, G N / (b^m D) is reduced by
+        gcd(G, D) and gcd(N, b^m) alone, as G is coprime to b and N to D."""
         self._check_degree(n)
         got = self._polys.get(n)
         if got is None:
-            numbers, binomial = self.numbers, self.ctx.q_binomial
-            got = QPoly([binomial(n, n - i) * numbers[n - i] for i in range(n + 1)])
-            self._polys[n] = got
+            numbers, row, b = self.numbers, self.ctx.gauss_row(n), self.ctx.q.denominator
+            pairs = []
+            for k in range(n, -1, -1):
+                big, small, bm = numbers[k].numerator, numbers[k].denominator, b ** (k * (n - k))
+                g, h = gcd(row[k], small), gcd(big, bm)
+                pairs.append((row[k] // g * (big // h), small // g * (bm // h)))
+            got = self._polys[n] = QPoly.from_pairs(pairs)
         return got
 
     def polys(self, upto: int) -> list[QPoly]:
@@ -179,12 +201,15 @@ class AppellFamily:
 
     def truncated(self, order: int) -> "AppellFamily":
         """The same family at an order from 0 to its own; numbers and beta are
-        prefix-stable, so numbers already read are cut rather than recomputed."""
+        prefix-stable, so those already read are cut rather than recomputed."""
         self._check_degree(order)
         if order == self.order:
             return self
         known = None if self._numbers is None else self._numbers.truncated(order)
-        return AppellFamily(self.ctx, self.beta.truncated(order), self.label, known, self.affine)
+        beta = None if self._beta is None else self._beta.truncated(order)
+        return object.__new__(AppellFamily)._setup(
+            self.ctx, order, self.label, self.affine, beta, known
+        )
 
 
 # (c, d, s) of a beta-defined built-in: beta_m = c [m = 0] + d + s/[m+1]_q
@@ -294,9 +319,9 @@ def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> Appe
     if order < 0:
         raise FamilyError(f"order must be >= 0, got {order}")
     if spec.name in _AFFINE:
-        c, d, s = affine = _AFFINE[spec.name]
-        beta = [d + s / ctx.q_number(m + 1) if s else d for m in range(1, order + 1)]
-        return AppellFamily(ctx, ESeq(ctx, [c + d + s, *beta]), spec.name, affine=affine)
+        return object.__new__(AppellFamily)._setup(
+            ctx, order, spec.name, _AFFINE[spec.name], None, None
+        )
     if spec.name == "genocchi-table":
         numbers = genocchi_table_numbers(ctx, order)
         return AppellFamily(ctx, reciprocal(numbers), spec.name, numbers)
@@ -343,16 +368,42 @@ def route_poly(
     raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
 
 
+def route_numbers(
+    series: AppellFamily, members: tuple[AppellFamily, ...], upto: int, route: str
+) -> list[Fraction]:
+    """A_0..A_upto by one of ``ROUTES``, as ``route_poly``'s members read at 0,
+    without forming them: series.numbers, the determinant's sum_j w_j A^II_j
+    (w_0 for a single) or the operator's convolve(A^I, A^II) (A^I for a single)."""
+    first, basis = members[0], members[-1]
+    if first.ctx.q != basis.ctx.q:
+        raise ValueError("families disagree on q")
+    single = len(members) == 1
+    if route == "determinant":
+        rows = [first.weights(n) for n in range(upto + 1)]
+        return [w[0] if single else dot(w, basis.numbers) for w in rows]
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
+    if route == "operator" and not single:
+        return list(convolve(first.numbers, basis.numbers)[: upto + 1])
+    return list((series if route == "series" else first).numbers[: upto + 1])
+
+
 def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
     """Degree-n member of the 2-iterated family, the double sum
 
         sum_k C(n,k)_q A^I_k P^II_{n-k}(x).
 
-    Its weights are the coefficients of P^I_n, so it is the umbral
-    composition of the first family's polynomials with the second's:
-    x^k in P^I_n is replaced by P^II_k.
+    Its weights are the coefficients N_k/D of P^I_n, each reduced by one gcd,
+    so it is the umbral composition of the first family's polynomials with
+    the second's: x^k in P^I_n is replaced by P^II_k.
     """
-    return lincomb(fam_i.poly(n).coeffs, fam_ii.polys(n))
+    first = fam_i.poly(n)
+    rows = []
+    for c, p in zip(first.nums, fam_ii.polys(n)):
+        if c:
+            g = gcd(c, first.den)
+            rows.append((c // g, first.den // g * p.den, p.nums))
+    return QPoly.from_ints(*lincomb_ints(rows))
 
 
 def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .qcore import QPoly
 
-__all__ = ["frac_str", "decimal_str", "poly_text", "real_str", "pair_str"]
+__all__ = ["frac_str", "decimal_str", "ratio_str", "poly_text", "real_str", "pair_str"]
 
 _ZERO_PLACES = 4  # decimals of a rounded zero, as the published tables print them
 
@@ -32,8 +32,15 @@ def frac_str(x: Fraction) -> str:
 def decimal_str(x: Fraction, places: int = 12) -> str:
     """Fixed-point decimal string of an exact rational, round-half-even."""
     x = Fraction(x)
-    scaled = x * 10**places
-    i = round(scaled)  # Fraction.__round__ is exact and half-even
+    return ratio_str(x.numerator, x.denominator, places)
+
+
+def ratio_str(num: int, den: int, places: int = 12) -> str:
+    """``decimal_str`` of num/den for integers with den > 0, reduced or not:
+    the half-even rounding is exact and takes no gcd."""
+    i, r = divmod(num * 10**places, den)
+    if 2 * r > den or (2 * r == den and i & 1):
+        i += 1
     sign = "-" if i < 0 else ""
     digits = _int_str(abs(i)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"

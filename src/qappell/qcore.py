@@ -8,7 +8,8 @@ together with memo tables for the scalar quantities derived from it:
     C(n,k)_q = [n]_q! / ([k]_q! [n-k]_q!)         (Gauss q-binomial)
 
 All scalars are ``fractions.Fraction`` instances, so every operation in
-this module is exact; ``dot`` sums them with one normalisation.
+this module is exact; ``dot`` sums them with one normalisation.  For
+q = a/b, C(n,k)_q = G(n,k) / b^(k(n-k)) over the integer Gauss row G(n,.).
 
 ``QPoly`` stores p(x) = sum_i (N_i / D) x^i as FLINT's ``fmpq_poly`` does:
 integers N_0..N_n over one denominator D > 0, with gcd(D, N_0, ..., N_n) = 1
@@ -64,7 +65,7 @@ class QContext:
     disabled, and the only mutation anywhere in the module is filling them.
     """
 
-    __slots__ = ("q", "_qnum", "_qfact", "_qbin", "_fints")
+    __slots__ = ("q", "_qnum", "_qfact", "_gauss", "_fints")
 
     def __init__(self, q: Union[Fraction, int, str]):
         if isinstance(q, str):
@@ -75,7 +76,7 @@ class QContext:
         self.q = q
         self._qnum: dict[int, Fraction] = {}
         self._qfact: dict[int, Fraction] = {0: Fraction(1)}
-        self._qbin: dict[tuple[int, int], Fraction] = {}
+        self._gauss: dict[int, tuple[int, ...]] = {}
         self._fints: tuple[list[int], list[int]] = ([1], [1])
 
     def __repr__(self) -> str:
@@ -107,15 +108,25 @@ class QContext:
         return got
 
     def q_binomial(self, n: int, k: int) -> Fraction:
-        """Gauss q-binomial C(n,k)_q from the kept Phi (an exact quotient,
-        coprime to b); rejects k outside 0..n."""
+        """Gauss q-binomial C(n,k)_q = G(n,k) / b^(k(n-k)) from the kept row
+        ``gauss_row(n)``; rejects k outside 0..n."""
         if k < 0 or k > n:
             raise ValueError(f"q-binomial needs 0 <= k <= n, got n={n}, k={k}")
-        got = self._qbin.get((n, k))
+        return Fraction(self.gauss_row(n)[k], self.q.denominator ** (k * (n - k)))
+
+    def gauss_row(self, n: int) -> tuple[int, ...]:
+        """G(n,0..n) = b^(k(n-k)) C(n,k)_q for q = a/b, integers coprime to b, by the
+        exact G(n,k+1) = G(n,k) u_(n-k) / u_(k+1), u_j = b^j - a^j; kept per n."""
+        got = self._gauss.get(n)
         if got is None:
-            phi = self.factorial_ints(n)[0]  # Psi_k Psi_(n-k) / Psi_n = b^-(k(n-k))
-            got = Fraction(phi[n] // (phi[k] * phi[n - k]), self.q.denominator ** (k * (n - k)))
-            self._qbin[(n, k)] = got
+            if n < 0:
+                raise ValueError(f"q-binomial needs n >= 0, got {n}")
+            a, b = self.q.numerator, self.q.denominator
+            u = [b**j - a**j for j in range(n + 1)]
+            row = [1]
+            for k in range(n // 2):  # the rest mirrors it
+                row.append(row[-1] * u[n - k] // u[k + 1])
+            got = self._gauss[n] = (*row, *reversed(row[: (n + 1) // 2]))
         return got
 
     def factorial_ints(self, n: int) -> tuple[list[int], list[int]]:
@@ -140,15 +151,9 @@ class QPoly:
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        # content is 1 over the lcm of reduced denominators; % skips most gcds
-        den = 1
-        for c in cs:
-            if den % c.denominator:
-                den = lcm(den, c.denominator)
-        object.__setattr__(self, "nums", tuple([c.numerator * (den // c.denominator) for c in cs]))
-        object.__setattr__(self, "den", den)
+        p = QPoly.from_pairs([(c.numerator, c.denominator) for c in cs])
+        object.__setattr__(self, "nums", p.nums)
+        object.__setattr__(self, "den", p.den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QPoly is immutable")
@@ -162,6 +167,21 @@ class QPoly:
         p = object.__new__(QPoly)
         object.__setattr__(p, "nums", tuple([n // g for n in nums] if g > 1 else nums))
         object.__setattr__(p, "den", den // g)
+        return p
+
+    @staticmethod
+    def from_pairs(pairs: list[tuple[int, int]]) -> "QPoly":
+        """sum_i (n_i / d_i) x^i from reduced pairs, d_i > 0; consumes pairs.  Over
+        the lcm of the d_i the content is 1; % skips most lcm calls."""
+        while pairs and not pairs[-1][0]:
+            pairs.pop()
+        den = 1
+        for _, d in pairs:
+            if den % d:
+                den = lcm(den, d)
+        p = object.__new__(QPoly)
+        object.__setattr__(p, "nums", tuple([n * (den // d) for n, d in pairs]))
+        object.__setattr__(p, "den", den)
         return p
 
     @staticmethod

@@ -56,6 +56,7 @@ __all__ = [
     "find_roots",
     "vieta_residuals",
     "sample",
+    "sample_ints",
 ]
 
 _ANGLE_OFFSET = 0.4  # radians; fixed, keeps the start set asymmetric
@@ -467,12 +468,20 @@ def vieta_residuals(p: QPoly, roots: tuple[complex, ...]) -> tuple[float, float]
 def sample(
     p: QPoly, xmin: Fraction, xmax: Fraction, steps: int
 ) -> list[tuple[Fraction, Fraction]]:
-    """Exact values at equally spaced rational abscissae over [xmin, xmax].
+    """(x_i, p(x_i)) as ``Fraction``s at the points of ``sample_ints``."""
+    xs, grid, values, den = sample_ints(p, xmin, xmax, steps)
+    return [(Fraction(a, grid), Fraction(v, den)) for a, v in zip(xs, values)]
 
-    The whole grid is written over one shared denominator B, x_i = a_i/B, so
-    p's homogeneous integer image for B (see ``QPoly.__call__``) is formed
-    once, and each point costs an integer Horner pass in a_i and one
-    ``Fraction``.
+
+def sample_ints(
+    p: QPoly, xmin: Fraction, xmax: Fraction, steps: int
+) -> tuple[list[int], int, list[int], int]:
+    """Exact values at equally spaced rational abscissae over [xmin, xmax], as
+    (a, B, v, E): x_i = a_i/B and p(x_i) = v_i/E, B, E > 0, not reduced.
+
+    The whole grid is written over one shared denominator B, so p's
+    homogeneous integer image for B (see ``QPoly.__call__``) is formed once,
+    and each point costs an integer Horner pass in a_i.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -487,11 +496,11 @@ def sample(
     width = xmax.numerator * (ends // xmax.denominator) - lo
     grid = ends * (steps - 1)
     hom, den = homogeneous_image(p, grid)
-    out = []
-    for i in range(steps):
-        a = lo * (steps - 1) + i * width
+    xs = [lo * (steps - 1) + i * width for i in range(steps)]
+    values = []
+    for a in xs:
         acc = 0
         for c in hom:
             acc = acc * a + c
-        out.append((Fraction(a, grid), Fraction(acc, den)))
-    return out
+        values.append(acc)
+    return xs, grid, values, den

@@ -102,6 +102,24 @@ class TestNumbers:
         assert code == 0
         assert "1/45" in out
 
+    @pytest.mark.parametrize("method", ["series", "determinant", "operator", "all"])
+    @pytest.mark.parametrize("family", [("--family", "genocchi-det"), ("--mixed", "euler,bernoulli")])
+    def test_builds_no_polynomial(self, capsys, monkeypatch, method, family):
+        # each route reads its numbers directly, never a member's value at 0
+        from qappell import cli, families
+
+        argv = ["numbers", *family, "--q", "2/5", "--upto", "6", "--method", method]
+        want = run_cli(capsys, *argv[:-2])
+
+        def refuse(*args):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(families.AppellFamily, "poly", refuse)
+        monkeypatch.setattr(families, "route_poly", refuse)
+        monkeypatch.setattr(cli, "route_poly", refuse)
+        assert run_cli(capsys, *argv) == want
+        assert want[0] == 0 and want[1].count("\n") == 8
+
     def test_csv_past_int_str_digit_limit(self, capsys):
         # the smallest order at which a number passes the 4300-digit str(int) limit
         code, out, err = run_cli(
@@ -366,14 +384,22 @@ class TestRoots:
         from qappell import cli
         from qappell.qcore import QPoly
 
-        real = cli.route_poly
+        real, real_numbers = cli.route_poly, cli.route_numbers
 
         def skewed(series, members, n, route):
             if route == "operator" and n == 2:
                 return QPoly([1, 1])
             return real(series, members, n, route)
 
+        def skewed_numbers(series, members, upto, route):
+            # numbers reads its own route; skew the same value, P_2(0) = 1
+            got = real_numbers(series, members, upto, route)
+            if route == "operator":
+                got[2] = 1
+            return got
+
         monkeypatch.setattr(cli, "route_poly", skewed)
+        monkeypatch.setattr(cli, "route_numbers", skewed_numbers)
         code, out, err = run_cli(capsys, *argv.split(), "--method", "all")
         assert (code, out) == (2, "")
         assert err == "cross-method divergence:\n" + report

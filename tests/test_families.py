@@ -257,6 +257,102 @@ class TestNumbersOnDemand:
         assert calls == [1]
 
 
+def _fraction_poly(fam, n):
+    """P_n by the Fraction formula, one q-binomial product per coefficient."""
+    return QPoly([fam.ctx.q_binomial(n, n - i) * fam.numbers[n - i] for i in range(n + 1)])
+
+
+class TestPolyFromGaussRows:
+    """``AppellFamily.poly`` forms each coefficient G N / (b^m D) from the
+    integer Gauss row with two gcds; the Fraction formula is its oracle."""
+
+    @pytest.mark.parametrize(
+        "q, top",
+        [(F(1, 2), 40), (F(9, 10), 40), (F(7, 12), 40), (F(999, 1000), 40),
+         (F(1, 10**9), 40), (F(5, 11), 96)],
+        ids=str,
+    )
+    def test_matches_the_fraction_formula(self, q, top):
+        ctx = QContext(q)
+        specs = (B, E, GD, GT)
+        singles = [resolve(s, ctx, GENOCCHI_TABLE_MAX_ORDER if s is GT else top) for s in specs]
+        fams = list(singles)
+        # every pair once: the factor order gives the same product family
+        for i, a in enumerate(singles):
+            for b in singles[i:]:
+                order = min(a.order, b.order)
+                fams.append(product_family(a.truncated(order), b.truncated(order)))
+        for fam in fams:
+            for n in range(fam.order + 1):
+                assert fam.poly(n) == _fraction_poly(fam, n), (fam, n)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(5, 11), F(1, 10**9)], ids=str)
+    def test_zero_numbers(self, q):
+        # zero coefficients, a zero top coefficient and a zero polynomial
+        ctx = QContext(q)
+        numbers = ESeq(ctx, [F(1), F(0), F(0), F(-3, 7), F(0), F(5, 11 * 13)])
+        fam = AppellFamily(ctx, reciprocal(numbers), "zeros", numbers)
+        beta = ESeq(ctx, [F(1), F(0), F(2, 3), F(0)])
+        sparse = AppellFamily(ctx, beta, "sparse", ESeq(ctx, [F(0), F(0), F(0), F(0)]))
+        for f in (fam, sparse):
+            for n in range(f.order + 1):
+                got = f.poly(n)
+                assert got == _fraction_poly(f, n)
+                assert_canonical(got)
+        assert sparse.poly(3).is_zero
+
+
+class TestBetaOnFirstRead:
+    """A beta-defined built-in forms its beta from q-numbers only when
+    ``beta`` is first read; its numbers and polynomials never need it."""
+
+    @staticmethod
+    def _forbid_q_numbers(monkeypatch):
+        def refuse(self, a):
+            raise AssertionError("q_number called")
+
+        monkeypatch.setattr(QContext, "q_number", refuse)
+
+    def test_resolve_and_pair_family_read_no_beta(self, monkeypatch):
+        ctx = QContext(F(5, 11))
+        self._forbid_q_numbers(monkeypatch)
+        for spec in (B, E, GD):
+            # the numbers by their recurrence, the members from the Gauss rows
+            fam = resolve(spec, ctx, 12)
+            fam.numbers, fam.poly(12), fam.truncated(5).poly(5)
+            assert fam._beta is None  # euler's beta needs no q-number, so look too
+            for other in (B, E, GD):
+                # the closed-form pair beta; its reciprocal reads q-factorials
+                pair_family(spec, other, ctx, 12)
+                iterate2(fam, resolve(other, ctx, 12), 12)
+        monkeypatch.undo()
+        with pytest.raises(AssertionError, match="q_number called"):
+            self._forbid_q_numbers(monkeypatch)
+            resolve(B, ctx, 3).beta
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(5, 11), F(999, 1000)], ids=str)
+    def test_beta_equals_the_eager_list(self, q):
+        ctx = QContext(q)
+        for spec in (B, E, GD):
+            c, d, s = families._AFFINE[spec.name]
+            want = [c + d + s] + [d + s / ctx.q_number(m + 1) for m in range(1, 17)]
+            fam = resolve(spec, ctx, 16)
+            assert fam.beta == ESeq(ctx, want)
+            assert fam.beta is fam.beta
+
+    def test_truncated_before_and_after_the_first_read(self, ctx_half):
+        for spec in (B, E, GD):
+            fam = resolve(spec, ctx_half, 8)
+            early = fam.truncated(5)  # cut before beta is read
+            assert fam._beta is None and early._beta is None
+            beta = fam.beta
+            late = fam.truncated(5)  # cut after: the coefficients already formed
+            assert all(x is y for x, y in zip(late.beta, beta))
+            assert early.beta == late.beta == beta.truncated(5) == resolve(spec, ctx_half, 5).beta
+            assert early.numbers == late.numbers == fam.numbers.truncated(5)
+            assert early.affine == late.affine == fam.affine
+
+
 class TestAffineNumbers:
     """The numbers of the beta-defined built-ins come from their own
     q-binomial recurrence; ``reciprocal(beta)`` is the oracle."""

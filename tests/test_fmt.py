@@ -1,8 +1,12 @@
-"""Rendering of exact rationals, also past Python's int-to-str digit limit."""
+"""Rendering of exact rationals, also past Python's int-to-str digit limit,
+and the unreduced integer rounding kernel that ``decimal_str`` shares."""
 
 from fractions import Fraction as F
 
-from qappell.fmt import decimal_str, frac_str
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qappell.fmt import decimal_str, frac_str, ratio_str
 
 # 5000 decimal digits, odd and not a multiple of 5, so n/1000 stays reduced
 DIGITS = "7" + "0123456789" * 499 + "123456787"
@@ -30,3 +34,45 @@ def test_decimal_str_past_digit_limit():
     assert decimal_str(F(n, 1000), places=3) == f"{DIGITS[:-3]}.{DIGITS[-3:]}"
     # the digits end in ...787, so two places round the last one up to ...79
     assert decimal_str(F(-n, 1000), places=2) == f"-{DIGITS[:-3]}.79"
+
+
+def _decimal_oracle(x: F, places: int = 12) -> str:
+    """The fixed-point string by Fraction's exact half-even ``round``, as
+    ``decimal_str`` formed it before it shared ``ratio_str``."""
+    i = round(x * 10**places)
+    sign = "-" if i < 0 else ""
+    digits = str(abs(i)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+
+
+def test_ratio_str_matches_decimal_str_on_ties_signs_and_zero():
+    # exact half-way cases round to even, on both sides of 0
+    for num, den in [(1, 2 * 10**12), (3, 2 * 10**12), (-1, 2 * 10**12), (-3, 2 * 10**12),
+                     (5, 2 * 10**13), (25, 10**14), (-25, 10**14), (0, 1), (0, 7**40),
+                     (-1, 7), (2, 3), (10**30 + 1, 10**18)]:
+        for scale in (1, 6, 11**9):  # unreduced forms give the same string
+            got = ratio_str(num * scale, den * scale)
+            assert got == decimal_str(F(num, den)) == _decimal_oracle(F(num, den)), (num, den)
+    assert ratio_str(1, 2 * 10**12) == "0.000000000000"
+    assert ratio_str(3, 2 * 10**12) == "0.000000000002"
+    assert ratio_str(-3, 2 * 10**12) == "-0.000000000002"
+    assert ratio_str(-1, 2 * 10**12) == "0.000000000000"
+    assert ratio_str(7, 20, 1) == decimal_str(F(7, 20), places=1) == "0.4"
+
+
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(1, 10**30),
+    st.integers(1, 10**6),
+    st.integers(0, 14),
+)
+def test_ratio_str_equals_decimal_str(num, den, scale, places):
+    want = _decimal_oracle(F(num, den), places)
+    assert ratio_str(num * scale, den * scale, places) == decimal_str(F(num, den), places) == want
+
+
+@given(st.integers(-(10**20), 10**20), st.integers(1, 10**6), st.integers(0, 14))
+def test_ratio_str_rounds_exact_ties_to_even(k, scale, places):
+    # (2k + 1) / (2 10^places) is k + 1/2 units of the last place
+    num, den = (2 * k + 1) * scale, 2 * 10**places * scale
+    assert ratio_str(num, den, places) == _decimal_oracle(F(num, den), places)

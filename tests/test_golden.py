@@ -76,6 +76,15 @@ CLI_GOLDEN = {
         "0b3510192d5f384abe0f3e9ff4bdf334bae3c8b69933400bbd0513059834928c",
     "sample --iterate bernoulli,euler --q 1/2 --degrees 1,3,5 --xmin -2 --xmax 2 --steps 9":
         "3cd7921fd86fb47af5a8ea0e29490e5171a713a675b7153e1c407e35f81d2005",
+    # thousands of digits: each route's numbers read directly, and sample's
+    # decimals rounded from unreduced integers
+    "numbers --mixed bernoulli,euler --q 5/11 --upto 96 --format csv":
+        "0a8a7017628200d4b7279a7100f85f6cc7b95b74c715d44d019f5f402c112faa",
+    "numbers --iterate genocchi-det,euler --q 5/11 --upto 64 --method all":
+        "092034666931de7b301f8823a9f97381bb20079e43104b4b0ea700c719b18d2a",
+    "sample --iterate bernoulli,euler --q 5/11 --degrees 64,96 --xmin -2 --xmax 2 --steps 2001"
+    " --format csv":
+        "f69f800afc8d2beeb5f2e41497752b087f2109ce042ab295ac02a1ec155069d7",
 }
 
 # every command in every format, a single family and a pair, one method and

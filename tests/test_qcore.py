@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given
@@ -191,6 +191,22 @@ class TestQBinomial:
                 assert ctx.q_binomial(n, k) == want, (n, k)
         with pytest.raises(ValueError):
             ctx.q_binomial(24, 25)
+
+    @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10", "999/1000", "1/1000000000"])
+    def test_gauss_rows_are_the_phi_quotients(self, qs):
+        # G(n,k) = Phi_n // (Phi_k Phi_(n-k)), an integer coprime to b, kept per n
+        ctx = QContext(qs)
+        phi = ctx.factorial_ints(48)[0]
+        b = ctx.q.denominator
+        for n in (*range(49), 7, 0):
+            row = ctx.gauss_row(n)
+            assert row is ctx.gauss_row(n) and len(row) == n + 1
+            for k in range(n + 1):
+                assert phi[n] % (phi[k] * phi[n - k]) == 0
+                assert row[k] == phi[n] // (phi[k] * phi[n - k]), (n, k)
+                assert gcd(row[k], b) == 1
+        with pytest.raises(ValueError, match="needs n >= 0, got -1"):
+            ctx.gauss_row(-1)
 
     @pytest.mark.parametrize("q", [F(1, 2), F(1, 3), F(3, 4)])
     def test_symmetry(self, q):
