@@ -380,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     # argparse takes a value such as -1/2 for an option, so bind it to its flag
     for i in range(len(argv) - 2, -1, -1):
         value = argv[i + 1]
-        if argv[i] in ("--xmin", "--xmax") and value[:1] == "-" and value[1:2].isdigit():
+        if argv[i] in ("--q", "--xmin", "--xmax") and value[:1] == "-" and value[1:2].isdigit():
             argv[i : i + 2] = [f"{argv[i]}={value}"]
     parser = build_parser()
     args = parser.parse_args(argv)

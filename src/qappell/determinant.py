@@ -15,62 +15,48 @@ mixed member.  Only row 0 is polynomial-valued, so the determinant is
 expanded by cofactors along row 0.
 
 The scalar rows have beta_0 at (i, i-1) and zeros below it.  Deleting
-column j therefore leaves a block-triangular minor,
+column j therefore leaves a block-triangular minor beta_0^j det(T_j), where
+T_j is the trailing block of rows and columns j+1..n: upper Hessenberg, with
+beta_0 on its subdiagonal.  As C(j, i-1)_q = [j]_q!/([i-1]_q! [j-i+1]_q!),
+entry (i, j) is ([j]_q!/[i-1]_q!) gamma_(j-i+1) with gamma_m = beta_m/[m]_q!,
+so dividing column c of T_j by [c]_q! and multiplying row r by [r-1]_q!
+leaves the Toeplitz-Hessenberg matrix H_(n-j) = (gamma_(c-r+1)):
 
-    minor_j = beta_0^j * D_j,
+    det(T_j) = ([n]_q!/[j]_q!) tau_(n-j),   tau_m = det(H_m),
 
-where D_j = det(T_j) and T_j is the trailing block of rows j+1..n and
-columns j+1..n: an upper Hessenberg matrix whose subdiagonal is all beta_0.
-Expanding each T_j along its first row gives every D_j from one bottom-up
-recurrence (Bareiss 1968; the first-row expansion of a Hessenberg
-determinant),
+which depends on n - j alone.  H_m is the leading block of H_M for M >= m,
+and the first-row expansion of a Hessenberg determinant (Bareiss 1968)
+gives all of them, one ``dot`` each, O(N^2) exact operations to order N:
 
-    D_n = 1,
-    D_j = sum_{k=0}^{n-j-1} (-beta_0)^k * S[j+1][j+1+k] * D_{j+k+1},
+    tau_0 = 1,   tau_m = sum_{k=0}^{m-1} (-beta_0)^k gamma_(k+1) tau_(m-k-1).
 
-so all n+1 cofactors cost O(n^2) exact operations.  No scalar entry
-depends on row 0 or on n (the scalar block of degree n is the leading block
-of that of any degree N >= n), so each row is scaled once per beta, to
-R_j[k] = (-beta_0)^k * S[j+1][j+1+k], and each D_j is one ``dot`` of a row
-with D.  The member is
-sum_j w_j b_j(x), with w_j = (-1)^(n+j) minor_j / beta_0^(n+1) =
--D_j / (-beta_0)^(n+1-j): the weights depend on beta and n only, and with
-the monomial basis they are the member's coefficients.  A family keeps its
-rows and weights (``AppellFamily.weights``); ``families.route_poly`` sums them.
+The member is sum_j w_j b_j(x), with w_j = (-1)^(n+j) beta_0^j det(T_j) /
+beta_0^(n+1) = C(n,j)_q D_(n-j), where D_m = -[m]_q! tau_m / (-beta_0)^(m+1).
+The weights depend on beta and n only; with the monomial basis they are the
+member's coefficients.  Its value at x = 0 is w_0 = D_n, and a pair's is the
+q-binomial convolution of D with the second family's numbers.  A family
+keeps D (``AppellFamily.weights``); ``families.route_poly`` and
+``route_numbers`` read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .qcore import dot
 from .series import ESeq
 
-__all__ = ["scaled_rows", "row_weights"]
+__all__ = ["hessenberg_dets"]
 
 
-def scaled_rows(beta: ESeq, n: int) -> list[list[Fraction]]:
-    """Rows R_0..R_(n-1) of the degree-n matrix, scaled as in the module
-    docstring: R_j[k] = (-beta_0)^k C(j+1+k, j)_q beta_(k+1) for k < n - j."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if beta.order < n:
-        raise ValueError(f"beta has order {beta.order}, need at least {n}")
+def hessenberg_dets(beta: ESeq) -> list[Fraction]:
+    """tau_0..tau_N, N = beta.order, the determinants of the Toeplitz-Hessenberg
+    matrices H_m by the first-row recurrence in the module docstring."""
     if beta[0] == 0:
         raise ValueError("beta_0 must be nonzero")
-    powers = [(-beta[0]) ** k for k in range(n)]
-    return [
-        [powers[k] * beta.ctx.q_binomial(j + 1 + k, j) * beta[k + 1] for k in range(n - j)]
-        for j in range(n)
-    ]
-
-
-def row_weights(beta0: Fraction, rows: Sequence[Sequence[Fraction]], n: int) -> list[Fraction]:
-    """Row-0 weights w_0..w_n of degree n, from the leading parts of the
-    scaled rows of any degree N >= n by the Hessenberg recurrence in the
-    module docstring."""
-    d = [Fraction(0)] * n + [Fraction(1)]
-    for j in range(n - 1, -1, -1):
-        d[j] = dot(rows[j][: n - j], d[j + 1 :])
-    return [-c / (-beta0) ** (n + 1 - j) for j, c in enumerate(d)]
+    fact = beta.ctx.q_factorial
+    step = [(-beta[0]) ** k * beta[k + 1] / fact(k + 1) for k in range(beta.order)]
+    tau = [Fraction(1)]
+    for m in range(1, beta.order + 1):
+        tau.append(dot(step[:m], tau[::-1]))
+    return tau

@@ -52,8 +52,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .determinant import row_weights, scaled_rows
-from .qcore import QContext, QPoly, dot, lincomb, lincomb_ints
+from .determinant import hessenberg_dets
+from .qcore import QContext, QPoly, lincomb, lincomb_ints
 from .series import ESeq, convolve, reciprocal
 
 __all__ = [
@@ -114,7 +114,7 @@ class AppellFamily:
     Polynomials and determinant weights are kept per degree in the same way.
     """
 
-    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_rows",
+    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_dets",
                  "_weights")
 
     def __init__(self, ctx: QContext, beta: ESeq, label: str, numbers: Optional[ESeq] = None):
@@ -132,7 +132,7 @@ class AppellFamily:
         """Set the fields, unchecked: ``__init__`` checks a custom family's
         beta, while a built-in of ``_AFFINE`` and ``truncated`` need none."""
         self.ctx, self.order, self.label, self.affine = ctx, order, label, affine
-        self._beta, self._numbers, self._rows = beta, numbers, None
+        self._beta, self._numbers, self._dets = beta, numbers, None
         self._polys: dict[int, QPoly] = {}
         self._weights: dict[int, tuple[Fraction, ...]] = {}
         return self
@@ -187,16 +187,21 @@ class AppellFamily:
         self._check_degree(upto)
         return [self.poly(n) for n in range(upto + 1)]
 
+    def _det_numbers(self) -> ESeq:
+        """D_m = -[m]_q! tau_m / (-beta_0)^(m+1) by ``hessenberg_dets``, not the numbers."""
+        if self._dets is None:
+            beta0, fact = self.beta[0], self.ctx.q_factorial
+            taus = enumerate(hessenberg_dets(self.beta))
+            self._dets = ESeq(self.ctx, [-fact(m) * t / (-beta0) ** (m + 1) for m, t in taus])
+        return self._dets
+
     def weights(self, n: int) -> tuple[Fraction, ...]:
-        """The row-0 weights w_0..w_n of the degree-n determinant.  The scaled
-        rows are built once, at the family's order, as those of degree n are
-        their leading part."""
+        """The row-0 weights C(n,j)_q D_(n-j), j = 0..n, of the degree-n determinant."""
         self._check_degree(n)
         got = self._weights.get(n)
         if got is None:
-            if self._rows is None:
-                self._rows = scaled_rows(self.beta, self.order)
-            got = self._weights[n] = tuple(row_weights(self.beta[0], self._rows, n))
+            dets, binom = self._det_numbers(), self.ctx.q_binomial
+            got = self._weights[n] = tuple(binom(n, j) * dets[n - j] for j in range(n + 1))
         return got
 
     def truncated(self, order: int) -> "AppellFamily":
@@ -372,20 +377,18 @@ def route_numbers(
     series: AppellFamily, members: tuple[AppellFamily, ...], upto: int, route: str
 ) -> list[Fraction]:
     """A_0..A_upto by one of ``ROUTES``, as ``route_poly``'s members read at 0,
-    without forming them: series.numbers, the determinant's sum_j w_j A^II_j
-    (w_0 for a single) or the operator's convolve(A^I, A^II) (A^I for a single)."""
+    without forming them: series.numbers, or the first's D (determinant) or A^I
+    (operator) for a single, convolved with A^II for a pair."""
     first, basis = members[0], members[-1]
     if first.ctx.q != basis.ctx.q:
         raise ValueError("families disagree on q")
-    single = len(members) == 1
-    if route == "determinant":
-        rows = [first.weights(n) for n in range(upto + 1)]
-        return [w[0] if single else dot(w, basis.numbers) for w in rows]
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
-    if route == "operator" and not single:
-        return list(convolve(first.numbers, basis.numbers)[: upto + 1])
-    return list((series if route == "series" else first).numbers[: upto + 1])
+    if route == "series":
+        return list(series.numbers[: upto + 1])
+    first._check_degree(upto)
+    head = first._det_numbers() if route == "determinant" else first.numbers
+    return list((head if len(members) == 1 else convolve(head, basis.numbers))[: upto + 1])
 
 
 def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:

@@ -113,6 +113,21 @@ def _bump_weight_row(n):
     return skew
 
 
+def _bump_tau(m):
+    """A skew of determinant.hessenberg_dets: 1 added to tau_m, which changes
+    the determinant numbers D from D_m on.  Any D gives weights of an Appell
+    sequence, so the determinant ladder still holds."""
+
+    def skew(real):
+        def skewed(beta):
+            tau = real(beta)
+            return [t + 1 if k == m else t for k, t in enumerate(tau)]
+
+        return skewed
+
+    return skew
+
+
 def _properties(qs, order):
     """The property suite on the family set a verify at this q and order reads."""
     return run_properties(*_families(QContext(qs), order))
@@ -139,6 +154,13 @@ class TestProperties:
                 _bump_weight_row(2),
                 {"ladder-determinant", "cross-method"},
                 id="determinant",
+            ),
+            pytest.param(
+                families,
+                "hessenberg_dets",
+                _bump_tau(2),
+                {"cross-method"},
+                id="hessenberg-tau",
             ),
             pytest.param(
                 audit,
@@ -200,6 +222,14 @@ class TestProperties:
         assert "  determinant: x^2 - 3/4x + 7/8\n" in err
         assert _failing() == {"ladder-determinant", "cross-method"}
 
+    def test_a_wrong_tau_fails_numbers_method_all(self, monkeypatch, capsys):
+        monkeypatch.setattr(families, "hessenberg_dets", _bump_tau(2)(families.hessenberg_dets))
+        argv = "numbers --mixed euler,bernoulli --q 1/2 --upto 3 --method all".split()
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cross-method divergence:\n")
+
     def test_a_wrong_pair_family_poly_fails_its_checks(self, monkeypatch):
         # pair families (label "a*b") feed the series ladder, the last link of
         # cross-method and, as self-products, the 2-iterated identity
@@ -250,8 +280,8 @@ class TestProperties:
 
             return wrapper
 
-        monkeypatch.setattr(families, "scaled_rows", counting(
-            families.scaled_rows, "rows", lambda beta, n: (id(beta), n)))
+        monkeypatch.setattr(families, "hessenberg_dets", counting(
+            families.hessenberg_dets, "rows", lambda beta: (id(beta), beta.order)))
         monkeypatch.setattr(audit, "route_poly", counting(
             audit.route_poly, "dets", lambda series, members, n, route: (series.label, n, route)))
         monkeypatch.setattr(audit, "iterate2", counting(
@@ -262,7 +292,7 @@ class TestProperties:
                 families.product_family, "products", lambda fa, fb: (fa.label, fb.label)))
         singles, pairs = _families(QContext(F(1, 2)), 12)
         run_properties(singles, pairs)
-        # at most one scaled-row build per family object, at its own order: the
+        # at most one tau build per family object, at its own order: the
         # four built-ins and the three first factors cut to order 4 for a pair
         # with genocchi-table
         owners = {id(fam.beta): fam for _, members in pairs.values() for fam in members}

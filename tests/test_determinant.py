@@ -16,8 +16,8 @@ from qappell import (
     route_poly,
 )
 from qappell import families
-from qappell.determinant import row_weights, scaled_rows
-from qappell.families import ROUTES, FamilyError, FamilySpec
+from qappell.determinant import hessenberg_dets
+from qappell.families import ROUTES, FamilyError, FamilySpec, route_numbers
 from qappell.qcore import lincomb
 from qappell.series import ESeq
 
@@ -43,6 +43,37 @@ def build_matrix(beta, basis, n):
         for i in range(1, n + 1)
     )
     return (tuple(basis[: n + 1]),) + scalars
+
+
+def toeplitz_hessenberg(beta, m):
+    """H_m = (gamma_(c-r+1)), the m x m Toeplitz-Hessenberg matrix of
+    gamma_k = beta_k/[k]_q!, zero below the subdiagonal."""
+    fact = beta.ctx.q_factorial
+    return [
+        [beta[c - r + 1] / fact(c - r + 1) if c >= r - 1 else F(0) for c in range(m)]
+        for r in range(m)
+    ]
+
+
+def scaled_rows(beta, n):
+    """Rows R_0..R_(n-1) of the degree-n matrix, R_j[k] = (-beta_0)^k S[j+1][j+1+k]
+    = (-beta_0)^k C(j+1+k, j)_q beta_(k+1) for k < n - j.  With ``row_weights``,
+    a third oracle for the row-0 weights: the per-degree Hessenberg recurrence."""
+    return [
+        [(-beta[0]) ** k * beta.ctx.q_binomial(j + 1 + k, j) * beta[k + 1] for k in range(n - j)]
+        for j in range(n)
+    ]
+
+
+def row_weights(beta0, rows, n):
+    """Row-0 weights w_0..w_n of degree n from the leading parts of the scaled
+    rows of any degree N >= n: each trailing block T_j by its first-row
+    expansion, bottom-up, D_n = 1 and D_j = sum_k R_j[k] D_(j+k+1), and then
+    w_j = -D_j / (-beta_0)^(n+1-j)."""
+    d = [F(0)] * n + [F(1)]
+    for j in range(n - 1, -1, -1):
+        d[j] = sum(r * x for r, x in zip(rows[j][: n - j], d[j + 1 :]))
+    return [-c / (-beta0) ** (n + 1 - j) for j, c in enumerate(d)]
 
 
 def unit_row(n, j):
@@ -298,9 +329,10 @@ class TestBlockTriangular:
 
 
 class TestWeightTable:
-    """The degree-n matrix is the leading block of the degree-N one, so the
-    scaled rows a family builds once at its order give every degree's row-0
-    weights: the family keeps one weight table."""
+    """Every trailing block T_j of degree n is a rescaled Toeplitz-Hessenberg
+    matrix H_(n-j), so the tau a family forms once at its order give every
+    degree's row-0 weights.  They are checked against the per-degree
+    recurrence, Bareiss and Laplace."""
 
     @pytest.mark.parametrize("spec", [B, E, GD], ids=lambda s: s.name)
     def test_rows_match_each_degree_matrix_and_the_oracles(self, ctx_half, spec):
@@ -342,23 +374,40 @@ class TestWeightTable:
             assert lincomb(weights, basis[: n + 1]) == laplace(build_matrix(seq, basis, n)) * scale
 
     @given(q=q_values(), beta=custom_beta())
-    def test_scaled_rows_match_the_matrix(self, q, beta):
+    def test_tau_are_the_toeplitz_hessenberg_determinants(self, q, beta):
+        seq = ESeq(QContext(q), beta)
+        tau = hessenberg_dets(seq)
+        assert len(tau) == len(beta) and tau[0] == 1
+        for m in range(1, len(beta)):
+            h = toeplitz_hessenberg(seq, m)
+            assert tau[m] == bareiss(h)
+            if m <= 5:
+                assert tau[m] == laplace(h)
+
+    @given(q=q_values(), beta=custom_beta())
+    def test_trailing_blocks_are_rescaled_tau(self, q, beta):
+        # det T_j = ([n]_q!/[j]_q!) tau_(n-j): it depends on n - j alone
+        seq = ESeq(QContext(q), beta)
+        fact, tau = seq.ctx.q_factorial, hessenberg_dets(seq)
+        for n in range(len(beta)):
+            scalars = build_matrix(seq, monomial_basis(n), n)[1:]
+            for j in range(n + 1):
+                trailing = [r[j + 1 :] for r in scalars[j:]]
+                det_t = bareiss(trailing) if trailing else F(1)
+                assert fact(n) / fact(j) * tau[n - j] == det_t
+
+    @given(q=q_values(), beta=custom_beta())
+    def test_lower_orders_are_leading_parts(self, q, beta):
         seq = ESeq(QContext(q), beta)
         top = len(beta) - 1
-        rows = scaled_rows(seq, top)
-        scalars = build_matrix(seq, monomial_basis(top), top)[1:]
-        # R_j[k] = (-beta_0)^k S[j+1][j+1+k], formed once for every degree
-        assert rows == [
-            [(-beta[0]) ** k * scalars[j][j + 1 + k] for k in range(top - j)]
-            for j in range(top)
-        ]
+        tau, rows = hessenberg_dets(seq), scaled_rows(seq, top)
         fam = drawn(seq)
         kept = [fam.weights(n) for n in range(top + 1)]
         for n in range(top + 1):
             cut = seq.truncated(n)
-            # prefix stability: the rows and weights of a lower order are the
-            # leading parts of the top order's, so the kept rows serve it
-            assert scaled_rows(cut, n) == [r[: n - j] for j, r in enumerate(rows[:n])]
+            # prefix stability: tau and the weights of a lower order are the
+            # leading parts of the top order's, so the kept tau serve it
+            assert hessenberg_dets(cut) == tau[: n + 1]
             assert [row_weights(beta[0], rows, m) for m in range(n + 1)] == [
                 list(w) for w in kept[: n + 1]
             ]
@@ -367,29 +416,26 @@ class TestWeightTable:
 
     def test_rows_are_built_once_per_family(self, ctx_half, monkeypatch):
         built = []
-        real = families.scaled_rows
+        real = families.hessenberg_dets
 
-        def counting(beta, n):
-            built.append((beta, n))
-            return real(beta, n)
+        def counting(beta):
+            built.append(beta)
+            return real(beta)
 
-        monkeypatch.setattr(families, "scaled_rows", counting)
+        monkeypatch.setattr(families, "hessenberg_dets", counting)
         fam = resolve(E, ctx_half, 6)
         kept = [fam.weights(n) for n in (3, 0, 6, 3)]
-        assert built == [(fam.beta, 6)]
+        assert built == [fam.beta]
         assert kept[0] is kept[3]
         for n in range(7):
             assert det_route(fam, n=n) == fam.poly(n)
             assert det_route(fam, fam, n=n) == iterate2(fam, fam, n)
-        assert built == [(fam.beta, 6)]
+        assert route_numbers(fam, (fam,), 6, "determinant") == list(fam.numbers)
+        assert built == [fam.beta]
 
     def test_preconditions(self, ctx_half):
         with pytest.raises(ValueError, match="beta_0"):
-            scaled_rows(ESeq(ctx_half, [0, 1, 1]), 2)
-        with pytest.raises(ValueError, match="order"):
-            scaled_rows(ESeq(ctx_half, [1, 1]), 2)
-        with pytest.raises(ValueError, match=">= 0"):
-            scaled_rows(ESeq(ctx_half, [1, 1]), -1)
+            hessenberg_dets(ESeq(ctx_half, [0, 1, 1]))
         fam = drawn(ESeq(ctx_half, [1, 1]))
         with pytest.raises(FamilyError, match=">= 0"):
             fam.weights(-1)
@@ -414,3 +460,13 @@ class TestDeep:
         assert pair == iterate2(bern, euler, n)
         assert plain == gdet.poly(n)
         assert elapsed < 2.0
+
+    def test_pair_numbers_at_order_96_match_series_route(self):
+        ctx, n = QContext(F(5, 11)), 96
+        euler, bern = resolve(E, ctx, n), resolve(B, ctx, n)
+        series = pair_family(E, B, ctx, n)
+        start = time.perf_counter()
+        got = route_numbers(series, (euler, bern), n, "determinant")
+        elapsed = time.perf_counter() - start
+        assert got == list(series.numbers)
+        assert elapsed < 3.0

@@ -226,6 +226,15 @@ CLI_PARITY = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "error: cannot write no-such-dir/out.txt: No such file or directory\n", 2,
     ),
+    # a negative q, spaced or not, is bound to --q and refused by its range
+    "numbers --family euler --q -1/2 --upto 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: q must satisfy 0 < q < 1, got -1/2\n", 2,
+    ),
+    "numbers --family euler --q=-1/2 --upto 3": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: q must satisfy 0 < q < 1, got -1/2\n", 2,
+    ),
     "numbers --family nosuch --q 0 --upto -1": (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "error: q must satisfy 0 < q < 1, got 0\n", 2,
