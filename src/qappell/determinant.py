@@ -32,11 +32,11 @@ gives all of them, one ``dot`` each, O(N^2) exact operations to order N:
 
 The member is sum_j w_j b_j(x), with w_j = (-1)^(n+j) beta_0^j det(T_j) /
 beta_0^(n+1) = C(n,j)_q D_(n-j), where D_m = -[m]_q! tau_m / (-beta_0)^(m+1).
-The weights depend on beta and n only; with the monomial basis they are the
-member's coefficients.  Its value at x = 0 is w_0 = D_n, and a pair's is the
-q-binomial convolution of D with the second family's numbers.  A family
-keeps D (``AppellFamily.weights``); ``families.route_poly`` and
-``route_numbers`` read it.
+So the determinant gives a q-Appell family with numbers D: with the monomial
+basis the w_j are its member's coefficients, and with another family's
+polynomials the member is their 2-iterate.  ``AppellFamily.determinant`` is
+that family, of the same beta; ``families.route_poly`` and ``route_numbers``
+read it.
 """
 
 from __future__ import annotations

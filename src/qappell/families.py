@@ -42,8 +42,9 @@ numbers.  The 2-iterated member ``iterate2`` is one integer linear
 combination of the second family's polynomials, weighted by the coefficients
 of the first's.  ``route_poly`` forms a member by any of ``ROUTES``, for
 ``--method`` and ``verify`` alike, and ``route_numbers`` reads its numbers by
-the same route; a family keeps its determinant weights as it keeps its
-numbers and polynomials.
+the same route.  The determinant route is a family too: ``determinant`` keeps
+the same beta with the numbers read off the determinant, so its members and
+their 2-iterates are built as any family's are.
 """
 
 from __future__ import annotations
@@ -110,12 +111,11 @@ class AppellFamily:
     The numbers are computed on first read and kept, unless the family was
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
     the (c, d, s) of a beta-defined built-in, else as reciprocal(beta).  Such
-    a built-in forms its beta on first read too.
-    Polynomials and determinant weights are kept per degree in the same way.
+    a built-in forms its beta on first read too.  Polynomials are kept per
+    degree in the same way, and the ``determinant`` family once.
     """
 
-    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_dets",
-                 "_weights")
+    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_det")
 
     def __init__(self, ctx: QContext, beta: ESeq, label: str, numbers: Optional[ESeq] = None):
         if beta.ctx.q != ctx.q or (numbers is not None and numbers.ctx.q != ctx.q):
@@ -132,9 +132,8 @@ class AppellFamily:
         """Set the fields, unchecked: ``__init__`` checks a custom family's
         beta, while a built-in of ``_AFFINE`` and ``truncated`` need none."""
         self.ctx, self.order, self.label, self.affine = ctx, order, label, affine
-        self._beta, self._numbers, self._dets = beta, numbers, None
+        self._beta, self._numbers, self._det = beta, numbers, None
         self._polys: dict[int, QPoly] = {}
-        self._weights: dict[int, tuple[Fraction, ...]] = {}
         return self
 
     @property
@@ -187,22 +186,17 @@ class AppellFamily:
         self._check_degree(upto)
         return [self.poly(n) for n in range(upto + 1)]
 
-    def _det_numbers(self) -> ESeq:
-        """D_m = -[m]_q! tau_m / (-beta_0)^(m+1) by ``hessenberg_dets``, not the numbers."""
-        if self._dets is None:
+    @property
+    def determinant(self) -> "AppellFamily":
+        """The family of the same beta with the determinant numbers D_m = -[m]_q! tau_m /
+        (-beta_0)^(m+1) by ``hessenberg_dets``, never from the numbers: its member
+        sum_j C(n,j)_q D_(n-j) x^j is the degree-n determinant expanded along row 0."""
+        if self._det is None:
             beta0, fact = self.beta[0], self.ctx.q_factorial
             taus = enumerate(hessenberg_dets(self.beta))
-            self._dets = ESeq(self.ctx, [-fact(m) * t / (-beta0) ** (m + 1) for m, t in taus])
-        return self._dets
-
-    def weights(self, n: int) -> tuple[Fraction, ...]:
-        """The row-0 weights C(n,j)_q D_(n-j), j = 0..n, of the degree-n determinant."""
-        self._check_degree(n)
-        got = self._weights.get(n)
-        if got is None:
-            dets, binom = self._det_numbers(), self.ctx.q_binomial
-            got = self._weights[n] = tuple(binom(n, j) * dets[n - j] for j in range(n + 1))
-        return got
+            dets = ESeq(self.ctx, [-fact(m) * t / (-beta0) ** (m + 1) for m, t in taus])
+            self._det = AppellFamily(self.ctx, self.beta, self.label, dets)
+        return self._det
 
     def truncated(self, order: int) -> "AppellFamily":
         """The same family at an order from 0 to its own; numbers and beta are
@@ -357,17 +351,19 @@ def route_poly(
     series: AppellFamily, members: tuple[AppellFamily, ...], n: int, route: str
 ) -> QPoly:
     """The degree-n member of series by one of ``ROUTES``: its own polynomial,
-    the determinant sum_k w_k b_k(x) or the operator sum_k (A_k/[k]_q!) D_q^k
-    applied to b_n(x).  members is the family itself, with b_k = x^k, or a
-    pair's two factors: w and A come from the first, b_k is the second's."""
+    the determinant sum_k C(n,k)_q D_(n-k) b_k(x) or the operator sum_k
+    (A_k/[k]_q!) D_q^k applied to b_n(x).  members is the family itself, with
+    b_k = x^k, or a pair's two factors: D and A come from the first, b_k is the
+    second's, so a pair's determinant member is ``iterate2`` with D for A^I."""
     first, basis = members[0], members[-1]
     if first.ctx.q != basis.ctx.q:
         raise ValueError("families disagree on q")
+    first._check_degree(n)
     single = len(members) == 1
     if route == "series":
         return series.poly(n)
     if route == "determinant":
-        return QPoly(first.weights(n)) if single else lincomb(first.weights(n), basis.polys(n))
+        return first.determinant.poly(n) if single else iterate2(first.determinant, basis, n)
     if route == "operator":
         return apply_operator(first.numbers, QPoly.monomial(n) if single else basis.poly(n))
     raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
@@ -384,10 +380,10 @@ def route_numbers(
         raise ValueError("families disagree on q")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
+    first._check_degree(upto)
     if route == "series":
         return list(series.numbers[: upto + 1])
-    first._check_degree(upto)
-    head = first._det_numbers() if route == "determinant" else first.numbers
+    head = (first.determinant if route == "determinant" else first).numbers
     return list((head if len(members) == 1 else convolve(head, basis.numbers))[: upto + 1])
 
 

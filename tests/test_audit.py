@@ -99,16 +99,24 @@ def _add_one_where(wrong):
     return skew
 
 
-def _bump_weight_row(n):
-    """A skew of AppellFamily.weights: 1 added to weight 0 of degree n, which
-    adds the constant 1 to every determinant member of degree n."""
+def _bump_det_member(n):
+    """A skew of AppellFamily.determinant: its degree-n member gains the
+    constant 1, which adds b_0(x) to every determinant member of degree n,
+    of a single family or of a pair."""
+
+    class Bumped:
+        def __init__(self, fam):
+            self.fam = fam
+
+        def __getattr__(self, name):
+            return getattr(self.fam, name)
+
+        def poly(self, m):
+            got = self.fam.poly(m)
+            return lincomb([1, 1], [got, QPoly([1])]) if m == n else got
 
     def skew(real):
-        def skewed(fam, m):
-            weights = real(fam, m)
-            return (weights[0] + 1, *weights[1:]) if m == n else weights
-
-        return skewed
+        return property(lambda fam: Bumped(real.__get__(fam)))
 
     return skew
 
@@ -146,12 +154,12 @@ class TestProperties:
     @pytest.mark.parametrize(
         "module, name, skew, failing",
         [
-            # route_poly reads the determinant weights and the operator from
+            # route_poly reads the determinant family and the operator from
             # families, so these skews reach every route family alike
             pytest.param(
                 families.AppellFamily,
-                "weights",
-                _bump_weight_row(2),
+                "determinant",
+                _bump_det_member(2),
                 {"ladder-determinant", "cross-method"},
                 id="determinant",
             ),

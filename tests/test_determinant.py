@@ -147,7 +147,7 @@ class TestBuildMatrix:
         assert m == ((QPoly([1]), QPoly.monomial(1)), (F(1), F(2, 3)))
         # the displayed orientation: (-1)^1 * det([[1, x], [1, 2/3]]) = x - 2/3
         assert laplace(m) * (-1 / fam.beta[0] ** 2) == QPoly([F(-2, 3), 1])
-        assert lincomb(fam.weights(1), m[0]) == QPoly([F(-2, 3), 1])
+        assert lincomb(fam.determinant.poly(1).coeffs, m[0]) == QPoly([F(-2, 3), 1])
 
     def test_euler_row_two(self, ctx_half):
         fam = resolve(E, ctx_half, 2)
@@ -159,7 +159,7 @@ class TestDetPoly:
     def test_degree_zero_prefactor_only(self, ctx_half):
         beta = ESeq(ctx_half, [F(4), F(1, 2)])
         assert row_weights(beta[0], scaled_rows(beta, 0), 0) == [F(1, 4)]
-        assert drawn(beta).weights(0) == (F(1, 4),)
+        assert drawn(beta).determinant.poly(0).coeffs == (F(1, 4),)
         assert det_route(drawn(beta), n=0) == QPoly([F(1, 4)])
 
     def test_bernoulli_n1(self, ctx_half):
@@ -188,6 +188,18 @@ class TestDetPoly:
         fam = resolve(E, ctx_half, 2)
         with pytest.raises(ValueError, match="unknown route 'umbral'"):
             route_poly(fam, (fam,), 2, "umbral")
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+    @pytest.mark.parametrize("reader", [route_poly, route_numbers], ids=lambda f: f.__name__)
+    def test_every_route_checks_the_degree(self, ctx_half, route, pair, reader):
+        # past the order or below 0, every route refuses with FamilyError
+        fam = resolve(E, ctx_half, 3)
+        members = (fam, resolve(B, ctx_half, 3)) if pair else (fam,)
+        series = product_family(*members) if pair else fam
+        for n, match in ((4, "exceeds the truncation order 3"), (-1, ">= 0")):
+            with pytest.raises(FamilyError, match=match):
+                reader(series, members, n, route)
 
     def test_matches_series_route(self, ctx_half):
         for spec in (B, E, GD):
@@ -239,7 +251,7 @@ class TestRowZeroLinearity:
         basis_b = [QPoly([1])] + [QPoly([F(1), F(2), F(1, 3)][: k + 1]) for k in range(1, 4)]
         m_a = build_matrix(fam.beta, basis_a, 3)
         summed = tuple(lincomb([1, 1], [a, b]) for a, b in zip(basis_a, basis_b))
-        weights = fam.weights(3)
+        weights = fam.determinant.poly(3).coeffs
         lhs = lincomb(weights, summed)
         assert lhs == lincomb([1, 1], [lincomb(weights, basis_a), lincomb(weights, basis_b)])
         assert lhs == laplace((summed,) + m_a[1:]) * (-1 / fam.beta[0] ** 4)
@@ -253,7 +265,7 @@ class TestDegenerateRow:
         n = 4
         m = build_matrix(fam.beta, monomial_basis(n), n)
         beta_top = tuple(QPoly([fam.beta[j]]) for j in range(n + 1))
-        assert lincomb(fam.weights(n), beta_top).is_zero
+        assert lincomb(fam.determinant.poly(n).coeffs, beta_top).is_zero
         assert laplace([m[1]] + list(m[1:])) == 0
 
 
@@ -285,7 +297,7 @@ class TestBareiss:
         n = 12
         fam = resolve(spec, ctx_half, n)
         scalars = build_matrix(fam.beta, monomial_basis(n), n)[1:]
-        weights = fam.weights(n)
+        weights = fam.determinant.poly(n).coeffs
         scale = fam.beta[0] ** (n + 1)
         for j in range(n + 1):
             minor = bareiss([r[:j] + r[j + 1 :] for r in scalars])
@@ -306,7 +318,7 @@ class TestLaplaceOracle:
         seq = ESeq(ctx, beta)
         m = build_matrix(seq, basis, n)
         expected = laplace(m) * (F(-1) ** n / beta[0] ** (n + 1))
-        assert lincomb(drawn(seq).weights(n), m[0]) == expected
+        assert lincomb(drawn(seq).determinant.poly(n).coeffs, m[0]) == expected
 
 
 class TestBlockTriangular:
@@ -317,7 +329,7 @@ class TestBlockTriangular:
         ctx = QContext(q)
         n = len(beta) - 1
         seq = ESeq(ctx, beta)
-        weights = drawn(seq).weights(n)
+        weights = drawn(seq).determinant.poly(n).coeffs
         scalars = [list(r) for r in build_matrix(seq, monomial_basis(n), n)[1:]]
         for j in range(n + 1):
             minor = laplace([r[:j] + r[j + 1 :] for r in scalars])
@@ -339,10 +351,10 @@ class TestWeightTable:
         top = 12
         fam = resolve(spec, ctx_half, top)
         beta = fam.beta
-        assert fam.weights(0) == (1 / beta[0],)
+        assert fam.determinant.poly(0).coeffs == (1 / beta[0],)
         for n in range(1, top + 1):
             m = build_matrix(beta, monomial_basis(n), n)
-            weights = list(fam.weights(n))
+            weights = list(fam.determinant.poly(n).coeffs)
             assert weights == row_weights(beta[0], scaled_rows(beta, n), n)
             scale = F(-1) ** n / beta[0] ** (n + 1)
             if n <= 5:
@@ -363,10 +375,10 @@ class TestWeightTable:
         ctx = QContext(q)
         seq = ESeq(ctx, beta)
         fam = drawn(seq)
-        assert fam.weights(0) == (1 / beta[0],)
+        assert fam.determinant.poly(0).coeffs == (1 / beta[0],)
         basis = [QPoly([1])] + [QPoly(cs) for cs in tops]
         for n in range(1, fam.order + 1):
-            weights = fam.weights(n)
+            weights = fam.determinant.poly(n).coeffs
             assert list(weights) == row_weights(seq[0], scaled_rows(seq, n), n)
             scale = F(-1) ** n / beta[0] ** (n + 1)
             assert QPoly(weights) == laplace(build_matrix(seq, monomial_basis(n), n)) * scale
@@ -402,7 +414,7 @@ class TestWeightTable:
         top = len(beta) - 1
         tau, rows = hessenberg_dets(seq), scaled_rows(seq, top)
         fam = drawn(seq)
-        kept = [fam.weights(n) for n in range(top + 1)]
+        kept = [fam.determinant.poly(n).coeffs for n in range(top + 1)]
         for n in range(top + 1):
             cut = seq.truncated(n)
             # prefix stability: tau and the weights of a lower order are the
@@ -411,8 +423,8 @@ class TestWeightTable:
             assert [row_weights(beta[0], rows, m) for m in range(n + 1)] == [
                 list(w) for w in kept[: n + 1]
             ]
-            assert [drawn(cut).weights(m) for m in range(n + 1)] == kept[: n + 1]
-            assert [fam.truncated(n).weights(m) for m in range(n + 1)] == kept[: n + 1]
+            assert [drawn(cut).determinant.poly(m).coeffs for m in range(n + 1)] == kept[: n + 1]
+            assert [fam.truncated(n).determinant.poly(m).coeffs for m in range(n + 1)] == kept[: n + 1]
 
     def test_rows_are_built_once_per_family(self, ctx_half, monkeypatch):
         built = []
@@ -424,23 +436,42 @@ class TestWeightTable:
 
         monkeypatch.setattr(families, "hessenberg_dets", counting)
         fam = resolve(E, ctx_half, 6)
-        kept = [fam.weights(n) for n in (3, 0, 6, 3)]
+        kept = [fam.determinant.poly(n) for n in (3, 0, 6, 3)]
         assert built == [fam.beta]
-        assert kept[0] is kept[3]
+        assert fam.determinant is fam.determinant and kept[0] is kept[3]
         for n in range(7):
             assert det_route(fam, n=n) == fam.poly(n)
             assert det_route(fam, fam, n=n) == iterate2(fam, fam, n)
         assert route_numbers(fam, (fam,), 6, "determinant") == list(fam.numbers)
         assert built == [fam.beta]
 
+    @pytest.mark.parametrize("q", [F(1, 2), F(5, 11), F(1, 1000)], ids=str)
+    def test_determinant_numbers_never_read_the_numbers(self, q, monkeypatch):
+        # D comes from tau alone: with the two ways to form numbers patched to
+        # raise, each determinant family still forms its numbers
+        ctx = QContext(q)
+        bern, euler, gdet = (resolve(s, ctx, 16) for s in (B, E, GD))
+        fams = (bern, euler, gdet, product_family(bern, euler))
+
+        def refuse(*args):
+            raise AssertionError("the determinant route read the numbers")
+
+        monkeypatch.setattr(families, "reciprocal", refuse)
+        monkeypatch.setattr(families, "_affine_numbers", refuse)
+        dets = [fam.determinant.numbers for fam in fams]
+        monkeypatch.undo()
+        for fam, det in zip(fams, dets):
+            assert det == fam.numbers
+            assert fam.determinant is fam.determinant
+
     def test_preconditions(self, ctx_half):
         with pytest.raises(ValueError, match="beta_0"):
             hessenberg_dets(ESeq(ctx_half, [0, 1, 1]))
         fam = drawn(ESeq(ctx_half, [1, 1]))
         with pytest.raises(FamilyError, match=">= 0"):
-            fam.weights(-1)
+            fam.determinant.poly(-1)
         with pytest.raises(FamilyError, match="exceeds the truncation order 1"):
-            fam.weights(2)
+            fam.determinant.poly(2)
 
 
 class TestDeep:

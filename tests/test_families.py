@@ -680,7 +680,7 @@ class TestOperator:
                 *(route_poly(series, (fa, fb), n, route) for route in ROUTES),
                 _operator_fraction_oracle(fa.numbers, fb.poly(n)),
                 iterate2(fa, fb, n),
-                lincomb(fa.weights(n), fb.polys(n)),
+                lincomb(fa.determinant.poly(n).coeffs, fb.polys(n)),
             ]
             for r in routes:
                 assert_canonical(r)
