@@ -9,7 +9,9 @@ reads it.  It first executes the exact property suite (ladder, reciprocal
 orthogonality, cross-method equality of the ``families.route_poly`` routes
 and ``iterate2``, the inversion identities, commutativity, Vieta and
 zero-count checks) and then compares engine output against the printed
-values.  ``_table_rows`` yields one exact row per printed number, plain
+values.  The suite forms each distinct 2-iterate and ladder link once, keyed
+by the exact polynomials it is a pure function of, so reuse changes no
+verdict.  ``_table_rows`` yields one exact row per printed number, plain
 polynomial and, at q = 1/2, 2-iterated or mixed polynomial.  At q = 1/2,
 ``_audit_zeros`` first finds every zero set and returns one row per printed
 zero table, compared within a tolerance (its printed complex zeros must
@@ -287,11 +289,15 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_ok(polys: list[QPoly], ctx: QContext) -> bool:
-    return all(
-        q_derive(polys[n], ctx) == ctx.q_number(n) * polys[n - 1]
-        for n in range(1, len(polys))
-    )
+def _ladder_ok(polys: list[QPoly], ctx: QContext, links: dict) -> bool:
+    """D_q P_n = [n]_q P_(n-1) along polys, each link decided once per q in links."""
+    for n in range(1, len(polys)):
+        key = (n, polys[n], polys[n - 1])
+        if key not in links:
+            links[key] = q_derive(polys[n], ctx) == ctx.q_number(n) * polys[n - 1]
+        if not links[key]:
+            return False
+    return True
 
 
 # each ordered pair as route_poly takes it: (series family, members)
@@ -321,6 +327,7 @@ def _families(ctx: QContext, order: int) -> tuple[dict[str, AppellFamily], _Pair
 def run_properties(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[PropertyRecord]:
     """The exact whole-pipeline checks on a family set; every one must pass."""
     routes = {**{name: (fam, (fam,)) for name, fam in singles.items()}, **pairs}
+    links: dict[tuple[int, QPoly, QPoly], bool] = {}  # ladder links of both ladders, by value
     det = {
         key: [route_poly(series, members, n, "determinant") for n in range(series.order + 1)]
         for key, (series, members) in routes.items()
@@ -342,12 +349,12 @@ def run_properties(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[Prop
         (
             "ladder-series",
             "D_q P_n = [n]_q P_(n-1) for built-ins and all ordered pairs (series route)",
-            all(_ladder_ok(fam.polys(fam.order), fam.ctx) for fam, _ in routes.values()),
+            all(_ladder_ok(fam.polys(fam.order), fam.ctx, links) for fam, _ in routes.values()),
         ),
         (
             "ladder-determinant",
             "the same ladder along determinant-constructed sequences",
-            all(_ladder_ok(det[key], fam.ctx) for key, (fam, _) in routes.items()),
+            all(_ladder_ok(det[key], fam.ctx, links) for key, (fam, _) in routes.items()),
         ),
         (
             "cross-method",

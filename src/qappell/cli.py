@@ -314,7 +314,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     specs = _specs(args)
     if args.degrees:
         try:
-            degrees = [int(s) for s in args.degrees.split(",") if s.strip()]
+            # a repeated degree is one column, in text and csv as in json
+            degrees = list(dict.fromkeys(int(s) for s in args.degrees.split(",") if s.strip()))
         except ValueError as exc:
             raise CliError(f"bad --degrees list {args.degrees!r}") from exc
         if not degrees:

@@ -112,10 +112,12 @@ class AppellFamily:
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
     the (c, d, s) of a beta-defined built-in, else as reciprocal(beta).  Such
     a built-in forms its beta on first read too.  Polynomials are kept per
-    degree in the same way, and the ``determinant`` family once.
+    degree in the same way, the ``determinant`` family once, and each
+    ``iterate2`` with this family as the basis once per weight polynomial.
     """
 
-    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_det")
+    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_det",
+                 "_iterates")
 
     def __init__(self, ctx: QContext, beta: ESeq, label: str, numbers: Optional[ESeq] = None):
         if beta.ctx.q != ctx.q or (numbers is not None and numbers.ctx.q != ctx.q):
@@ -134,6 +136,7 @@ class AppellFamily:
         self.ctx, self.order, self.label, self.affine = ctx, order, label, affine
         self._beta, self._numbers, self._det = beta, numbers, None
         self._polys: dict[int, QPoly] = {}
+        self._iterates: dict[tuple[int, QPoly], QPoly] = {}  # iterate2 on this basis
         return self
 
     @property
@@ -394,15 +397,19 @@ def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
 
     Its weights are the coefficients N_k/D of P^I_n, each reduced by one gcd,
     so it is the umbral composition of the first family's polynomials with
-    the second's: x^k in P^I_n is replaced by P^II_k.
+    the second's: x^k in P^I_n is replaced by P^II_k.  It reads only P^I_n and fam_ii's
+    members, so it is kept on fam_ii by (n, P^I_n): equal weights (D = A) share one member.
     """
     first = fam_i.poly(n)
-    rows = []
-    for c, p in zip(first.nums, fam_ii.polys(n)):
-        if c:
-            g = gcd(c, first.den)
-            rows.append((c // g, first.den // g * p.den, p.nums))
-    return QPoly.from_ints(*lincomb_ints(rows))
+    got = fam_ii._iterates.get((n, first))
+    if got is None:
+        rows = []
+        for c, p in zip(first.nums, fam_ii.polys(n)):
+            if c:
+                g = gcd(c, first.den)
+                rows.append((c // g, first.den // g * p.den, p.nums))
+        got = fam_ii._iterates[n, first] = QPoly.from_ints(*lincomb_ints(rows))
+    return got
 
 
 def apply_operator(coeffs: ESeq, p: QPoly) -> QPoly:

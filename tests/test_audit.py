@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -13,9 +14,11 @@ from qappell.audit import (
     run_properties,
     run_verify,
 )
-from qappell.families import FamilySpec
+from qappell.families import FamilySpec, iterate2, route_poly
 from qappell.qcore import lincomb
 from qappell.series import ESeq
+
+B, E = FamilySpec.builtin("bernoulli"), FamilySpec.builtin("euler")
 
 EXPECTED_TYPO_IDS = {
     "family-polys:genocchi:3",
@@ -382,6 +385,74 @@ class TestProperties:
         assert sorted(products) == sorted(
             (a, b) for a in families.BUILTIN_NAMES for b in families.BUILTIN_NAMES
         )
+
+
+class TestReuse:
+    """The suite forms each distinct 2-iterate and ladder link once, by value."""
+
+    @pytest.mark.parametrize("order", [8, 12])
+    def test_each_distinct_iterate_and_link_is_formed_once(self, monkeypatch, order):
+        calls = Counter()
+        real_lincomb, real_derive = families.lincomb_ints, audit.q_derive
+
+        def counting_lincomb(rows):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return real_lincomb(rows)
+
+        def counting_derive(p, ctx):
+            calls["q_derive"] += 1
+            return real_derive(p, ctx)
+
+        monkeypatch.setattr(families, "lincomb_ints", counting_lincomb)
+        monkeypatch.setattr(audit, "q_derive", counting_derive)
+        singles, pairs = _families(QContext(F(1, 2)), order)
+        run_properties(singles, pairs)
+        formed = calls.copy()
+        # the keys, read back from the kept members: (basis, n, P^I_n) for the
+        # umbral and determinant 2-iterates, (n, P_n, P_(n-1)) for both ladders
+        iterates = {
+            (id(basis), n, weights.poly(n))
+            for _, (first, basis) in pairs.values()
+            for weights in (first, first.determinant)
+            for n in range(first.order + 1)
+        }
+        links = set()
+        routes = {**{name: (fam, (fam,)) for name, fam in singles.items()}, **pairs}
+        for series, members in routes.values():
+            det = [route_poly(series, members, n, "determinant") for n in range(series.order + 1)]
+            for polys in (series.polys(series.order), det):
+                links.update((n, polys[n], polys[n - 1]) for n in range(1, len(polys)))
+        assert formed["iterate2"] == len(iterates)
+        assert formed["q_derive"] == len(links)
+        # each pair's determinant 2-iterate is its umbral one, as D = A, so
+        # it adds no key to the umbral ones
+        assert len(iterates) <= sum(first.order + 1 for _, (first, _) in pairs.values())
+
+    def test_equal_weights_share_one_iterate(self):
+        ctx = QContext("1/2")
+        fam, basis = resolve(E, ctx, 6), resolve(B, ctx, 6)
+        for n in range(7):
+            assert iterate2(fam.determinant, basis, n) is iterate2(fam, basis, n)
+
+    def test_a_skewed_determinant_iterate_is_formed_afresh(self, monkeypatch):
+        monkeypatch.setattr(families, "hessenberg_dets", _bump_tau(2)(families.hessenberg_dets))
+        ctx = QContext("1/2")
+        fam, basis = resolve(E, ctx, 6), resolve(B, ctx, 6)
+        umbral = [iterate2(fam, basis, n) for n in range(7)]
+        for n in range(2, 7):
+            fresh = resolve(B, ctx, 6)
+            assert not fresh._iterates
+            got = iterate2(fam.determinant, basis, n)
+            assert got != umbral[n]
+            assert got == iterate2(fam.determinant, fresh, n)
+
+    def test_a_ladder_link_is_keyed_by_its_degree(self):
+        # the pair (P_1, P_0) holds at n = 1 but not at n = 2, where [2]_q enters
+        ctx = QContext("1/2")
+        links = {}
+        p0, p1 = resolve(B, ctx, 1).polys(1)
+        assert audit._ladder_ok([p0, p1], ctx, links)
+        assert not audit._ladder_ok([QPoly.zero(), p0, p1], ctx, links)
 
 
 class TestReport:

@@ -503,6 +503,15 @@ class TestSample:
         code, _, err = run_cli(capsys, *self.SAMPLE_ARGS, "--degrees", "1,-1")
         assert (code, err) == (2, "error: degrees must be >= 0\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_a_repeated_degree_is_one_column(self, capsys, fmt):
+        # json keys its columns by degree, so text and csv list each degree once too
+        args = (*self.SAMPLE_ARGS, "--steps", "3", "--format", fmt, "--degrees")
+        code, out, err = run_cli(capsys, *args, "2,3,2,3")
+        assert (code, out, err) == (0, *run_cli(capsys, *args, "2,3")[1:])
+        if fmt != "json":
+            assert out.splitlines()[0] == "x,p2(x),p3(x)"
+
 
 class TestVerify:
     def test_exit_zero_and_summary(self, capsys):
