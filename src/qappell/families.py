@@ -9,15 +9,15 @@ so P_n(0) = A_n and D_q P_n = [n]_q P_{n-1} holds for any number
 sequence.  The companion beta sequence is the reciprocal of the numbers
 under the q-binomial convolution; it drives the determinant construction
 and the inversion identities.  A family is held by its beta, and its
-numbers are computed from it on first read; the first three built-ins
-below are held by their three constants, and form their beta on first read
-too.  Each member is built from the integer Gauss rows of
-``QContext.gauss_row``.  The 2-iterated
-and mixed families come from A_I(t) A_II(t), so their beta is beta^I * beta^II
-and their numbers are its reciprocal.  The first three built-ins have betas
-affine in e_q(t) and (e_q(t) - 1)/t: their numbers follow a q-binomial
-recurrence with small weights, and for a pair of them beta^I * beta^II has a
-closed form in the Galois numbers; other pairs convolve the betas.
+numbers are one reciprocal of it, computed on first read.  The 2-iterated
+and mixed families come from A_I(t) A_II(t), so their beta is beta^I * beta^II.
+The first three built-ins below have betas affine in e_q(t) and
+(e_q(t) - 1)/t, so they and their nine pairs are held by their constants
+instead: their numbers follow one q-binomial recurrence on the integer
+weights W = t^v beta (v = 1 for a single, 2 for a pair, whose W has a
+closed form in the Galois numbers), and they form their beta on first read
+too.  Other pairs convolve the betas.  Each member is built from the
+integer Gauss rows of ``QContext.gauss_row``.
 
 Built-ins
 ---------
@@ -110,10 +110,11 @@ class AppellFamily:
 
     The numbers are computed on first read and kept, unless the family was
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
-    the (c, d, s) of a beta-defined built-in, else as reciprocal(beta).  Such
-    a built-in forms its beta on first read too.  Polynomials are kept per
-    degree in the same way, the ``determinant`` family once, and each
-    ``iterate2`` with this family as the basis once per weight polynomial.
+    the (c, d, s) of a beta-defined built-in or the two triples of a pair of
+    them, else as reciprocal(beta).  Such a family forms its beta on first
+    read too.  Polynomials are kept per degree in the same way, the
+    ``determinant`` family once, and each ``iterate2`` with this family as the
+    basis once per weight polynomial.
     """
 
     __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_det",
@@ -142,10 +143,15 @@ class AppellFamily:
     @property
     def beta(self) -> ESeq:
         if self._beta is None:
-            c, d, s = self.affine
-            qn = self.ctx.q_number
-            rest = [d + s / qn(m + 1) if s else d for m in range(1, self.order + 1)]
-            self._beta = ESeq(self.ctx, [c + d + s, *rest])
+            qn, b = self.ctx.q_number, self.ctx.q.denominator
+            if len(self.affine) == 2:  # beta_n = W_(n+2)/([n+2]_q [n+1]_q)
+                scale, w, lam = _pair_weights(self.ctx, self.order, *self.affine)
+                beta = [Fraction(w[j], scale * b ** lam[j]) / (qn(j) * qn(j - 1))
+                        for j in range(2, self.order + 3)]
+            else:
+                c, d, s = self.affine
+                beta = [c + d + s] + [d + s / qn(m) if s else d for m in range(2, self.order + 2)]
+            self._beta = ESeq(self.ctx, beta)
         return self._beta
 
     @property
@@ -220,53 +226,60 @@ _AFFINE = {"bernoulli": (0, 0, 1), "euler": (_HALF, _HALF, 0), "genocchi-det": (
 
 
 def _affine_numbers(ctx: QContext, order: int, affine: tuple) -> ESeq:
-    """The numbers of an ``_AFFINE`` built-in by their own q-binomial recurrence.
-
-    w(t) = t beta(t) = c t + d t e_q(t) + s (e_q(t) - 1), so w_0 = 0, w_j = c [j = 1] + d [j]_q
-    + s, and A(t) w(t) = t gives A_(n-1) w_1 [n]_q = [n = 1] - sum_(k<n-1) C(n,k)_q w_(n-k) A_k
-    (Carlitz 1948).  For q = a/b, C(n,k)_q = G(n,k)/b^(k(n-k)), G(n,k) = b^(n-k) G(n-1,k-1)
-    + a^k G(n-1,k), [j]_q = v_j/b^(j-1) and w_j = W_j/(b^(j-1) scale), or W_j/scale if d = 0.
-    Each A_k = M_k/(b^(e_k) L) over L, the lcm of the cofactors so far: a row sum raises its
-    b-exponent as it goes, one gcd against its cofactor L v_n W_1 gives A_(n-1) as one
-    ``Fraction``, and when L grows, every M_k grows with it.
+    """The numbers of a family held by integer weights W_j = V_j/(b^(lam_j) scale), q = a/b,
+    zero for j < v, by their q-binomial recurrence.  An ``_AFFINE`` built-in, affine = (c, d, s),
+    has W = t beta = c t + d t e_q(t) + s (e_q(t) - 1), so W_j = c [j = 1] + d [j]_q + s and v = 1;
+    a pair of them, affine = their two triples, has W = t^2 beta^I beta^II by ``_pair_weights``
+    and v = 2.  A(t) W(t) = t^v gives A_m C(m+v,m)_q W_v = [m = 0] [v]_q! - sum_(k<m) C(m+v,k)_q
+    W_(m+v-k) A_k (Carlitz 1948), where C(n,k)_q = G(n,k)/b^(k(n-k)), G(n,k) = b^(n-k)
+    G(n-1,k-1) + a^k G(n-1,k) and [j]_q = v_j/b^(j-1).  Each A_k = M_k/(b^(e_k) L) over L, the
+    lcm of the cofactors so far: a row sum raises its b-exponent as it goes, one gcd against its
+    cofactor L G(m+v,m) V_v gives A_m as one ``Fraction``, and when L grows, every M_k grows too.
     """
-    scale = lcm(*(Fraction(x).denominator for x in affine))
-    cc, dd, ss = (int(x * scale) for x in affine)
     a, b = ctx.q.numerator, ctx.q.denominator
-    apow, bpow = [a**k for k in range(order + 2)], [b**k for k in range(order + 2)]
-    v = [(y - x) // (b - a) for x, y in zip(apow, bpow)]
-    lift = 1 if dd else 0  # w_j's b-exponent is lift (j - 1)
-    w = [0, cc + dd + ss] + [ss * bpow[lift * j - lift] + dd * v[j] for j in range(2, order + 2)]
-    row, nums, exps, frame, out = [1], [], [], 1, []
-    for n in range(1, order + 2):
+    apow, bpow = [a**k for k in range(order + 3)], [b**k for k in range(order + 3)]
+    vq = [(y - x) // (b - a) for x, y in zip(apow, bpow)]
+    if len(affine) == 2:
+        v, (scale, w, lam) = 2, _pair_weights(ctx, order, *affine)
+    else:
+        scale = lcm(*(Fraction(x).denominator for x in affine))
+        cc, dd, ss = (int(x * scale) for x in affine)
+        lift = 1 if dd else 0  # w_j's b-exponent is lift (j - 1)
+        v, lam = 1, [lift * (j - 1) for j in range(order + 2)]
+        w = [0, cc + dd + ss] + [ss * bpow[lam[j]] + dd * vq[j] for j in range(2, order + 2)]
+    unit = vq[v] * bpow[lam[v] - v + 1] * scale  # [v]_q! b^(lam_v) scale, as v <= 2
+    row, nums, exps, frame, out = [1] * v, [], [], 1, []  # row: G(v-1, .)
+    for n in range(v, order + v + 1):
         row = [1, *(bpow[n - k] * row[k - 1] + apow[k] * row[k] for k in range(1, n)), 1]
-        top, acc = n - 1, 0 if n > 1 else -scale
-        for k in range(n - 1):
-            e = k * (n - k) + lift * (n - k - 1) + exps[k]
+        m, low = n - v, (n - v) * v + lam[v]  # low: the b-exponent of C(n,m)_q W_v
+        top, acc = low, 0 if m else -unit
+        for k in range(m):
+            e = k * (n - k) + lam[n - k] + exps[k]
             t = row[k] * w[n - k] * nums[k]
             if e > top:
                 acc, top = acc * b ** (e - top) + t, e
             else:
                 acc += t * b ** (top - e)
-        g = gcd(acc, frame * v[n] * w[1])
-        num, den = -acc // g, frame * v[n] * w[1] // g
+        cof = frame * row[m] * w[v]
+        g = gcd(acc, cof)
+        num, den = -acc // g, cof // g
         grow = den // gcd(frame, den)  # lcm(L, den) = L grow
         if grow > 1:
             nums, frame = [x * grow for x in nums], frame * grow
         nums.append(num * (frame // den))
-        exps.append(top - n + 1)
+        exps.append(top - low)
         out.append(Fraction(num, b ** exps[-1] * den))
     return ESeq(ctx, out)
 
 
-def _pair_beta(ctx: QContext, order: int, one: tuple, two: tuple) -> ESeq:
-    """The beta of the product of two ``_AFFINE`` built-ins, with E = (e - 1)/t:
-    k0 + k1 e + k2 E + k3 e^2 + k4 (e^2 - 1)/t + k5 (e - 1)^2/t^2.  e^2 has the Galois
-    numbers G_n = sum_k C(n,k)_q as coefficients, and /t maps h_n to h_(n+1)/[n+1]_q,
-    so beta_n = k0 [n = 0] + k1 + k3 G_n + (k2 + k4 G_(n+1))/[n+1]_q + k5 (G_(n+2) - 2)
-    /([n+1]_q [n+2]_q).  For q = a/b, g_n = b^floor(n^2/4) G_n are integers, with
-    g_(n+1) = 2 b^floor((n+1)/2) g_n + (a^n - b^n) g_(n-1) (Goldman & Rota 1970), and
-    [n]_q = u_n/(b^(n-1) (b - a)) with u_n = b^n - a^n, so beta_n is one ``Fraction``.
+def _pair_weights(ctx: QContext, order: int, one: tuple, two: tuple) -> tuple[int, list, list]:
+    """(scale, V, lam) with W_j = [j]_q [j-1]_q beta_(j-2) = V_j/(b^(lam_j) scale), zero for j < 2,
+    for the product of two ``_AFFINE`` built-ins.  With E = (e - 1)/t, beta = k0 + k1 e + k2 E
+    + k3 e^2 + k4 (e^2 - 1)/t + k5 (e - 1)^2/t^2.  e^2 has the Galois numbers G_n = sum_k
+    C(n,k)_q as coefficients, and /t maps h_n to h_(n+1)/[n+1]_q, so beta_n = k0 [n = 0] + k1
+    + k3 G_n + (k2 + k4 G_(n+1))/[n+1]_q + k5 (G_(n+2) - 2)/([n+1]_q [n+2]_q).  For q = a/b,
+    g_n = b^floor(n^2/4) G_n are integers, with g_(n+1) = 2 b^floor((n+1)/2) g_n + (a^n - b^n)
+    g_(n-1) (Goldman & Rota 1970), and [n]_q = v_n/b^(n-1) with v_n = (b^n - a^n)/(b - a).
     """
     (c, d, s), (c2, d2, s2) = one, two
     k = (c * c2, c * d2 + d * c2, (c - d) * s2 + s * (c2 - d2), d * d2, d * s2 + s * d2, s * s2)
@@ -277,15 +290,14 @@ def _pair_beta(ctx: QContext, order: int, one: tuple, two: tuple) -> ESeq:
     g = [1, 2]
     for j in range(1, order + 2):
         g.append(2 * b ** ((j + 1) // 2) * g[j] - u[j] * g[j - 1])
-    beta = []
-    for n in range(order + 1):  # all over b^floor((n+2)^2/4) u_(n+1) u_(n+2)
+    weights = [0, 0]
+    for n in range(order + 1):  # beta_n = V_(n+2)/(b^floor((n+2)^2/4) v_(n+1) v_(n+2) scale)
         top = b ** ((n + 2) ** 2 // 4)
         x = (k0 * (n == 0) + k1) * top + k3 * g[n] * b ** (n + 1)
         y = k2 * top + k4 * g[n + 1] * b ** ((n + 2) // 2)
-        z = k5 * (g[n + 2] - 2 * top) * b ** (n + 1) * (b - a)
-        num = (x * u[n + 1] + y * b**n * (b - a)) * u[n + 2] + z * b**n * (b - a)
-        beta.append(Fraction(num, scale * top * u[n + 1] * u[n + 2]))
-    return ESeq(ctx, beta)
+        z = k5 * (g[n + 2] - 2 * top) * b ** (n + 1)
+        weights.append((x * (u[n + 1] // (b - a)) + y * b**n) * (u[n + 2] // (b - a)) + z * b**n)
+    return scale, weights, [0, 0, *(2 * n + 1 + (n + 2) ** 2 // 4 for n in range(order + 1))]
 
 
 def genocchi_table_numbers(ctx: QContext, order: int = GENOCCHI_TABLE_MAX_ORDER) -> ESeq:
@@ -334,13 +346,15 @@ def product_family(a: AppellFamily, b: AppellFamily) -> AppellFamily:
     """The family generated by the product of two determining functions.
 
     Reciprocals multiply, so its beta is the convolution of the factors'
-    betas, in closed form when both are ``_AFFINE`` built-ins, and its numbers
-    are one reciprocal of that, read on demand; the factors' numbers are
-    never read.
+    betas and its numbers are one reciprocal of that, read on demand.  A pair
+    of ``_AFFINE`` built-ins is held by their two triples instead: its numbers
+    come from ``_affine_numbers`` and its beta from the closed form of
+    ``_pair_weights``, each on first read.  The factors' numbers are never read.
     """
-    closed = a.affine and b.affine and (a.order, a.ctx.q) == (b.order, b.ctx.q)
-    beta = _pair_beta(a.ctx, a.order, a.affine, b.affine) if closed else convolve(a.beta, b.beta)
-    return AppellFamily(a.ctx, beta, f"{a.label}*{b.label}")
+    label, pair = f"{a.label}*{b.label}", (a.affine, b.affine)
+    if (a.order, a.ctx.q) == (b.order, b.ctx.q) and all(x and len(x) == 3 for x in pair):
+        return object.__new__(AppellFamily)._setup(a.ctx, a.order, label, pair, None, None)
+    return AppellFamily(a.ctx, convolve(a.beta, b.beta), label)
 
 
 def pair_family(

@@ -363,6 +363,22 @@ class TestProperties:
         assert report.exit_code == 1
         assert "  [FAIL] reciprocal-orthogonality: " in report.to_text()
 
+    def test_wrong_pair_numbers_fail_cross_method(self, monkeypatch):
+        # a pair's numbers come from the recurrence on W = w^I w^II, while its
+        # determinant, operator and umbral routes are built from the factors
+        real = families._affine_numbers
+
+        def skewed(ctx, order, affine):
+            got = real(ctx, order, affine)
+            if len(affine) != 2 or order < 3:
+                return got
+            return ESeq(ctx, got.coeffs[:3] + (got.coeffs[3] + 1,) + got.coeffs[4:])
+
+        monkeypatch.setattr(families, "_affine_numbers", skewed)
+        report = run_verify(F(1, 2), 8)
+        assert report.exit_code == 1
+        assert "  [FAIL] cross-method: " in report.to_text()
+
     def test_verify_resolves_each_family_once(self, monkeypatch):
         resolved, products = [], []
         real_resolve, real_product = families.resolve, families.product_family

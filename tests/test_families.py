@@ -322,8 +322,10 @@ class TestBetaOnFirstRead:
             fam.numbers, fam.poly(12), fam.truncated(5).poly(5)
             assert fam._beta is None  # euler's beta needs no q-number, so look too
             for other in (B, E, GD):
-                # the closed-form pair beta; its reciprocal reads q-factorials
-                pair_family(spec, other, ctx, 12)
+                # a pair's numbers come from the same recurrence, on W = w^I w^II
+                pair = pair_family(spec, other, ctx, 12)
+                pair.numbers, pair.poly(12)
+                assert pair._beta is None
                 iterate2(fam, resolve(other, ctx, 12), 12)
         monkeypatch.undo()
         with pytest.raises(AssertionError, match="q_number called"):
@@ -352,10 +354,24 @@ class TestBetaOnFirstRead:
             assert early.numbers == late.numbers == fam.numbers.truncated(5)
             assert early.affine == late.affine == fam.affine
 
+    def test_pair_beta_on_first_read(self, ctx_half):
+        fam = pair_family(B, E, ctx_half, 8)
+        early = fam.truncated(5)  # cut before beta is read
+        fam.numbers, early.numbers
+        assert fam._beta is None and early._beta is None
+        beta = fam.beta
+        assert beta is fam.beta
+        assert beta == convolve(resolve(B, ctx_half, 8).beta, resolve(E, ctx_half, 8).beta)
+        late = fam.truncated(5)  # cut after: the coefficients already formed
+        assert all(x is y for x, y in zip(late.beta, beta))
+        assert early.beta == late.beta == beta.truncated(5) == pair_family(B, E, ctx_half, 5).beta
+        assert early.numbers == late.numbers == fam.numbers.truncated(5)
+        assert early.affine == late.affine == fam.affine
+
 
 class TestAffineNumbers:
-    """The numbers of the beta-defined built-ins come from their own
-    q-binomial recurrence; ``reciprocal(beta)`` is the oracle."""
+    """The numbers of the beta-defined built-ins and of their nine pairs come
+    from one q-binomial recurrence; ``reciprocal(beta)`` is the oracle."""
 
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 24])
     @pytest.mark.parametrize(
@@ -378,20 +394,53 @@ class TestAffineNumbers:
         fam = resolve(FamilySpec.builtin(name), QContext(q), order)
         assert fam.numbers == reciprocal(fam.beta)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 24])
+    @pytest.mark.parametrize(
+        "qs", ["1/2", "5/11", "9/10", "5/6", "2/9", "999/1000", "1/1000000000"]
+    )
+    def test_pairs_match_the_reciprocal_and_the_convolution(self, qs, order):
+        # a pair of beta-defined built-ins runs the same recurrence on
+        # W = w^I w^II = t^2 beta^I beta^II, with v = 2
+        ctx = QContext(qs)
+        singles = [resolve(FamilySpec.builtin(name), ctx, order) for name in NAMES_BY_BETA]
+        for fa in singles:
+            for fb in singles:
+                pair = product_family(fa, fb)
+                assert pair.affine == (fa.affine, fb.affine)
+                got = families._affine_numbers(ctx, order, pair.affine)
+                assert all(type(c) is F for c in got)
+                assert got == reciprocal(pair.beta) == convolve(fa.numbers, fb.numbers)
+                assert pair.numbers == got
+
+    @given(
+        q=q_values(),
+        names=st.tuples(*[st.sampled_from(["bernoulli", "euler", "genocchi-det"])] * 2),
+        order=st.integers(0, 16),
+    )
+    def test_pairs_match_the_reciprocal_at_any_q(self, q, names, order):
+        pair = pair_family(*(FamilySpec.builtin(name) for name in names), QContext(q), order)
+        assert pair.numbers == reciprocal(pair.beta)
+
     def test_only_beta_defined_builtins_take_the_recurrence(self, monkeypatch, ctx_half):
+        # singles and their nine pairs; a pair with genocchi-table or a custom
+        # beta takes reciprocal
         singles = [resolve(spec, ctx_half, 5) for spec in (B, E, GD)]
+        pairs = [pair_family(x, y, ctx_half, 5) for x in (B, E, GD) for y in (B, E, GD)]
         bern = singles[0]
         others = [
-            pair_family(B, E, ctx_half, 5),
+            pair_family(B, GT, ctx_half, 4),
+            pair_family(GT, E, ctx_half, 4),
+            product_family(bern, custom("beta", bern.beta)),
             custom("beta", bern.beta),
             AppellFamily(ctx_half, bern.beta, "bernoulli"),
         ]
         monkeypatch.setattr(families, "reciprocal", None)
-        assert [fam.numbers.order for fam in singles] == [5, 5, 5]
+        assert [fam.numbers.order for fam in singles + pairs] == [5] * 12
         monkeypatch.undo()
         monkeypatch.setattr(families, "_affine_numbers", None)
-        assert all(fam.numbers == bern.numbers for fam in others[1:])
-        assert others[0].numbers.order == 5
+        assert [fam.numbers.order for fam in others[:2]] == [4, 4]
+        assert all(fam.numbers == bern.numbers for fam in others[3:])
+        assert others[2].numbers == pairs[0].numbers
 
 
 def _product_numbers_oracle(a, b):
