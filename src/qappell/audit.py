@@ -300,11 +300,9 @@ def _ladder_ok(polys: list[QPoly], ctx: QContext, links: dict) -> bool:
     return True
 
 
-# each ordered pair as route_poly takes it: (series family, members)
-_Pairs = dict[tuple[str, str], tuple[AppellFamily, tuple[AppellFamily, ...]]]
-
-
-def _families(ctx: QContext, order: int) -> tuple[dict[str, AppellFamily], _Pairs]:
+def _families(
+    ctx: QContext, order: int
+) -> tuple[dict[str, AppellFamily], dict[tuple[str, str], AppellFamily]]:
     """Every built-in, resolved once at the order (genocchi-table at most 4),
     and every ordered pair at the lower of its two orders: the one family set
     that each phase of a verify reads."""
@@ -319,22 +317,23 @@ def _families(ctx: QContext, order: int) -> tuple[dict[str, AppellFamily], _Pair
     for a in BUILTIN_NAMES:
         for b in BUILTIN_NAMES:
             cap = min(singles[a].order, singles[b].order)
-            members = (singles[a].truncated(cap), singles[b].truncated(cap))
-            pairs[(a, b)] = (product_family(*members), members)
+            pairs[(a, b)] = product_family(singles[a].truncated(cap), singles[b].truncated(cap))
     return singles, pairs
 
 
-def run_properties(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[PropertyRecord]:
+def run_properties(
+    singles: dict[str, AppellFamily], pairs: dict[tuple[str, str], AppellFamily]
+) -> list[PropertyRecord]:
     """The exact whole-pipeline checks on a family set; every one must pass."""
-    routes = {**{name: (fam, (fam,)) for name, fam in singles.items()}, **pairs}
+    routes = {**singles, **pairs}
     links: dict[tuple[int, QPoly, QPoly], bool] = {}  # ladder links of both ladders, by value
     det = {
-        key: [route_poly(series, members, n, "determinant") for n in range(series.order + 1)]
-        for key, (series, members) in routes.items()
+        key: [route_poly(fam, n, "determinant") for n in range(fam.order + 1)]
+        for key, fam in routes.items()
     }
     iterated = {
-        key: [iterate2(fa, fb, n) for n in range(fa.order + 1)]
-        for key, (_, (fa, fb)) in pairs.items()
+        key: [iterate2(*pair.factors, n) for n in range(pair.order + 1)]
+        for key, pair in pairs.items()
     }
 
     properties = (
@@ -349,20 +348,20 @@ def run_properties(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[Prop
         (
             "ladder-series",
             "D_q P_n = [n]_q P_(n-1) for built-ins and all ordered pairs (series route)",
-            all(_ladder_ok(fam.polys(fam.order), fam.ctx, links) for fam, _ in routes.values()),
+            all(_ladder_ok(fam.polys(fam.order), fam.ctx, links) for fam in routes.values()),
         ),
         (
             "ladder-determinant",
             "the same ladder along determinant-constructed sequences",
-            all(_ladder_ok(det[key], fam.ctx, links) for key, (fam, _) in routes.items()),
+            all(_ladder_ok(det[key], fam.ctx, links) for key, fam in routes.items()),
         ),
         (
             "cross-method",
             "series, determinant, operator and umbral routes agree exactly",
             all(
-                route_poly(series, members, n, route) == det[key][n]
-                for key, (series, members) in routes.items()
-                for n in range(series.order + 1)
+                route_poly(fam, n, route) == det[key][n]
+                for key, fam in routes.items()
+                for n in range(fam.order + 1)
                 for route in ROUTES
                 if route != "determinant"
             )
@@ -375,7 +374,7 @@ def run_properties(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[Prop
                 r.is_zero
                 for name, fam in singles.items()
                 for n in range(1, min(6, fam.order) + 1)
-                for r in identity_residuals(fam, pairs[(name, name)][0], n)
+                for r in identity_residuals(fam, pairs[(name, name)], n)
             ),
         ),
         (
@@ -547,7 +546,9 @@ def _audit_zeros(
     ]
 
 
-def _exhibits(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[str]:
+def _exhibits(
+    singles: dict[str, AppellFamily], pairs: dict[tuple[str, str], AppellFamily]
+) -> list[str]:
     out: list[str] = []
     gd = singles["genocchi-det"]
     gtab = singles["genocchi-table"]
@@ -570,9 +571,9 @@ def _exhibits(singles: dict[str, AppellFamily], pairs: _Pairs) -> list[str]:
         ("q-Euler-Genocchi", "euler"),
     )
     for label, basis in recipes:
-        table_route = pairs[("genocchi-table", basis)][0]
+        table_route = pairs[("genocchi-table", basis)]
         for n in (1, 2):
-            det_route = route_poly(*pairs[("genocchi-det", basis)], n, "determinant")
+            det_route = route_poly(pairs[("genocchi-det", basis)], n, "determinant")
             out.append(
                 f"{label}, degree {n}: determinant recipe with the "
                 f"1/(2[i+1]_q) beta gives {poly_text(det_route)}; the "
@@ -590,7 +591,7 @@ def run_verify(q: Fraction, order: int = 8) -> VerifyReport:
     singles, pairs = _families(ctx, max(order, 4))
     properties = run_properties(singles, pairs)
     printed = {
-        key: pairs[tuple(family["pair"])][0]
+        key: pairs[tuple(family["pair"])]
         for key, family in fixture["families"].items()
         if ctx.q == Fraction(1, 2)
     }

@@ -133,20 +133,13 @@ def _specs(args: argparse.Namespace) -> tuple[FamilySpec, ...]:
         raise CliError(str(exc)) from exc
 
 
-def _label(specs: tuple[FamilySpec, ...]) -> str:
-    return "*".join(s.name for s in specs)
-
-
-def _resolve(
-    specs: tuple[FamilySpec, ...], ctx: QContext, order: int
-) -> tuple[AppellFamily, tuple[AppellFamily, ...]]:
-    """The series family and its members, each resolved once at the top order."""
+def _resolve(specs: tuple[FamilySpec, ...], ctx: QContext, order: int) -> AppellFamily:
+    """The family of the specs, a product for two, each resolved once at the top order."""
     try:
-        members = tuple(resolve(spec, ctx, order) for spec in specs)
+        members = [resolve(spec, ctx, order) for spec in specs]
     except FamilyError as exc:
         raise CliError(str(exc)) from exc
-    series = members[0] if len(members) == 1 else product_family(*members)
-    return series, members
+    return members[0] if len(members) == 1 else product_family(*members)
 
 
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
@@ -168,15 +161,15 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _header(ctx: QContext, specs: tuple[FamilySpec, ...], **fields) -> dict:
+def _header(fam: AppellFamily, **fields) -> dict:
     """The JSON payload of a family command: schema, q and family, then the fields."""
-    return {"schema": 1, "q": frac_str(ctx.q), "family": _label(specs), **fields}
+    return {"schema": 1, "q": frac_str(fam.ctx.q), "family": fam.label, **fields}
 
 
 def _family_results(
     args: argparse.Namespace, flag: str, order: int, floor: int, route, render
-) -> tuple[QContext, tuple[FamilySpec, ...], dict] | None:
-    """The context, the specs and every --method's result, or None after a divergence.
+) -> tuple[AppellFamily, dict] | None:
+    """The family and every --method's result, or None after a divergence.
 
     The order is checked against its floor and cap, and the families are
     resolved once at it.  route is ``route_poly`` or ``route_numbers``, called
@@ -188,15 +181,15 @@ def _family_results(
     if order < floor:
         raise CliError(f"{flag} must be >= {floor}" + (" for roots" if floor else ""))
     _check_cap(flag, order, MAX_ORDER)
-    series, members = _resolve(specs, ctx, order)
+    fam = _resolve(specs, ctx, order)
     methods = ROUTES if args.method == "all" else (args.method,)
-    results = {m: route(series, members, order, m) for m in methods}
+    results = {m: route(fam, order, m) for m in methods}
     if any(v != results[methods[0]] for v in results.values()):
         sys.stderr.write("cross-method divergence:\n")
         for m, v in results.items():
             sys.stderr.write(f"  {m}: {render(v)}\n")
         return None
-    return ctx, specs, results
+    return fam, results
 
 
 def cmd_numbers(args: argparse.Namespace) -> int:
@@ -205,16 +198,16 @@ def cmd_numbers(args: argparse.Namespace) -> int:
     )
     if run is None:
         return 2
-    ctx, specs, results = run
+    fam, results = run
     rows = list(enumerate(next(iter(results.values()))))
     if args.format == "json":
         numbers = [{"n": n, "exact": frac_str(v), "decimal": decimal_str(v)} for n, v in rows]
-        lines = [_json(_header(ctx, specs, numbers=numbers))]
+        lines = [_json(_header(fam, numbers=numbers))]
     elif args.format == "csv":
         lines = ["n,exact,decimal"]
         lines += [f"{n},{frac_str(v)},{decimal_str(v)}" for n, v in rows]
     else:
-        lines = [f"{_label(specs)} numbers at q = {frac_str(ctx.q)}"]
+        lines = [f"{fam.label} numbers at q = {frac_str(fam.ctx.q)}"]
         lines += [f"  n={n}: {frac_str(v)} = {decimal_str(v)}" for n, v in rows]
     _emit(args, lines)
     return 0
@@ -224,12 +217,11 @@ def cmd_poly(args: argparse.Namespace) -> int:
     run = _family_results(args, "-n", args.n, 0, route_poly, poly_text)
     if run is None:
         return 2
-    ctx, specs, results = run
+    fam, results = run
     p = next(iter(results.values()))
     if args.format == "json":
         payload = _header(
-            ctx,
-            specs,
+            fam,
             n=args.n,
             methods={
                 m: {"coeffs": [frac_str(c) for c in r.coeffs], "text": poly_text(r)}
@@ -257,7 +249,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     run = _family_results(args, "-n", args.n, 1, route_poly, poly_text)
     if run is None:
         return 2
-    ctx, specs, results = run
+    fam, results = run
     p = next(iter(results.values()))
     try:
         rs = roots.find_roots(p)
@@ -276,8 +268,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = _header(
-            ctx,
-            specs,
+            fam,
             n=args.n,
             poly=poly_text(p),
             real=[w for w in rs.real_roots],
@@ -337,7 +328,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _check_cap("--steps", args.steps, MAX_STEPS)
     if not xmin < xmax:
         raise CliError("--xmin must be < --xmax")
-    fam, _ = _resolve(specs, ctx, max(degrees))
+    fam = _resolve(specs, ctx, max(degrees))
     # the exact values as integers over one denominator each, rounded unreduced
     columns = {}
     for d in degrees:
@@ -346,7 +337,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     x_text = [ratio_str(x, grid) for x in xs]
     if args.format == "json":
         series = {str(d): columns[d] for d in degrees}
-        lines = [_json(_header(ctx, specs, x=x_text, series=series))]
+        lines = [_json(_header(fam, x=x_text, series=series))]
     else:
         # text and csv are the same table
         if len(degrees) == 1:

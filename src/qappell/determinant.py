@@ -36,7 +36,7 @@ So the determinant gives a q-Appell family with numbers D: with the monomial
 basis the w_j are its member's coefficients, and with another family's
 polynomials the member is their 2-iterate.  ``AppellFamily.determinant`` is
 that family, of the same beta; ``families.route_poly`` and ``route_numbers``
-read it.
+read it from the one family they take, or from a product's first factor.
 """
 
 from __future__ import annotations

@@ -10,14 +10,15 @@ sequence.  The companion beta sequence is the reciprocal of the numbers
 under the q-binomial convolution; it drives the determinant construction
 and the inversion identities.  A family is held by its beta, and its
 numbers are one reciprocal of it, computed on first read.  The 2-iterated
-and mixed families come from A_I(t) A_II(t), so their beta is beta^I * beta^II.
+and mixed families come from A_I(t) A_II(t): a product keeps its two
+factors, and its beta is beta^I * beta^II, formed on first read.
 The first three built-ins below have betas affine in e_q(t) and
 (e_q(t) - 1)/t, so they and their nine pairs are held by their constants
 instead: their numbers follow one q-binomial recurrence on the integer
 weights W = t^v beta (v = 1 for a single, 2 for a pair, whose W has a
 closed form in the Galois numbers), and they form their beta on first read
-too.  Other pairs convolve the betas.  Each member is built from the
-integer Gauss rows of ``QContext.gauss_row``.
+too.  Each member is built from the integer Gauss rows of
+``QContext.gauss_row``.
 
 Built-ins
 ---------
@@ -40,8 +41,9 @@ silently resolved.
 beta, or ``AppellFamily(ctx, reciprocal(numbers), label, numbers)`` from its
 numbers.  The 2-iterated member ``iterate2`` is one integer linear
 combination of the second family's polynomials, weighted by the coefficients
-of the first's.  ``route_poly`` forms a member by any of ``ROUTES``, for
-``--method`` and ``verify`` alike, and ``route_numbers`` reads its numbers by
+of the first's.  ``route_poly`` forms a member of one family by any of
+``ROUTES``, for ``--method`` and ``verify`` alike, reading a product's
+factors where a route needs them, and ``route_numbers`` reads its numbers by
 the same route.  The determinant route is a family too: ``determinant`` keeps
 the same beta with the numbers read off the determinant, so its members and
 their 2-iterates are built as any family's are.
@@ -55,7 +57,7 @@ from typing import NamedTuple, Optional
 
 from .determinant import hessenberg_dets
 from .qcore import QContext, QPoly, lincomb, lincomb_ints
-from .series import ESeq, convolve, reciprocal
+from .series import ESeq, _check_compatible, convolve, reciprocal
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -111,14 +113,15 @@ class AppellFamily:
     The numbers are computed on first read and kept, unless the family was
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
     the (c, d, s) of a beta-defined built-in or the two triples of a pair of
-    them, else as reciprocal(beta).  Such a family forms its beta on first
-    read too.  Polynomials are kept per degree in the same way, the
-    ``determinant`` family once, and each ``iterate2`` with this family as the
-    basis once per weight polynomial.
+    them, else as reciprocal(beta).  A product of two families keeps them as
+    its ``factors`` (empty otherwise), and forms its beta beta^I * beta^II on
+    first read, as an ``affine`` single does its own.  Polynomials are kept
+    per degree in the same way, the ``determinant`` family once, and each
+    ``iterate2`` with this family as the basis once per weight polynomial.
     """
 
-    __slots__ = ("ctx", "order", "label", "affine", "_beta", "_numbers", "_polys", "_det",
-                 "_iterates")
+    __slots__ = ("ctx", "order", "label", "affine", "factors", "_beta", "_numbers", "_polys",
+                 "_det", "_iterates")
 
     def __init__(self, ctx: QContext, beta: ESeq, label: str, numbers: Optional[ESeq] = None):
         if beta.ctx.q != ctx.q or (numbers is not None and numbers.ctx.q != ctx.q):
@@ -131,11 +134,12 @@ class AppellFamily:
         self._setup(ctx, beta.order, label, None, beta, numbers)
 
     def _setup(self, ctx: QContext, order: int, label: str, affine: Optional[tuple],
-               beta: Optional[ESeq], numbers: Optional[ESeq]) -> "AppellFamily":
+               beta: Optional[ESeq], numbers: Optional[ESeq], factors: tuple = ()
+               ) -> "AppellFamily":
         """Set the fields, unchecked: ``__init__`` checks a custom family's
-        beta, while a built-in of ``_AFFINE`` and ``truncated`` need none."""
+        beta, while a built-in of ``_AFFINE``, a product and ``truncated`` need none."""
         self.ctx, self.order, self.label, self.affine = ctx, order, label, affine
-        self._beta, self._numbers, self._det = beta, numbers, None
+        self.factors, self._beta, self._numbers, self._det = factors, beta, numbers, None
         self._polys: dict[int, QPoly] = {}
         self._iterates: dict[tuple[int, QPoly], QPoly] = {}  # iterate2 on this basis
         return self
@@ -143,15 +147,12 @@ class AppellFamily:
     @property
     def beta(self) -> ESeq:
         if self._beta is None:
-            qn, b = self.ctx.q_number, self.ctx.q.denominator
-            if len(self.affine) == 2:  # beta_n = W_(n+2)/([n+2]_q [n+1]_q)
-                scale, w, lam = _pair_weights(self.ctx, self.order, *self.affine)
-                beta = [Fraction(w[j], scale * b ** lam[j]) / (qn(j) * qn(j - 1))
-                        for j in range(2, self.order + 3)]
+            if self.factors:
+                self._beta = convolve(*(f.beta for f in self.factors))
             else:
-                c, d, s = self.affine
+                (c, d, s), qn = self.affine, self.ctx.q_number
                 beta = [c + d + s] + [d + s / qn(m) if s else d for m in range(2, self.order + 2)]
-            self._beta = ESeq(self.ctx, beta)
+                self._beta = ESeq(self.ctx, beta)
         return self._beta
 
     @property
@@ -209,14 +210,16 @@ class AppellFamily:
 
     def truncated(self, order: int) -> "AppellFamily":
         """The same family at an order from 0 to its own; numbers and beta are
-        prefix-stable, so those already read are cut rather than recomputed."""
+        prefix-stable, so those already read are cut rather than recomputed,
+        and a product's factors are cut with it."""
         self._check_degree(order)
         if order == self.order:
             return self
         known = None if self._numbers is None else self._numbers.truncated(order)
         beta = None if self._beta is None else self._beta.truncated(order)
+        factors = tuple(f.truncated(order) for f in self.factors)
         return object.__new__(AppellFamily)._setup(
-            self.ctx, order, self.label, self.affine, beta, known
+            self.ctx, order, self.label, self.affine, beta, known, factors
         )
 
 
@@ -343,18 +346,21 @@ def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> Appe
 
 
 def product_family(a: AppellFamily, b: AppellFamily) -> AppellFamily:
-    """The family generated by the product of two determining functions.
+    """The family generated by the product of two determining functions,
+    which keeps a and b as its ``factors``.
 
     Reciprocals multiply, so its beta is the convolution of the factors'
-    betas and its numbers are one reciprocal of that, read on demand.  A pair
-    of ``_AFFINE`` built-ins is held by their two triples instead: its numbers
-    come from ``_affine_numbers`` and its beta from the closed form of
-    ``_pair_weights``, each on first read.  The factors' numbers are never read.
+    betas, formed on first read, and its numbers are one reciprocal of that.
+    A pair of ``_AFFINE`` built-ins is held by their two triples as well: its
+    numbers come from ``_affine_numbers``, without the factors' numbers.  The
+    factors must share q and order, as ``convolve`` requires.
     """
-    label, pair = f"{a.label}*{b.label}", (a.affine, b.affine)
-    if (a.order, a.ctx.q) == (b.order, b.ctx.q) and all(x and len(x) == 3 for x in pair):
-        return object.__new__(AppellFamily)._setup(a.ctx, a.order, label, pair, None, None)
-    return AppellFamily(a.ctx, convolve(a.beta, b.beta), label)
+    _check_compatible(a, b)
+    pair = (a.affine, b.affine)
+    affine = pair if all(x and len(x) == 3 for x in pair) else None
+    return object.__new__(AppellFamily)._setup(
+        a.ctx, a.order, f"{a.label}*{b.label}", affine, None, None, (a, b)
+    )
 
 
 def pair_family(
@@ -364,44 +370,36 @@ def pair_family(
     return product_family(resolve(spec_i, ctx, order), resolve(spec_ii, ctx, order))
 
 
-def route_poly(
-    series: AppellFamily, members: tuple[AppellFamily, ...], n: int, route: str
-) -> QPoly:
-    """The degree-n member of series by one of ``ROUTES``: its own polynomial,
+def route_poly(fam: AppellFamily, n: int, route: str) -> QPoly:
+    """The degree-n member of fam by one of ``ROUTES``: its own polynomial,
     the determinant sum_k C(n,k)_q D_(n-k) b_k(x) or the operator sum_k
-    (A_k/[k]_q!) D_q^k applied to b_n(x).  members is the family itself, with
-    b_k = x^k, or a pair's two factors: D and A come from the first, b_k is the
-    second's, so a pair's determinant member is ``iterate2`` with D for A^I."""
-    first, basis = members[0], members[-1]
-    if first.ctx.q != basis.ctx.q:
-        raise ValueError("families disagree on q")
-    first._check_degree(n)
-    single = len(members) == 1
+    (A_k/[k]_q!) D_q^k applied to b_n(x).  For a single family b_k = x^k and
+    D and A are its own; a product reads its factors: D and A come from the
+    first, b_k is the second's, so its determinant member is ``iterate2``
+    with D for A^I."""
+    fam._check_degree(n)
+    first, basis = fam.factors or (fam, None)
     if route == "series":
-        return series.poly(n)
+        return fam.poly(n)
     if route == "determinant":
-        return first.determinant.poly(n) if single else iterate2(first.determinant, basis, n)
+        return first.determinant.poly(n) if basis is None else iterate2(first.determinant, basis, n)
     if route == "operator":
-        return apply_operator(first.numbers, QPoly.monomial(n) if single else basis.poly(n))
+        return apply_operator(first.numbers, QPoly.monomial(n) if basis is None else basis.poly(n))
     raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
 
 
-def route_numbers(
-    series: AppellFamily, members: tuple[AppellFamily, ...], upto: int, route: str
-) -> list[Fraction]:
+def route_numbers(fam: AppellFamily, upto: int, route: str) -> list[Fraction]:
     """A_0..A_upto by one of ``ROUTES``, as ``route_poly``'s members read at 0,
-    without forming them: series.numbers, or the first's D (determinant) or A^I
-    (operator) for a single, convolved with A^II for a pair."""
-    first, basis = members[0], members[-1]
-    if first.ctx.q != basis.ctx.q:
-        raise ValueError("families disagree on q")
+    without forming them: fam.numbers, or the first factor's D (determinant) or
+    A^I (operator), convolved with A^II for a product."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
-    first._check_degree(upto)
+    fam._check_degree(upto)
     if route == "series":
-        return list(series.numbers[: upto + 1])
+        return list(fam.numbers[: upto + 1])
+    first, basis = fam.factors or (fam, None)
     head = (first.determinant if route == "determinant" else first).numbers
-    return list((head if len(members) == 1 else convolve(head, basis.numbers))[: upto + 1])
+    return list((head if basis is None else convolve(head, basis.numbers))[: upto + 1])
 
 
 def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
@@ -414,6 +412,8 @@ def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:
     the second's: x^k in P^I_n is replaced by P^II_k.  It reads only P^I_n and fam_ii's
     members, so it is kept on fam_ii by (n, P^I_n): equal weights (D = A) share one member.
     """
+    if fam_i.ctx.q != fam_ii.ctx.q:
+        raise ValueError("families disagree on q")
     first = fam_i.poly(n)
     got = fam_ii._iterates.get((n, first))
     if got is None:
@@ -463,6 +463,8 @@ def identity_residuals(
     with P2 the members of squared = product_family(fam, fam), the 2-iterated
     family.  Both must vanish; n=0 is a zero residual by convention.
     """
+    if fam.ctx.q != squared.ctx.q:
+        raise ValueError("families disagree on q")
     if n == 0:
         return QPoly.zero(), QPoly.zero()
     fam._check_degree(n)

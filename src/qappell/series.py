@@ -74,7 +74,9 @@ class ESeq:
         """alpha_k = c_k/[k]_q!, the coefficients of f(t) = sum alpha_k t^k;
         formed on first read and kept, for readers that come back to it."""
         if self._ordinary is None:
-            object.__setattr__(self, "_ordinary", _ordinary(self))
+            fact = self.ctx.q_factorial
+            alpha = tuple([c / fact(k) for k, c in enumerate(self.coeffs)])
+            object.__setattr__(self, "_ordinary", alpha)
         return self._ordinary
 
     def __getitem__(self, n: int) -> Fraction:
@@ -109,6 +111,7 @@ class ESeq:
 
 
 def _check_compatible(a: ESeq, b: ESeq) -> None:
+    """Equal q and order, of two sequences or two families alike."""
     if a.ctx.q != b.ctx.q:
         raise ValueError(f"mismatched q: {a.ctx.q} vs {b.ctx.q}")
     if a.order != b.order:
@@ -118,12 +121,6 @@ def _check_compatible(a: ESeq, b: ESeq) -> None:
 def unit(ctx: QContext, order: int) -> ESeq:
     """The constant function 1: coefficients (1, 0, ..., 0)."""
     return ESeq(ctx, (1,) + (0,) * order)
-
-
-def _ordinary(a: ESeq) -> tuple[Fraction, ...]:
-    """``a.ordinary`` without keeping it, for a one-time reader."""
-    fact = a.ctx.q_factorial
-    return a._ordinary or tuple([c / fact(k) for k, c in enumerate(a.coeffs)])
 
 
 def convolve(a: ESeq, b: ESeq) -> ESeq:
@@ -137,13 +134,12 @@ def convolve(a: ESeq, b: ESeq) -> ESeq:
 
 def reciprocal(a: ESeq) -> ESeq:
     """The unique b with convolve(a, b) = unit, by the triangular recursion,
-    each beta_n one ``dot`` scaled by -1/alpha_0.  A family reads its beta
-    here once, so the ordinary form is not kept."""
+    each beta_n one ``dot`` scaled by -1/alpha_0."""
     if a.coeffs[0] == 0:
         raise NonInvertibleError(
             "leading coefficient is zero; the sequence has no reciprocal"
         )
-    alpha = _ordinary(a)
+    alpha = a.ordinary
     minus_inv0 = -1 / alpha[0]
     beta = [-minus_inv0]
     for n in range(1, a.order + 1):

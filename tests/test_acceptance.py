@@ -84,7 +84,7 @@ def test_criterion_02_family_polys():
         for n in range(4):
             printed = printed_family_poly(ctx, key, n)
             assert fam.poly(n) == printed
-            assert route_poly(fam, (fam,), n, "determinant") == printed
+            assert route_poly(fam, n, "determinant") == printed
     bern = resolve(FamilySpec.builtin("bernoulli"), ctx, 3)
     assert bern.poly(2) == QPoly([F(2, 21), -1, 1])
 
@@ -187,7 +187,7 @@ def test_criterion_05_ladder():
             order = cap(name, 8)
             fam = resolve(FamilySpec.builtin(name), ctx, order)
             sequences.append((fam.polys(order),
-                              [route_poly(fam, (fam,), n, "determinant")
+                              [route_poly(fam, n, "determinant")
                                for n in range(order + 1)]))
         for a in BUILTINS:
             for b in BUILTINS:
@@ -196,7 +196,7 @@ def test_criterion_05_ladder():
                 fb = resolve(FamilySpec.builtin(b), ctx, order)
                 pf = product_family(fa, fb)
                 sequences.append((pf.polys(order),
-                                  [route_poly(pf, (fa, fb), n, "determinant")
+                                  [route_poly(pf, n, "determinant")
                                    for n in range(order + 1)]))
         for series_polys, det_polys in sequences:
             assert series_polys == det_polys

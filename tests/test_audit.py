@@ -219,8 +219,8 @@ class TestProperties:
         assert cli.route_poly is audit.route_poly is families.route_poly
         real = families.route_poly
 
-        def skewed(series, members, n, route):
-            got = real(series, members, n, route)
+        def skewed(fam, n, route):
+            got = real(fam, n, route)
             return lincomb([1, 1], [got, QPoly([1])]) if (route, n) == ("determinant", 2) else got
 
         for module in (cli, audit):
@@ -294,7 +294,7 @@ class TestProperties:
         monkeypatch.setattr(families, "hessenberg_dets", counting(
             families.hessenberg_dets, "rows", lambda beta: (id(beta), beta.order)))
         monkeypatch.setattr(audit, "route_poly", counting(
-            audit.route_poly, "dets", lambda series, members, n, route: (series.label, n, route)))
+            audit.route_poly, "dets", lambda fam, n, route: (fam.label, n, route)))
         monkeypatch.setattr(audit, "iterate2", counting(
             audit.iterate2, "iterates", lambda fa, fb, n: (fa.label, fb.label, n)))
         # identity_residuals would reach product_family through families
@@ -306,7 +306,7 @@ class TestProperties:
         # at most one tau build per family object, at its own order: the
         # four built-ins and the three first factors cut to order 4 for a pair
         # with genocchi-table
-        owners = {id(fam.beta): fam for _, members in pairs.values() for fam in members}
+        owners = {id(fam.beta): fam for pair in pairs.values() for fam in pair.factors}
         owners.update({id(fam.beta): fam for fam in singles.values()})
         rows = Counter(beta for beta, _ in built["rows"])
         assert set(rows.values()) == {1} and set(rows) <= set(owners)
@@ -428,21 +428,20 @@ class TestReuse:
         # umbral and determinant 2-iterates, (n, P_n, P_(n-1)) for both ladders
         iterates = {
             (id(basis), n, weights.poly(n))
-            for _, (first, basis) in pairs.values()
+            for first, basis in (pair.factors for pair in pairs.values())
             for weights in (first, first.determinant)
             for n in range(first.order + 1)
         }
         links = set()
-        routes = {**{name: (fam, (fam,)) for name, fam in singles.items()}, **pairs}
-        for series, members in routes.values():
-            det = [route_poly(series, members, n, "determinant") for n in range(series.order + 1)]
-            for polys in (series.polys(series.order), det):
+        for fam in [*singles.values(), *pairs.values()]:
+            det = [route_poly(fam, n, "determinant") for n in range(fam.order + 1)]
+            for polys in (fam.polys(fam.order), det):
                 links.update((n, polys[n], polys[n - 1]) for n in range(1, len(polys)))
         assert formed["iterate2"] == len(iterates)
         assert formed["q_derive"] == len(links)
         # each pair's determinant 2-iterate is its umbral one, as D = A, so
         # it adds no key to the umbral ones
-        assert len(iterates) <= sum(first.order + 1 for _, (first, _) in pairs.values())
+        assert len(iterates) <= sum(pair.order + 1 for pair in pairs.values())
 
     def test_equal_weights_share_one_iterate(self):
         ctx = QContext("1/2")

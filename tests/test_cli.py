@@ -386,14 +386,14 @@ class TestRoots:
 
         real, real_numbers = cli.route_poly, cli.route_numbers
 
-        def skewed(series, members, n, route):
+        def skewed(fam, n, route):
             if route == "operator" and n == 2:
                 return QPoly([1, 1])
-            return real(series, members, n, route)
+            return real(fam, n, route)
 
-        def skewed_numbers(series, members, upto, route):
+        def skewed_numbers(fam, upto, route):
             # numbers reads its own route; skew the same value, P_2(0) = 1
-            got = real_numbers(series, members, upto, route)
+            got = real_numbers(fam, upto, route)
             if route == "operator":
                 got[2] = 1
             return got

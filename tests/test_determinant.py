@@ -9,6 +9,7 @@ from qappell import (
     AppellFamily,
     QContext,
     QPoly,
+    identity_residuals,
     iterate2,
     pair_family,
     product_family,
@@ -122,9 +123,9 @@ def bareiss(rows):
 
 
 def det_route(*members, n):
-    """route_poly's determinant member of one family, or of a pair of factors."""
-    series = members[0] if len(members) == 1 else product_family(*members)
-    return route_poly(series, members, n, "determinant")
+    """route_poly's determinant member of one family, or of the product of two."""
+    fam = members[0] if len(members) == 1 else product_family(*members)
+    return route_poly(fam, n, "determinant")
 
 
 def drawn(seq):
@@ -176,18 +177,23 @@ class TestDetPoly:
         assert det_route(fam, fam, n=2) == QPoly([F(1, 8), F(-3, 2), 1])
 
     def test_pair_rejects_mismatched_q(self, ctx_half):
+        # every public function of two families refuses two q: a product at
+        # construction, so no route can read a pair of mismatched factors
         half = resolve(E, ctx_half, 2)
         third = resolve(B, QContext(F(1, 3)), 2)
-        for route in ROUTES:
+        for one, two in ((half, third), (third, half)):
+            with pytest.raises(ValueError, match="mismatched q: "):
+                product_family(one, two)
             with pytest.raises(ValueError, match="families disagree on q"):
-                route_poly(half, (half, third), 2, route)
-            with pytest.raises(ValueError, match="families disagree on q"):
-                route_poly(third, (third, half), 2, route)
+                iterate2(one, two, 2)
+            for n in (0, 2):
+                with pytest.raises(ValueError, match="families disagree on q"):
+                    identity_residuals(one, product_family(two, two), n)
 
     def test_unknown_route_is_refused(self, ctx_half):
         fam = resolve(E, ctx_half, 2)
         with pytest.raises(ValueError, match="unknown route 'umbral'"):
-            route_poly(fam, (fam,), 2, "umbral")
+            route_poly(fam, 2, "umbral")
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
@@ -195,11 +201,11 @@ class TestDetPoly:
     def test_every_route_checks_the_degree(self, ctx_half, route, pair, reader):
         # past the order or below 0, every route refuses with FamilyError
         fam = resolve(E, ctx_half, 3)
-        members = (fam, resolve(B, ctx_half, 3)) if pair else (fam,)
-        series = product_family(*members) if pair else fam
+        if pair:
+            fam = product_family(fam, resolve(B, ctx_half, 3))
         for n, match in ((4, "exceeds the truncation order 3"), (-1, ">= 0")):
             with pytest.raises(FamilyError, match=match):
-                reader(series, members, n, route)
+                reader(fam, n, route)
 
     def test_matches_series_route(self, ctx_half):
         for spec in (B, E, GD):
@@ -442,7 +448,7 @@ class TestWeightTable:
         for n in range(7):
             assert det_route(fam, n=n) == fam.poly(n)
             assert det_route(fam, fam, n=n) == iterate2(fam, fam, n)
-        assert route_numbers(fam, (fam,), 6, "determinant") == list(fam.numbers)
+        assert route_numbers(fam, 6, "determinant") == list(fam.numbers)
         assert built == [fam.beta]
 
     @pytest.mark.parametrize("q", [F(1, 2), F(5, 11), F(1, 1000)], ids=str)
@@ -484,8 +490,8 @@ class TestDeep:
         bern, euler, gdet = (resolve(s, ctx, n) for s in (B, E, GD))
         series = pair_family(B, E, ctx, n)
         start = time.perf_counter()
-        pair = route_poly(series, (bern, euler), n, "determinant")
-        plain = route_poly(gdet, (gdet,), n, "determinant")
+        pair = route_poly(series, n, "determinant")
+        plain = route_poly(gdet, n, "determinant")
         elapsed = time.perf_counter() - start
         assert pair == series.poly(n)
         assert pair == iterate2(bern, euler, n)
@@ -494,10 +500,9 @@ class TestDeep:
 
     def test_pair_numbers_at_order_96_match_series_route(self):
         ctx, n = QContext(F(5, 11)), 96
-        euler, bern = resolve(E, ctx, n), resolve(B, ctx, n)
         series = pair_family(E, B, ctx, n)
         start = time.perf_counter()
-        got = route_numbers(series, (euler, bern), n, "determinant")
+        got = route_numbers(series, n, "determinant")
         elapsed = time.perf_counter() - start
         assert got == list(series.numbers)
         assert elapsed < 3.0

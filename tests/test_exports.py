@@ -66,4 +66,4 @@ def test_readme_library_block_runs():
     assert (round(up.real, 4), round(up.imag, 4)) == (1.0897, 0.1112) and low == up.conjugate()
     assert ns["iterate2"](bern, ns["euler"], 3) == QPoly([F(379, 2880), F(79, 96), F(-49, 24), 1])
     assert ns["custom"].poly(2) == QPoly([F(1, 3), F(3, 4), 1])
-    assert ns["iterate2"](bern.truncated(2), ns["custom"], 2) == QPoly([F(-1, 14), F(-1, 4), 1])
+    assert ns["iterate2"](bern, ns["custom"], 2) == QPoly([F(-1, 14), F(-1, 4), 1])

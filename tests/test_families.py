@@ -21,7 +21,13 @@ from qappell import (
     unit,
 )
 from qappell import families
-from qappell.families import ROUTES, FamilyError, FamilySpec, GENOCCHI_TABLE_MAX_ORDER
+from qappell.families import (
+    ROUTES,
+    FamilyError,
+    FamilySpec,
+    GENOCCHI_TABLE_MAX_ORDER,
+    route_numbers,
+)
 from qappell.qcore import lincomb
 from qappell.series import ESeq, NonInvertibleError
 
@@ -367,6 +373,10 @@ class TestBetaOnFirstRead:
         assert early.beta == late.beta == beta.truncated(5) == pair_family(B, E, ctx_half, 5).beta
         assert early.numbers == late.numbers == fam.numbers.truncated(5)
         assert early.affine == late.affine == fam.affine
+        # the factors are cut with the product
+        for cut in (early, late):
+            assert [f.order for f in cut.factors] == [5, 5]
+            assert [f.label for f in cut.factors] == ["bernoulli", "euler"]
 
 
 class TestAffineNumbers:
@@ -475,6 +485,18 @@ class TestProductFamily:
         assert pair.numbers == _product_numbers_oracle(fa, fb)
         assert convolve(pair.numbers, pair.beta) == unit(a.ctx, a.order)
 
+    def test_a_product_keeps_its_factors_and_the_routes_read_them(self, ctx_half):
+        bern, euler = resolve(B, ctx_half, 6), resolve(E, ctx_half, 6)
+        pair = product_family(bern, euler)
+        assert pair.factors == (bern, euler)
+        assert bern.factors == bern.determinant.factors == custom("beta", bern.beta).factors == ()
+        # a product of a product routes through its own two factors
+        triple = product_family(pair, resolve(GD, ctx_half, 6))
+        for n in range(7):
+            assert [route_poly(triple, n, route) for route in ROUTES] == [triple.poly(n)] * 3
+        for route in ROUTES:
+            assert route_numbers(triple, 6, route) == list(triple.numbers)
+
 
 NAMES_BY_BETA = ("bernoulli", "euler", "genocchi-det")
 
@@ -492,21 +514,22 @@ def _counting_convolve(monkeypatch):
 
 
 class TestPairBetaClosedForm:
-    """The pair beta of two beta-defined built-ins comes from the Galois
-    numbers, not ``convolve``; ``convolve`` is the oracle."""
+    """The Galois-number closed form of two beta-defined built-ins, the
+    weights W = t^2 beta^I beta^II of ``_pair_weights``, feeds only the pair's
+    numbers recurrence; the reciprocal of ``convolve`` of the factors' betas
+    is the oracle."""
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 12, 40])
     @pytest.mark.parametrize("qs", ["1/2", "5/11", "9/10", "1/1000", "999/1000", "1/1000000000"])
-    def test_matches_convolve(self, monkeypatch, qs, order):
+    def test_matches_convolve(self, qs, order):
         ctx = QContext(qs)
         fams = [resolve(FamilySpec.builtin(name), ctx, order) for name in NAMES_BY_BETA]
-        oracle = [[convolve(fa.beta, fb.beta) for fb in fams] for fa in fams]
-        calls = _counting_convolve(monkeypatch)
-        for fa, row in zip(fams, oracle):
-            for fb, want in zip(fams, row):
-                got = product_family(fa, fb).beta
-                assert got == want and all(type(c) is F for c in got)
-        assert calls == []
+        for fa in fams:
+            for fb in fams:
+                pair = product_family(fa, fb)
+                got = pair.numbers
+                assert pair._beta is None and all(type(c) is F for c in got)
+                assert got == reciprocal(convolve(fa.beta, fb.beta))
 
     @given(
         q=q_values(),
@@ -515,27 +538,31 @@ class TestPairBetaClosedForm:
     )
     def test_matches_convolve_at_any_q(self, q, names, order):
         fa, fb = (resolve(FamilySpec.builtin(name), QContext(q), order) for name in names)
-        assert product_family(fa, fb).beta == convolve(fa.beta, fb.beta)
+        assert product_family(fa, fb).numbers == reciprocal(convolve(fa.beta, fb.beta))
 
-    def test_only_beta_defined_builtins_skip_convolve(self, monkeypatch, ctx_half):
+    def test_every_product_convolves_its_betas_on_first_read(self, monkeypatch, ctx_half):
         bern = resolve(B, ctx_half, 4)
         seq = ESeq(ctx_half, [F(1), F(1, 3), F(-1, 5), F(2), F(1, 7)])
         others = [
+            bern,
+            resolve(E, ctx_half, 8).truncated(4),
             resolve(GT, ctx_half, 4),
             custom("beta", seq),
             custom("numbers", seq),
             product_family(bern, bern),
             AppellFamily(ctx_half, bern.beta, "bernoulli"),
         ]
+        pairs = [(x, y) for fam in others for x, y in ((fam, bern), (bern, fam))]
         calls = _counting_convolve(monkeypatch)
-        for fam in others:
-            assert product_family(fam, bern).beta == product_family(bern, fam).beta
-        assert calls == [4] * 2 * len(others)
-        calls.clear()
-        short = resolve(E, ctx_half, 8).truncated(4)
-        assert short.affine == resolve(E, ctx_half, 4).affine is not None
-        assert product_family(short, bern).beta == convolve(short.beta, bern.beta)
-        assert calls == []
+        products = [product_family(x, y) for x, y in pairs]
+        assert calls == [] and all(p._beta is None for p in products)
+        for (x, y), p in zip(pairs, products):
+            assert p.factors == (x, y) and p.beta is p.beta
+        # one convolve per product, and one more for the product factor's own beta
+        assert calls == [4] * (len(products) + 1)
+        monkeypatch.undo()
+        for fam, one, two in zip(others, products[::2], products[1::2]):
+            assert one.beta == two.beta == convolve(fam.beta, bern.beta)
 
     def test_mismatched_orders_still_raise(self, ctx_half):
         with pytest.raises(ValueError, match="mismatched order"):
@@ -726,7 +753,7 @@ class TestOperator:
         series = product_family(fa, fb)
         for n in range(11):
             routes = [
-                *(route_poly(series, (fa, fb), n, route) for route in ROUTES),
+                *(route_poly(series, n, route) for route in ROUTES),
                 _operator_fraction_oracle(fa.numbers, fb.poly(n)),
                 iterate2(fa, fb, n),
                 lincomb(fa.determinant.poly(n).coeffs, fb.polys(n)),
