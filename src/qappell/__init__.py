@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("qcore", "QContext QPoly parse_q parse_rat q_derive"),
+        ("qcore", "QContext QPoly parse_rat q_derive"),
         ("series", "ESeq convolve reciprocal shift_up unit"),
         ("families", "AppellFamily FamilySpec resolve product_family pair_family iterate2"),
         ("families", "route_poly apply_operator identity_residuals"),

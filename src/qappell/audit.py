@@ -304,20 +304,15 @@ def _families(
     ctx: QContext, order: int
 ) -> tuple[dict[str, AppellFamily], dict[tuple[str, str], AppellFamily]]:
     """Every built-in, resolved once at the order (genocchi-table at most 4),
-    and every ordered pair at the lower of its two orders: the one family set
-    that each phase of a verify reads."""
+    and the product of every ordered pair of them, which keeps the two as its
+    factors and so is at the lower of their orders: the one family set that
+    each phase of a verify reads."""
     capped = {"genocchi-table": min(order, GENOCCHI_TABLE_MAX_ORDER)}
     singles = {
         name: resolve(FamilySpec.builtin(name), ctx, capped.get(name, order))
         for name in BUILTIN_NAMES
     }
-    for fam in singles.values():
-        fam.numbers  # read before truncating, so that the truncated copies cut them
-    pairs = {}
-    for a in BUILTIN_NAMES:
-        for b in BUILTIN_NAMES:
-            cap = min(singles[a].order, singles[b].order)
-            pairs[(a, b)] = product_family(singles[a].truncated(cap), singles[b].truncated(cap))
+    pairs = {(a, b): product_family(singles[a], singles[b]) for a in singles for b in singles}
     return singles, pairs
 
 

@@ -22,7 +22,7 @@ from .families import (
     route_poly,
 )
 from .fmt import decimal_str, frac_str, pair_str, poly_text, ratio_str, real_str
-from .qcore import QContext, parse_q, parse_rat
+from .qcore import QContext, parse_rat
 
 __all__ = ["main"]
 
@@ -115,7 +115,7 @@ def _check_cap(flag: str, value: int, cap: int) -> None:
 def _context(args: argparse.Namespace) -> QContext:
     q_text = args.q if args.q is not None else "1/2"
     try:
-        return QContext(parse_q(q_text))
+        return QContext(q_text)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

@@ -51,11 +51,11 @@ __all__ = ["hessenberg_dets"]
 
 def hessenberg_dets(beta: ESeq) -> list[Fraction]:
     """tau_0..tau_N, N = beta.order, the determinants of the Toeplitz-Hessenberg
-    matrices H_m by the first-row recurrence in the module docstring."""
+    matrices H_m by the first-row recurrence in the module docstring; the
+    gamma_m are ``beta.ordinary``, kept on the sequence."""
     if beta[0] == 0:
         raise ValueError("beta_0 must be nonzero")
-    fact = beta.ctx.q_factorial
-    step = [(-beta[0]) ** k * beta[k + 1] / fact(k + 1) for k in range(beta.order)]
+    step = [(-beta[0]) ** k * gamma for k, gamma in enumerate(beta.ordinary[1:])]
     tau = [Fraction(1)]
     for m in range(1, beta.order + 1):
         tau.append(dot(step[:m], tau[::-1]))

@@ -11,7 +11,8 @@ under the q-binomial convolution; it drives the determinant construction
 and the inversion identities.  A family is held by its beta, and its
 numbers are one reciprocal of it, computed on first read.  The 2-iterated
 and mixed families come from A_I(t) A_II(t): a product keeps its two
-factors, and its beta is beta^I * beta^II, formed on first read.
+factors as they are and is known to the lower of their orders, and its beta
+is beta^I * beta^II at that order, formed on first read.
 The first three built-ins below have betas affine in e_q(t) and
 (e_q(t) - 1)/t, so they and their nine pairs are held by their constants
 instead: their numbers follow one q-binomial recurrence on the integer
@@ -57,7 +58,7 @@ from typing import NamedTuple, Optional
 
 from .determinant import hessenberg_dets
 from .qcore import QContext, QPoly, lincomb, lincomb_ints
-from .series import ESeq, _check_compatible, convolve, reciprocal
+from .series import ESeq, convolve, reciprocal
 
 __all__ = [
     "BUILTIN_NAMES",
@@ -114,10 +115,11 @@ class AppellFamily:
     built from given numbers: by ``_affine_numbers`` when ``affine`` is set,
     the (c, d, s) of a beta-defined built-in or the two triples of a pair of
     them, else as reciprocal(beta).  A product of two families keeps them as
-    its ``factors`` (empty otherwise), and forms its beta beta^I * beta^II on
-    first read, as an ``affine`` single does its own.  Polynomials are kept
-    per degree in the same way, the ``determinant`` family once, and each
-    ``iterate2`` with this family as the basis once per weight polynomial.
+    its ``factors`` (empty otherwise), and forms its beta beta^I * beta^II at
+    its own order on first read, as an ``affine`` single does its own.
+    Polynomials are kept per degree in the same way, the ``determinant``
+    family once, and each ``iterate2`` with this family as the basis once per
+    weight polynomial.
     """
 
     __slots__ = ("ctx", "order", "label", "affine", "factors", "_beta", "_numbers", "_polys",
@@ -137,7 +139,7 @@ class AppellFamily:
                beta: Optional[ESeq], numbers: Optional[ESeq], factors: tuple = ()
                ) -> "AppellFamily":
         """Set the fields, unchecked: ``__init__`` checks a custom family's
-        beta, while a built-in of ``_AFFINE``, a product and ``truncated`` need none."""
+        beta, while a built-in of ``_AFFINE`` and a product need none."""
         self.ctx, self.order, self.label, self.affine = ctx, order, label, affine
         self.factors, self._beta, self._numbers, self._det = factors, beta, numbers, None
         self._polys: dict[int, QPoly] = {}
@@ -148,7 +150,7 @@ class AppellFamily:
     def beta(self) -> ESeq:
         if self._beta is None:
             if self.factors:
-                self._beta = convolve(*(f.beta for f in self.factors))
+                self._beta = convolve(*(f.beta.truncated(self.order) for f in self.factors))
             else:
                 (c, d, s), qn = self.affine, self.ctx.q_number
                 beta = [c + d + s] + [d + s / qn(m) if s else d for m in range(2, self.order + 2)]
@@ -207,20 +209,6 @@ class AppellFamily:
             dets = ESeq(self.ctx, [-fact(m) * t / (-beta0) ** (m + 1) for m, t in taus])
             self._det = AppellFamily(self.ctx, self.beta, self.label, dets)
         return self._det
-
-    def truncated(self, order: int) -> "AppellFamily":
-        """The same family at an order from 0 to its own; numbers and beta are
-        prefix-stable, so those already read are cut rather than recomputed,
-        and a product's factors are cut with it."""
-        self._check_degree(order)
-        if order == self.order:
-            return self
-        known = None if self._numbers is None else self._numbers.truncated(order)
-        beta = None if self._beta is None else self._beta.truncated(order)
-        factors = tuple(f.truncated(order) for f in self.factors)
-        return object.__new__(AppellFamily)._setup(
-            self.ctx, order, self.label, self.affine, beta, known, factors
-        )
 
 
 # (c, d, s) of a beta-defined built-in: beta_m = c [m = 0] + d + s/[m+1]_q
@@ -303,18 +291,9 @@ def _pair_weights(ctx: QContext, order: int, one: tuple, two: tuple) -> tuple[in
     return scale, weights, [0, 0, *(2 * n + 1 + (n + 2) ** 2 // 4 for n in range(order + 1))]
 
 
-def genocchi_table_numbers(ctx: QContext, order: int = GENOCCHI_TABLE_MAX_ORDER) -> ESeq:
-    """The published closed-form Genocchi numbers, evaluated exactly at q.
-
-    Only n = 0..4 were ever published, so the order is capped at 4.
-    """
-    if order < 0:
-        raise FamilyError(f"order must be >= 0, got {order}")
-    if order > GENOCCHI_TABLE_MAX_ORDER:
-        raise FamilyError(
-            f"genocchi-table numbers are only known up to n={GENOCCHI_TABLE_MAX_ORDER};"
-            f" requested order {order}"
-        )
+def genocchi_table_numbers(ctx: QContext) -> ESeq:
+    """The published closed-form Genocchi numbers n = 0..4, the only ones
+    ever published, evaluated exactly at q."""
     q = ctx.q
     g0 = Fraction(1)
     g1 = q / (1 + q)
@@ -328,7 +307,7 @@ def genocchi_table_numbers(ctx: QContext, order: int = GENOCCHI_TABLE_MAX_ORDER)
         - 1 / ctx.q_number(5)
         - 1
     )
-    return ESeq(ctx, (g0, g1, g2, g3, g4)[: order + 1])
+    return ESeq(ctx, (g0, g1, g2, g3, g4))
 
 
 def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> AppellFamily:
@@ -340,26 +319,33 @@ def resolve(spec: FamilySpec, ctx: QContext, order: int = DEFAULT_ORDER) -> Appe
             ctx, order, spec.name, _AFFINE[spec.name], None, None
         )
     if spec.name == "genocchi-table":
-        numbers = genocchi_table_numbers(ctx, order)
+        if order > GENOCCHI_TABLE_MAX_ORDER:
+            raise FamilyError(
+                f"genocchi-table numbers are only known up to n={GENOCCHI_TABLE_MAX_ORDER};"
+                f" requested order {order}"
+            )
+        numbers = genocchi_table_numbers(ctx).truncated(order)
         return AppellFamily(ctx, reciprocal(numbers), spec.name, numbers)
     raise FamilyError(f"unknown builtin {spec.name!r}")
 
 
 def product_family(a: AppellFamily, b: AppellFamily) -> AppellFamily:
-    """The family generated by the product of two determining functions,
-    which keeps a and b as its ``factors``.
+    """The family generated by the product of two determining functions of
+    one q, which keeps a and b as they are as its ``factors``.
 
-    Reciprocals multiply, so its beta is the convolution of the factors'
-    betas, formed on first read, and its numbers are one reciprocal of that.
-    A pair of ``_AFFINE`` built-ins is held by their two triples as well: its
-    numbers come from ``_affine_numbers``, without the factors' numbers.  The
-    factors must share q and order, as ``convolve`` requires.
+    A product of two truncated series is known up to the lower of their
+    orders, so that is its order.  Reciprocals multiply, so its beta is the
+    convolution of the factors' betas cut to it, formed on first read, and
+    its numbers are one reciprocal of that.  A pair of ``_AFFINE`` built-ins
+    is held by their two triples as well: its numbers come from
+    ``_affine_numbers``, without the factors' numbers.
     """
-    _check_compatible(a, b)
+    if a.ctx.q != b.ctx.q:
+        raise ValueError(f"mismatched q: {a.ctx.q} vs {b.ctx.q}")
     pair = (a.affine, b.affine)
     affine = pair if all(x and len(x) == 3 for x in pair) else None
     return object.__new__(AppellFamily)._setup(
-        a.ctx, a.order, f"{a.label}*{b.label}", affine, None, None, (a, b)
+        a.ctx, min(a.order, b.order), f"{a.label}*{b.label}", affine, None, None, (a, b)
     )
 
 
@@ -391,15 +377,15 @@ def route_poly(fam: AppellFamily, n: int, route: str) -> QPoly:
 def route_numbers(fam: AppellFamily, upto: int, route: str) -> list[Fraction]:
     """A_0..A_upto by one of ``ROUTES``, as ``route_poly``'s members read at 0,
     without forming them: fam.numbers, or the first factor's D (determinant) or
-    A^I (operator), convolved with A^II for a product."""
+    A^I (operator), convolved with A^II for a product, each cut to upto."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; choose from {', '.join(ROUTES)}")
     fam._check_degree(upto)
     if route == "series":
         return list(fam.numbers[: upto + 1])
     first, basis = fam.factors or (fam, None)
-    head = (first.determinant if route == "determinant" else first).numbers
-    return list((head if basis is None else convolve(head, basis.numbers))[: upto + 1])
+    head = (first.determinant if route == "determinant" else first).numbers.truncated(upto)
+    return list(head if basis is None else convolve(head, basis.numbers.truncated(upto)))
 
 
 def iterate2(fam_i: AppellFamily, fam_ii: AppellFamily, n: int) -> QPoly:

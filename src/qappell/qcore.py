@@ -32,7 +32,6 @@ __all__ = [
     "QContext",
     "QPoly",
     "parse_rat",
-    "parse_q",
     "q_derive",
 ]
 
@@ -50,14 +49,6 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"cannot parse {text!r} as a rational") from exc
 
 
-def parse_q(text: str) -> Fraction:
-    """Parse the base q, enforcing 0 < q < 1."""
-    q = parse_rat(text)
-    if not 0 < q < 1:
-        raise ValueError(f"q must satisfy 0 < q < 1, got {q}")
-    return q
-
-
 class QContext:
     """A fixed rational base 0 < q < 1 plus memoized derived scalars.
 
@@ -68,8 +59,8 @@ class QContext:
     __slots__ = ("q", "_qnum", "_qfact", "_gauss", "_fints")
 
     def __init__(self, q: Union[Fraction, int, str]):
-        if isinstance(q, str):
-            q = parse_rat(q)
+        if isinstance(q, (str, float)):  # the text of a float is no exact rational
+            q = parse_rat(str(q))
         q = Fraction(q)
         if not 0 < q < 1:
             raise ValueError(f"q must satisfy 0 < q < 1, got {q}")

@@ -102,16 +102,17 @@ class ESeq:
         return f"ESeq(q={self.ctx.q}, {[str(c) for c in self.coeffs]})"
 
     def truncated(self, order: int) -> "ESeq":
-        """Copy truncated to a lower order."""
+        """The sequence cut to an order from 0 to its own: a copy below it,
+        and the sequence itself, with its kept ordinary form, at it."""
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return ESeq(self.ctx, self.coeffs[: order + 1])
+        return self if order == self.order else ESeq(self.ctx, self.coeffs[: order + 1])
 
 
 def _check_compatible(a: ESeq, b: ESeq) -> None:
-    """Equal q and order, of two sequences or two families alike."""
+    """Equal q and order of two sequences."""
     if a.ctx.q != b.ctx.q:
         raise ValueError(f"mismatched q: {a.ctx.q} vs {b.ctx.q}")
     if a.order != b.order:

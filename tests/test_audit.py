@@ -303,15 +303,15 @@ class TestProperties:
                 families.product_family, "products", lambda fa, fb: (fa.label, fb.label)))
         singles, pairs = _families(QContext(F(1, 2)), 12)
         run_properties(singles, pairs)
-        # at most one tau build per family object, at its own order: the
-        # four built-ins and the three first factors cut to order 4 for a pair
-        # with genocchi-table
-        owners = {id(fam.beta): fam for pair in pairs.values() for fam in pair.factors}
-        owners.update({id(fam.beta): fam for fam in singles.values()})
+        # every pair's factors are the singles themselves, so one tau build
+        # per built-in, at its own order
+        assert all(f is singles[name] for (a, b), pair in pairs.items()
+                   for f, name in zip(pair.factors, (a, b)))
+        owners = {id(fam.beta): fam for fam in singles.values()}
         rows = Counter(beta for beta, _ in built["rows"])
-        assert set(rows.values()) == {1} and set(rows) <= set(owners)
+        assert set(rows.values()) == {1} and set(rows) == set(owners)
         assert all(owners[beta].order == n for beta, n in built["rows"])
-        assert len(rows) == 4 + 3
+        assert len(rows) == 4
         # one determinant member per route family and degree: the four
         # built-ins, 9 pairs at order 12 and the 7 with genocchi-table at 4
         dets = Counter(key for key in built["dets"] if key[2] == "determinant")
@@ -342,9 +342,7 @@ class TestProperties:
         monkeypatch.setattr(families, "_affine_numbers", counting_kernel)
         _properties("1/2", 8)
         # one per built-in (genocchi-table's is its beta, the others' numbers
-        # their recurrence) and one per ordered pair; the singles truncated
-        # for pairs with genocchi-table cut the numbers already read rather
-        # than run their own
+        # their recurrence) and one per ordered pair
         assert sorted(calls) == [4] * 8 + [8] * 12
 
     def test_wrong_builtin_numbers_fail_reciprocal_orthogonality(self, monkeypatch):
@@ -428,9 +426,10 @@ class TestReuse:
         # umbral and determinant 2-iterates, (n, P_n, P_(n-1)) for both ladders
         iterates = {
             (id(basis), n, weights.poly(n))
-            for first, basis in (pair.factors for pair in pairs.values())
+            for pair in pairs.values()
+            for first, basis in [pair.factors]
             for weights in (first, first.determinant)
-            for n in range(first.order + 1)
+            for n in range(pair.order + 1)
         }
         links = set()
         for fam in [*singles.values(), *pairs.values()]:

@@ -79,6 +79,28 @@ class TestNumbers:
         assert code == 2
         assert "1/2" in err
 
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ("1/1", "q must satisfy 0 < q < 1, got 1"),
+            ("0/5", "q must satisfy 0 < q < 1, got 0"),
+            ("3/2", "q must satisfy 0 < q < 1, got 3/2"),
+            ("0.5", "'0.5' is not an exact rational; write it as a fraction like '1/2'"),
+            ("1/0", "cannot parse '1/0' as a rational"),
+        ],
+    )
+    def test_bad_q_exits_2_with_its_error_line(self, capsys, q, message):
+        # QContext parses --q; a negative q is pinned in test_golden's CLI_PARITY
+        code, out, err = run_cli(capsys, "numbers", "--family", "euler", "--q", q, "--upto", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_q_with_spaces_is_accepted(self, capsys):
+        padded, plain = (
+            run_cli(capsys, "numbers", "--family", "euler", "--q", q, "--upto", "2")
+            for q in (" 1/2", "1/2")
+        )
+        assert padded == plain and padded[0] == 0
+
     def test_genocchi_table_order_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "numbers", "--family", "genocchi-table", "--q", "1/2", "--upto", "8"

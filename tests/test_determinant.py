@@ -430,7 +430,6 @@ class TestWeightTable:
                 list(w) for w in kept[: n + 1]
             ]
             assert [drawn(cut).determinant.poly(m).coeffs for m in range(n + 1)] == kept[: n + 1]
-            assert [fam.truncated(n).determinant.poly(m).coeffs for m in range(n + 1)] == kept[: n + 1]
 
     def test_rows_are_built_once_per_family(self, ctx_half, monkeypatch):
         built = []

@@ -118,8 +118,9 @@ class TestResolve:
 
     def test_negative_genocchi_table_order_rejected(self, ctx_half):
         with pytest.raises(FamilyError, match=">= 0"):
-            families.genocchi_table_numbers(ctx_half, -2)
-        assert families.genocchi_table_numbers(ctx_half, 0).coeffs == (1,)
+            resolve(GT, ctx_half, -2)
+        assert resolve(GT, ctx_half, 0).numbers.coeffs == (1,)
+        assert families.genocchi_table_numbers(ctx_half).coeffs == tuple(GENOCCHI_TABLE_HALF)
 
     def test_custom_sequence_wrong_q(self, ctx_half):
         seq = ESeq(QContext(F(1, 3)), [F(1), F(1)])
@@ -167,33 +168,37 @@ class TestAppellPoly:
                 call(-1)
         assert fam.poly(0) == QPoly([1])
 
-    def test_truncated_keeps_the_prefix(self, ctx_half):
-        fam = resolve(B, ctx_half, 8)
-        assert fam.truncated(8) is fam
-        low = fam.truncated(3)
-        assert low.order == 3
-        assert low.numbers == resolve(B, ctx_half, 3).numbers
-        assert low.beta == resolve(B, ctx_half, 3).beta
-        assert low.polys(3) == fam.polys(3)
-
-    def test_truncated_refuses_orders_outside_its_own(self, ctx_half):
-        fam = resolve(E, ctx_half, 6)
-        with pytest.raises(FamilyError, match=">= 0"):
-            fam.truncated(-3)
-        with pytest.raises(FamilyError, match="exceeds the truncation order 6"):
-            fam.truncated(7)
-        assert fam.truncated(0).polys(0) == [QPoly([1])]
+    def test_truncated_keeps_the_prefix(self):
+        # a family resolved at a lower order is the leading part of the higher
+        # one: numbers, beta, members, determinant members and 2-iterates
+        low, specs = 3, (B, E, GD, GT)
+        for ctx in (QContext("1/2"), QContext("5/11")):
+            tops = [resolve(s, ctx, GENOCCHI_TABLE_MAX_ORDER if s is GT else 8) for s in specs]
+            lows = [resolve(s, ctx, low) for s in specs]
+            for top, cut in zip(tops, lows):
+                assert cut.order == low
+                assert cut.numbers == top.numbers.truncated(low)
+                assert cut.beta == top.beta.truncated(low)
+                assert cut.polys(low) == top.polys(low)
+                assert cut.determinant.polys(low) == top.determinant.polys(low)
+            for top_a, cut_a in zip(tops, lows):
+                for top_b, cut_b in zip(tops, lows):
+                    for n in range(low + 1):
+                        assert iterate2(cut_a, cut_b, n) == iterate2(top_a, top_b, n)
 
     @pytest.mark.parametrize("spec", [B, E, GD, GT])
     def test_truncated_before_and_after_reading_numbers(self, ctx_half, spec):
-        makers = (lambda: resolve(spec, ctx_half, 4), lambda: pair_family(spec, B, ctx_half, 4))
-        for make in makers:
-            early = make().truncated(2)  # cut before any numbers are read
-            fam = make()
-            numbers = fam.numbers
-            late = fam.truncated(2)  # cut after
-            assert early.numbers == late.numbers == numbers.truncated(2)
-            assert early.beta == late.beta == fam.beta.truncated(2)
+        # a product with a factor of higher order is the lower-order product,
+        # whether that factor's numbers and beta were read before or after
+        want = pair_family(spec, B, ctx_half, 2)
+        for read_first in (False, True):
+            fam = resolve(spec, ctx_half, 4)
+            if read_first:
+                fam.numbers, fam.beta
+            pair = product_family(fam, resolve(B, ctx_half, 2))
+            assert pair.order == 2 and pair.factors[0] is fam
+            assert pair.numbers == want.numbers and pair.beta == want.beta
+            assert fam.numbers.truncated(2) == resolve(spec, ctx_half, 2).numbers
 
 
 def _counting_reciprocal(monkeypatch):
@@ -236,23 +241,13 @@ class TestNumbersOnDemand:
         assert pair.number(8) == pair.poly(8)(0)
         assert calls == [8]
 
-    def test_truncated_cuts_numbers_already_read(self, monkeypatch, ctx_half):
-        calls = _counting_reciprocal(monkeypatch)
-        fam = resolve(B, ctx_half, 6)
-        early = fam.truncated(3)
-        assert calls == []
-        assert early.numbers.order == 3 and fam.numbers.order == 6
-        assert calls == [3, 6]
-        assert fam.truncated(2).numbers == early.numbers.truncated(2)
-        assert calls == [3, 6]
-
     def test_given_numbers_are_kept(self, monkeypatch, ctx_half):
         seq = ESeq(ctx_half, [F(2), F(1, 3), F(-1, 5)])
         fam = custom("numbers", seq)
         table = resolve(GT, ctx_half, 4)
         calls = _counting_reciprocal(monkeypatch)
         assert fam.numbers is fam.numbers and fam.numbers == seq
-        assert table.numbers == families.genocchi_table_numbers(ctx_half, 4)
+        assert table.numbers == families.genocchi_table_numbers(ctx_half)
         assert calls == []
 
     def test_custom_beta_inverts_on_first_read(self, monkeypatch, ctx_half):
@@ -285,9 +280,7 @@ class TestPolyFromGaussRows:
         fams = list(singles)
         # every pair once: the factor order gives the same product family
         for i, a in enumerate(singles):
-            for b in singles[i:]:
-                order = min(a.order, b.order)
-                fams.append(product_family(a.truncated(order), b.truncated(order)))
+            fams.extend(product_family(a, b) for b in singles[i:])
         for fam in fams:
             for n in range(fam.order + 1):
                 assert fam.poly(n) == _fraction_poly(fam, n), (fam, n)
@@ -325,13 +318,15 @@ class TestBetaOnFirstRead:
         for spec in (B, E, GD):
             # the numbers by their recurrence, the members from the Gauss rows
             fam = resolve(spec, ctx, 12)
-            fam.numbers, fam.poly(12), fam.truncated(5).poly(5)
+            fam.numbers, fam.poly(12)
             assert fam._beta is None  # euler's beta needs no q-number, so look too
             for other in (B, E, GD):
-                # a pair's numbers come from the same recurrence, on W = w^I w^II
+                # a pair's numbers come from the same recurrence, on W = w^I w^II,
+                # also at the lower order of a factor
                 pair = pair_family(spec, other, ctx, 12)
-                pair.numbers, pair.poly(12)
-                assert pair._beta is None
+                low = product_family(fam, resolve(other, ctx, 5))
+                pair.numbers, pair.poly(12), low.numbers, low.poly(5)
+                assert pair._beta is None and low._beta is None
                 iterate2(fam, resolve(other, ctx, 12), 12)
         monkeypatch.undo()
         with pytest.raises(AssertionError, match="q_number called"):
@@ -348,35 +343,22 @@ class TestBetaOnFirstRead:
             assert fam.beta == ESeq(ctx, want)
             assert fam.beta is fam.beta
 
-    def test_truncated_before_and_after_the_first_read(self, ctx_half):
-        for spec in (B, E, GD):
-            fam = resolve(spec, ctx_half, 8)
-            early = fam.truncated(5)  # cut before beta is read
-            assert fam._beta is None and early._beta is None
-            beta = fam.beta
-            late = fam.truncated(5)  # cut after: the coefficients already formed
-            assert all(x is y for x, y in zip(late.beta, beta))
-            assert early.beta == late.beta == beta.truncated(5) == resolve(spec, ctx_half, 5).beta
-            assert early.numbers == late.numbers == fam.numbers.truncated(5)
-            assert early.affine == late.affine == fam.affine
-
     def test_pair_beta_on_first_read(self, ctx_half):
         fam = pair_family(B, E, ctx_half, 8)
-        early = fam.truncated(5)  # cut before beta is read
-        fam.numbers, early.numbers
-        assert fam._beta is None and early._beta is None
+        bern = resolve(B, ctx_half, 8)
+        low = product_family(bern, resolve(E, ctx_half, 5))  # at the lower order
+        fam.numbers, low.numbers
+        assert fam._beta is None and low._beta is None
         beta = fam.beta
         assert beta is fam.beta
         assert beta == convolve(resolve(B, ctx_half, 8).beta, resolve(E, ctx_half, 8).beta)
-        late = fam.truncated(5)  # cut after: the coefficients already formed
-        assert all(x is y for x, y in zip(late.beta, beta))
-        assert early.beta == late.beta == beta.truncated(5) == pair_family(B, E, ctx_half, 5).beta
-        assert early.numbers == late.numbers == fam.numbers.truncated(5)
-        assert early.affine == late.affine == fam.affine
-        # the factors are cut with the product
-        for cut in (early, late):
-            assert [f.order for f in cut.factors] == [5, 5]
-            assert [f.label for f in cut.factors] == ["bernoulli", "euler"]
+        assert low.beta == beta.truncated(5) == pair_family(B, E, ctx_half, 5).beta
+        assert low.numbers == fam.numbers.truncated(5)
+        assert low.affine == fam.affine
+        # the factors are kept as they are, each at its own order
+        assert low.factors[0] is bern
+        assert [f.order for f in low.factors] == [8, 5]
+        assert [f.label for f in low.factors] == ["bernoulli", "euler"]
 
 
 class TestAffineNumbers:
@@ -545,7 +527,7 @@ class TestPairBetaClosedForm:
         seq = ESeq(ctx_half, [F(1), F(1, 3), F(-1, 5), F(2), F(1, 7)])
         others = [
             bern,
-            resolve(E, ctx_half, 8).truncated(4),
+            resolve(E, ctx_half, 8),  # the product is at bern's order 4
             resolve(GT, ctx_half, 4),
             custom("beta", seq),
             custom("numbers", seq),
@@ -562,11 +544,23 @@ class TestPairBetaClosedForm:
         assert calls == [4] * (len(products) + 1)
         monkeypatch.undo()
         for fam, one, two in zip(others, products[::2], products[1::2]):
-            assert one.beta == two.beta == convolve(fam.beta, bern.beta)
+            assert one.beta == two.beta == convolve(fam.beta.truncated(4), bern.beta)
 
-    def test_mismatched_orders_still_raise(self, ctx_half):
+    def test_unequal_orders_give_the_lower_order(self, ctx_half):
+        bern, euler = resolve(B, ctx_half, 4), resolve(E, ctx_half, 5)
+        pair, want = product_family(bern, euler), pair_family(B, E, ctx_half, 4)
+        assert pair.order == 4 and pair.factors == (bern, euler)
+        assert pair.numbers == want.numbers and pair.beta == want.beta
+        for route in ROUTES:
+            assert route_numbers(pair, 4, route) == route_numbers(want, 4, route)
+            assert [route_poly(pair, n, route) for n in range(5)] == [
+                route_poly(want, n, route) for n in range(5)
+            ]
+        with pytest.raises(FamilyError, match="exceeds the truncation order 4"):
+            route_poly(pair, 5, "series")
+        # the sequences themselves are still multiplied at one order only
         with pytest.raises(ValueError, match="mismatched order"):
-            product_family(resolve(B, ctx_half, 4), resolve(E, ctx_half, 5))
+            convolve(bern.beta, euler.beta)
 
 
 class TestIterate2:
@@ -618,14 +612,15 @@ class TestIterate2:
     def test_matches_the_direct_double_sum(self, qs):
         # sum_k C(n,k)_q A^I_k P^II_(n-k), summed one Fraction at a time
         ctx = QContext(qs)
-        fams = [resolve(spec, ctx, 4 if spec == GT else 8) for spec in (B, E, GD, GT)]
-        for fa in fams:
-            for fb in fams:
+        specs = (B, E, GD, GT)
+        fams = [resolve(spec, ctx, 4 if spec == GT else 8) for spec in specs]
+        for sa, fa in zip(specs, fams):
+            for sb, fb in zip(specs, fams):
                 for n in range(min(fa.order, fb.order) + 1):
                     weights = [ctx.q_binomial(n, k) * fa.number(k) for k in range(n + 1)]
                     want = lincomb_oracle(weights, [fb.poly(n - k) for k in range(n + 1)])
                     assert iterate2(fa, fb, n) == want
-                    assert iterate2(fa.truncated(n), fb.truncated(n), n) == want
+                    assert iterate2(resolve(sa, ctx, n), resolve(sb, ctx, n), n) == want
 
     def test_degree_beyond_either_order_rejected(self, ctx_half):
         fb, fg = resolve(B, ctx_half, 6), resolve(GT, ctx_half, 4)

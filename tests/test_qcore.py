@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qappell import QContext, QPoly, parse_q, parse_rat, q_derive
+from qappell import QContext, QPoly, parse_rat, q_derive
 from qappell.qcore import dot, homogeneous_image, lincomb
 from qappell.roots import sample
 
@@ -87,10 +87,17 @@ class TestParsing:
                 parse_rat(bad)
 
     def test_parse_q_bounds(self):
-        assert parse_q("1/2") == F(1, 2)
+        # QContext parses a text q and refuses one outside (0, 1)
+        assert QContext("1/2").q == QContext(" 1/2").q == F(1, 2)
         for bad in ("0", "1", "3/2", "-1/2"):
-            with pytest.raises(ValueError):
-                parse_q(bad)
+            with pytest.raises(ValueError, match="0 < q < 1"):
+                QContext(bad)
+
+    def test_context_refuses_a_float(self):
+        # 0.1 would be 3602879701896397/2^55, which makes every family tall
+        for bad in (0.1, 0.5, 1e-3):
+            with pytest.raises(ValueError, match="is not an exact rational"):
+                QContext(bad)
 
     def test_context_rejects_bad_q(self):
         with pytest.raises(ValueError):

@@ -78,6 +78,7 @@ class TestBasics:
     def test_truncated(self, ctx_half):
         a = ESeq(ctx_half, [1, 2, 3])
         assert a.truncated(1).coeffs == (1, 2)
+        assert a.truncated(2) is a  # at its own order, with its kept ordinary form
         with pytest.raises(ValueError):
             a.truncated(5)
 
