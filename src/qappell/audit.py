@@ -2,7 +2,10 @@
 
 The package ships a verbatim transcription of the published value tables
 for the plain, 2-iterated and mixed families (``data/printed_tables.json``),
-together with a registry of known misprints in them.  ``run_verify``
+together with a registry of known misprints in them.  Its ``printed_forms``
+hold the published closed forms of the plain numbers and polynomials as
+integer coefficient lists in q, a numerator and a denominator per value,
+evaluated exactly at the run's q by ``QPoly.__call__``.  ``run_verify``
 builds one family set, every built-in and ordered pair resolved once at
 the order (at least 4, where the printed tables stop), and every phase
 reads it.  It first executes the exact property suite (ladder, reciprocal
@@ -45,7 +48,6 @@ from .families import (
     AppellFamily,
     FamilySpec,
     GENOCCHI_TABLE_MAX_ORDER,
-    genocchi_table_numbers,
     identity_residuals,
     iterate2,
     product_family,
@@ -63,8 +65,6 @@ __all__ = [
     "VerifyReport",
     "run_verify",
     "load_fixture",
-    "printed_number",
-    "printed_family_poly",
 ]
 
 ZERO_MATCH_TOL = 5e-5
@@ -79,96 +79,6 @@ def load_fixture() -> dict:
     path = os.path.join(os.path.dirname(__file__), "data", "printed_tables.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-# ---------------------------------------------------------------------------
-# printed closed forms (functions of q, transcribed verbatim)
-# ---------------------------------------------------------------------------
-
-
-def printed_number(ctx: QContext, family: str, n: int) -> Fraction:
-    """The published closed-form number n, evaluated exactly at ctx.q."""
-    q = ctx.q
-    qn = ctx.q_number
-    if family == "bernoulli":
-        forms = (
-            lambda: Fraction(1),
-            lambda: -1 / (1 + q),
-            lambda: q**2 / ctx.q_factorial(3),
-            lambda: (1 - q) * q**3 / (qn(2) * qn(4)),
-            lambda: q**4 * (1 - q**2 - 2 * q**3 - q**4 + q**6) / (qn(2) ** 2 * qn(3) * qn(5)),
-        )
-    elif family == "euler":
-        forms = (
-            lambda: Fraction(1),
-            lambda: Fraction(-1, 2),
-            lambda: (q - 1) / 4,
-            lambda: (-1 + 2 * q + 2 * q**2 - q**3) / 8,
-            lambda: (q - 1) * ctx.q_factorial(3) * (q**2 - 4 * q + 1) / 16,
-        )
-    elif family == "genocchi":
-        return genocchi_table_numbers(ctx)[n]
-    else:
-        raise ValueError(f"no published numbers for {family!r}")
-    return forms[n]()
-
-
-def printed_family_poly(ctx: QContext, family: str, n: int) -> QPoly:
-    """The published degree-n polynomial (coefficients as printed).
-
-    The Genocchi row reproduces two misprints on purpose: the degree-3
-    constant lacks a square in its denominator and the degree-4
-    x coefficient carries exponent 4 instead of 2.
-    """
-    q = ctx.q
-    qn = ctx.q_number
-    if family == "bernoulli":
-        rows = (
-            lambda: [Fraction(1)],
-            lambda: [1, -1 / (1 + q)],
-            lambda: [1, -qn(2) / (1 + q), q**2 / (qn(3) * qn(2))],
-            lambda: [1, -qn(3) / (1 + q), q**2 / qn(2), (1 - q) * q**3 / (qn(2) * qn(4))],
-            lambda: [
-                1,
-                -qn(4) / (1 + q),
-                qn(4) * q**2 / qn(2) ** 2,
-                (1 - q) * q**3 / qn(2),
-                printed_number(ctx, "bernoulli", 4),
-            ],
-        )
-    elif family == "euler":
-        e3 = -1 + 2 * q + 2 * q**2 - q**3
-        rows = (
-            lambda: [Fraction(1)],
-            lambda: [1, Fraction(-1, 2)],
-            lambda: [1, -qn(2) / 2, (q - 1) / 4],
-            lambda: [1, -qn(3) / 2, qn(3) * (q - 1) / 4, e3 / 8],
-            lambda: [
-                1,
-                -qn(4) / 2,
-                qn(4) * qn(3) * (q - 1) / (4 * qn(2)),
-                qn(4) * e3 / 8,
-                printed_number(ctx, "euler", 4),
-            ],
-        )
-    elif family == "genocchi":
-        big = q**3 + 3 * q**2 + 4 * q + 3
-        rows = (
-            lambda: [Fraction(1)],
-            lambda: [1, q / (1 + q)],
-            lambda: [1, q, genocchi_table_numbers(ctx)[2]],
-            lambda: [1, qn(3) * q / (1 + q), -big / (1 + q), (2 * q**3 + q**2) / (1 + q)],
-            lambda: [
-                1,
-                qn(4) * q / (1 + q),
-                -qn(4) * qn(3) * big / (qn(2) * (1 + q) * (1 + q + q**2)),
-                qn(4) * (2 * q**3 + q**4) / (1 + q) ** 2,
-                genocchi_table_numbers(ctx)[4],
-            ],
-        )
-    else:
-        raise ValueError(f"no published polynomials for {family!r}")
-    return QPoly(list(reversed([Fraction(c) for c in rows[n]()])))
 
 
 # ---------------------------------------------------------------------------
@@ -394,29 +304,39 @@ def _fixture_poly(coeff_strings: list[str]) -> QPoly:
     return QPoly([Fraction(c) for c in reversed(coeff_strings)])
 
 
+def _printed_value(form: list[list[int]], q: Fraction) -> Fraction:
+    """A printed closed form [numerator, denominator], integer coefficients
+    in q from the constant term up, at q."""
+    num, den = form
+    return QPoly(num)(q) / QPoly(den)(q)
+
+
 def _table_rows(
-    ctx: QContext,
+    q: Fraction,
     tables: dict[str, AppellFamily],
     pairs: dict[str, AppellFamily],
     fixture: dict,
 ):
     """(check id, subject, printed, computed, render) for each printed value,
     in report order; the iterated rows only for the pairs given."""
+    forms = fixture["printed_forms"]
     for key, name in _PLAIN_FAMILIES.items():
         for n in range(5):
+            check_id = f"numbers:{key}:{n}"
             yield (
-                f"numbers:{key}:{n}",
+                check_id,
                 f"q-{key.capitalize()} number, n={n}",
-                printed_number(ctx, key, n),
+                _printed_value(forms[check_id], q),
                 tables[name].number(n),
                 _number_text,
             )
     for key, name in _PLAIN_FAMILIES.items():
         for n in range(5):
+            check_id = f"family-polys:{key}:{n}"
             yield (
-                f"family-polys:{key}:{n}",
+                check_id,
                 f"q-{key.capitalize()} polynomial, degree {n}",
-                printed_family_poly(ctx, key, n),
+                QPoly([_printed_value(form, q) for form in reversed(forms[check_id])]),
                 tables[name].poly(n),
                 poly_text,
             )
@@ -598,7 +518,7 @@ def run_verify(q: Fraction, order: int = 8) -> VerifyReport:
             f"only; skipped at q = {frac_str(ctx.q)}"
         )
     report.checks = _audit_tables(
-        _table_rows(ctx, singles, printed, fixture), zero_rows, fixture["known_misprints"]
+        _table_rows(ctx.q, singles, printed, fixture), zero_rows, fixture["known_misprints"]
     )
     report.exhibits = _exhibits(singles, pairs)
     return report

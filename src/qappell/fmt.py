@@ -8,6 +8,7 @@ from .qcore import QPoly
 
 __all__ = ["frac_str", "decimal_str", "ratio_str", "poly_text", "real_str", "pair_str"]
 
+_PLACES = 12  # decimals of an exact rational
 _ZERO_PLACES = 4  # decimals of a rounded zero, as the published tables print them
 
 
@@ -29,21 +30,21 @@ def frac_str(x: Fraction) -> str:
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
-def decimal_str(x: Fraction, places: int = 12) -> str:
-    """Fixed-point decimal string of an exact rational, round-half-even."""
+def decimal_str(x: Fraction) -> str:
+    """Fixed-point decimal string of an exact rational to 12 places, round-half-even."""
     x = Fraction(x)
-    return ratio_str(x.numerator, x.denominator, places)
+    return ratio_str(x.numerator, x.denominator)
 
 
-def ratio_str(num: int, den: int, places: int = 12) -> str:
+def ratio_str(num: int, den: int) -> str:
     """``decimal_str`` of num/den for integers with den > 0, reduced or not:
     the half-even rounding is exact and takes no gcd."""
-    i, r = divmod(num * 10**places, den)
+    i, r = divmod(num * 10**_PLACES, den)
     if 2 * r > den or (2 * r == den and i & 1):
         i += 1
     sign = "-" if i < 0 else ""
-    digits = _int_str(abs(i)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+    digits = _int_str(abs(i)).rjust(_PLACES + 1, "0")
+    return f"{sign}{digits[:-_PLACES]}.{digits[-_PLACES:]}"
 
 
 def _term(coeff: Fraction, power: int) -> str:

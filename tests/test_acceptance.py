@@ -31,7 +31,7 @@ from qappell import (
     unit,
     vieta_residuals,
 )
-from qappell.audit import load_fixture, printed_family_poly, printed_number, run_verify
+from qappell.audit import _printed_value, load_fixture, run_verify
 from qappell.families import FamilySpec
 from qappell.qcore import lincomb
 from qappell.series import ESeq
@@ -70,19 +70,22 @@ def test_criterion_01_numbers():
     assert [eul.number(n) for n in range(5)] == [
         F(1), F(-1, 2), F(-1, 8), F(3, 64), F(63, 1024)
     ]
+    forms = load_fixture()["printed_forms"]
     for key in ("bernoulli", "euler"):
         fam = bern if key == "bernoulli" else eul
         for n in range(5):
-            assert fam.number(n) == printed_number(ctx, key, n)
+            assert fam.number(n) == _printed_value(forms[f"numbers:{key}:{n}"], ctx.q)
 
 
 @criterion(2, "plain-family polynomials match the published table by both routes")
 def test_criterion_02_family_polys():
     ctx = QContext(F(1, 2))
+    forms = load_fixture()["printed_forms"]
     for key in ("bernoulli", "euler"):
         fam = resolve(FamilySpec.builtin(key), ctx, 3)
         for n in range(4):
-            printed = printed_family_poly(ctx, key, n)
+            row = forms[f"family-polys:{key}:{n}"]
+            printed = QPoly([_printed_value(form, ctx.q) for form in reversed(row)])
             assert fam.poly(n) == printed
             assert route_poly(fam, n, "determinant") == printed
     bern = resolve(FamilySpec.builtin("bernoulli"), ctx, 3)

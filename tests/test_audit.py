@@ -8,9 +8,8 @@ import pytest
 from qappell import QContext, QPoly, audit, cli, families, resolve
 from qappell.audit import (
     _families,
+    _printed_value,
     load_fixture,
-    printed_family_poly,
-    printed_number,
     run_properties,
     run_verify,
 )
@@ -64,17 +63,21 @@ class TestFixture:
 
 
 class TestPrintedForms:
+    """The fixture's printed closed forms, evaluated at q, against the engine."""
+
     @pytest.mark.parametrize("qs", ["1/2", "1/3", "3/4"])
     def test_number_closed_forms_match_engine(self, qs):
         ctx = QContext(qs)
+        forms = load_fixture()["printed_forms"]
         for key, name in (("bernoulli", "bernoulli"), ("euler", "euler")):
             fam = resolve(FamilySpec.builtin(name), ctx, 4)
             for n in range(5):
-                assert printed_number(ctx, key, n) == fam.number(n)
+                assert _printed_value(forms[f"numbers:{key}:{n}"], ctx.q) == fam.number(n)
 
     @pytest.mark.parametrize("qs", ["1/2", "2/5"])
     def test_family_poly_misprints_localized(self, qs):
         ctx = QContext(qs)
+        forms = load_fixture()["printed_forms"]
         for key, name in (
             ("bernoulli", "bernoulli"),
             ("euler", "euler"),
@@ -82,7 +85,8 @@ class TestPrintedForms:
         ):
             fam = resolve(FamilySpec.builtin(name), ctx, 4)
             for n in range(5):
-                printed = printed_family_poly(ctx, key, n)
+                row = forms[f"family-polys:{key}:{n}"]
+                printed = QPoly([_printed_value(form, ctx.q) for form in reversed(row)])
                 if key == "genocchi" and n in (3, 4):
                     assert printed != fam.poly(n)
                 else:

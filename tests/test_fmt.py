@@ -31,18 +31,18 @@ def test_frac_str_past_digit_limit():
 
 def test_decimal_str_past_digit_limit():
     n = _big()
-    assert decimal_str(F(n, 1000), places=3) == f"{DIGITS[:-3]}.{DIGITS[-3:]}"
-    # the digits end in ...787, so two places round the last one up to ...79
-    assert decimal_str(F(-n, 1000), places=2) == f"-{DIGITS[:-3]}.79"
+    assert decimal_str(F(n, 1000)) == f"{DIGITS[:-3]}.{DIGITS[-3:]}000000000"
+    # the digits end in ...787, so 12 places of n/10^14 round the last kept 7 up to 8
+    assert decimal_str(F(-n, 10**14)) == f"-{DIGITS[:-14]}.{DIGITS[-14:-3]}8"
 
 
-def _decimal_oracle(x: F, places: int = 12) -> str:
-    """The fixed-point string by Fraction's exact half-even ``round``, as
+def _decimal_oracle(x: F) -> str:
+    """The 12-place string by Fraction's exact half-even ``round``, as
     ``decimal_str`` formed it before it shared ``ratio_str``."""
-    i = round(x * 10**places)
+    i = round(x * 10**12)
     sign = "-" if i < 0 else ""
-    digits = str(abs(i)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
+    digits = str(abs(i)).rjust(13, "0")
+    return f"{sign}{digits[:-12]}.{digits[-12:]}"
 
 
 def test_ratio_str_matches_decimal_str_on_ties_signs_and_zero():
@@ -57,22 +57,16 @@ def test_ratio_str_matches_decimal_str_on_ties_signs_and_zero():
     assert ratio_str(3, 2 * 10**12) == "0.000000000002"
     assert ratio_str(-3, 2 * 10**12) == "-0.000000000002"
     assert ratio_str(-1, 2 * 10**12) == "0.000000000000"
-    assert ratio_str(7, 20, 1) == decimal_str(F(7, 20), places=1) == "0.4"
 
 
-@given(
-    st.integers(-(10**40), 10**40),
-    st.integers(1, 10**30),
-    st.integers(1, 10**6),
-    st.integers(0, 14),
-)
-def test_ratio_str_equals_decimal_str(num, den, scale, places):
-    want = _decimal_oracle(F(num, den), places)
-    assert ratio_str(num * scale, den * scale, places) == decimal_str(F(num, den), places) == want
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**30), st.integers(1, 10**6))
+def test_ratio_str_equals_decimal_str(num, den, scale):
+    want = _decimal_oracle(F(num, den))
+    assert ratio_str(num * scale, den * scale) == decimal_str(F(num, den)) == want
 
 
-@given(st.integers(-(10**20), 10**20), st.integers(1, 10**6), st.integers(0, 14))
-def test_ratio_str_rounds_exact_ties_to_even(k, scale, places):
-    # (2k + 1) / (2 10^places) is k + 1/2 units of the last place
-    num, den = (2 * k + 1) * scale, 2 * 10**places * scale
-    assert ratio_str(num, den, places) == _decimal_oracle(F(num, den), places)
+@given(st.integers(-(10**20), 10**20), st.integers(1, 10**6))
+def test_ratio_str_rounds_exact_ties_to_even(k, scale):
+    # (2k + 1) / (2 10^12) is k + 1/2 units of the last place
+    num, den = (2 * k + 1) * scale, 2 * 10**12 * scale
+    assert ratio_str(num, den) == _decimal_oracle(F(num, den))

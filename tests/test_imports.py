@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 SCRIPT = """
 import json, sys
 
@@ -52,11 +54,16 @@ def test_audit_runs_no_code_generator():
     assert {"dataclasses", "inspect", "ast", "dis", "importlib.resources"} & added == set()
 
 
-def test_text_output_loads_no_json():
-    added = _added_by(
-        "import qappell.cli\n"
-        "qappell.cli.main(['numbers', '--family', 'euler', '--q', '1/2', '-n', '3',"
-        " '--format', 'text'])"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numbers", "--family", "euler", "--q", "1/2", "-n", "3", "--format", "text"],
+        # the published genocchi numbers are a constant of families, not a fixture read
+        ["numbers", "--family", "genocchi-table", "--q", "1/2", "-n", "4", "--format", "text"],
+    ],
+    ids=["euler", "genocchi-table"],
+)
+def test_text_output_loads_no_json(argv):
+    added = _added_by(f"import qappell.cli\nqappell.cli.main({argv!r})")
     assert "qappell.cli" in added
     assert "json" not in added
