@@ -122,9 +122,9 @@ def _context(args: argparse.Namespace) -> QContext:
 
 def _specs(args: argparse.Namespace) -> tuple[FamilySpec, ...]:
     try:
-        if args.family:
+        if args.family is not None:
             return (FamilySpec.builtin(args.family),)
-        pair_text = args.iterate if args.iterate else args.mixed
+        pair_text = args.iterate if args.iterate is not None else args.mixed
         names = [s for s in pair_text.split(",") if s.strip()]
         if len(names) != 2:
             raise CliError(f"expected two comma-separated names, got {pair_text!r}")

@@ -37,6 +37,9 @@ basis the w_j are its member's coefficients, and with another family's
 polynomials the member is their 2-iterate.  ``AppellFamily.determinant`` is
 that family, of the same beta; ``families.route_poly`` and ``route_numbers``
 read it from the one family they take, or from a product's first factor.
+D is independent of the series numbers only for the ``_AFFINE`` built-ins
+and their pairs: tau_m / (-beta_0)^m obeys ``reciprocal``'s recurrence on the
+same ``beta.ordinary``, so for any other family D re-checks ``reciprocal``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
+import argparse
 import json
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from qappell.cli import MAX_ORDER, MAX_STEPS, MAX_VERIFY_ORDER, main
+from qappell.cli import MAX_ORDER, MAX_STEPS, MAX_VERIFY_ORDER, build_parser, main
+from qappell.families import BUILTIN_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -90,7 +95,7 @@ class TestNumbers:
         ],
     )
     def test_bad_q_exits_2_with_its_error_line(self, capsys, q, message):
-        # QContext parses --q; a negative q is pinned in test_golden's CLI_PARITY
+        # QContext parses --q; a negative q is pinned in tests/parity.py
         code, out, err = run_cli(capsys, "numbers", "--family", "euler", "--q", q, "--upto", "2")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -637,3 +642,72 @@ class TestCaps:
     def test_at_cap_starts_work(self, capsys, template, flag, cap):
         with pytest.raises(_WorkStarted):
             run_cli(capsys, *template.format(cap).split())
+
+
+# Argument lists from the parser's own subcommands, flags and choices.  Each
+# value is one the commands accept or an edge string.  Accepted orders stay at
+# 12 or below, so an order cap comes in as cap + 1 only: cap - 1 would run for
+# minutes.
+PARSER = build_parser()
+COMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+EDGES = ("", " ", "-", "+", "-1/2", "1/0", "0.5", "nan", "inf", "1e3", "bernoulli,", ",euler")
+VALUES = {
+    "q": ("1/2", "1/3", "2/5"),
+    "family": BUILTIN_NAMES,
+    "iterate": ("bernoulli,euler", "euler,genocchi-table"),
+    "mixed": ("genocchi-det,bernoulli", "genocchi-table,euler"),
+    "degrees": ("1,3", "12", "2,2", f"1,{MAX_ORDER + 1}"),
+    "xmin": ("-1", "0", "1/2"),
+    "xmax": ("1", "1/2", "2"),
+    "steps": ("2", "5", str(MAX_STEPS - 1), str(MAX_STEPS + 1)),
+    "out": ("out.txt", "no-such-dir/out.txt"),
+}
+
+
+@st.composite
+def argument_lists(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    sub = COMMANDS[command]
+    cap = MAX_VERIFY_ORDER if command == "verify" else MAX_ORDER
+    orders = (*(str(k) for k in range(13)), "-1", str(cap + 1))
+    groups = [g._group_actions for g in sub._mutually_exclusive_groups]
+    chosen = {draw(st.sampled_from(g)) for g in groups}
+    argv = [command]
+    for action in sub._actions:
+        if not action.option_strings or isinstance(action, argparse._HelpAction):
+            continue
+        if any(action in g for g in groups):
+            if action not in chosen:
+                continue
+        elif not (action.required or draw(st.booleans())):
+            continue
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            accepted = action.choices or VALUES.get(action.dest, orders)
+            edge = draw(st.integers(0, 4)) == 4
+            argv.append(draw(st.sampled_from(EDGES if edge else accepted)))
+    return argv
+
+
+@settings(
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(argv=argument_lists())
+@example(argv=["poly", "--q", "1/2", "--family", "", "-n", "4"])
+@example(argv=["numbers", "--q", "1/2", "--iterate", "", "--upto", "3"])
+def test_every_argument_list_ends_in_a_documented_exit(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # --out writes here
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own refusal
+        assert exc.code == 2 and capsys.readouterr().err.startswith("usage: ")
+        return
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert argv[0] == "verify"
+    elif code == 2:
+        assert out == "" and re.fullmatch("error: [^\n]*\n", err)
